@@ -2,8 +2,10 @@
 
 The package splits along what is feasible where:
 
-* :mod:`sofic.graphs` -- the labeled-multigraph carrier and transition action;
-* :mod:`sofic.products` -- sink-completion, label products, hat graph;
+* :mod:`sofic.graphs` -- the labeled-multigraph carrier, transition action,
+  and the compiled integer view, SCC routine and BFS every search uses;
+* :mod:`sofic.products` -- sink-completion, label products, hat graph
+  (named graphs for display and tests);
 * :mod:`sofic.syncwords` -- polynomial algorithms for irreducible and
   synchronizing presentations (sync words, separating words, the
   synchronizing-presentation test);

@@ -25,12 +25,12 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     alphabet,
+    cycle_vertices,
     disjoint_union,
     irreducible_components,
     is_essential,
     _require_deterministic,
 )
-from .products import hat_graph, sink_vertex_graph, sink_vertex_name
 from .syncwords import is_synchronizing, separating_word
 
 
@@ -70,26 +70,26 @@ def follower_partition(g):
     _require_deterministic(g)
     if not g.vertices:
         return FollowerPartition(())
-    gamma = alphabet(g)
-    g0 = sink_vertex_graph(g, gamma)
-    sink = sink_vertex_name(g)
-    table = g0._next
-    block_id = {v: (1 if v == sink else 0) for v in g0.vertices}
+    n = len(g.vertices)
+    # each column is one label's targets plus the sink's own (index n);
+    # a target -1 reads the sink's block at block[-1]
+    columns = [t + (n,) for t in g._compiled().targets.values()]
+    block = [0] * n + [1]
+    count = 2
     while True:
-        signatures = {
-            v: (block_id[v],) + tuple(block_id[table[v][a]] for a in gamma)
-            for v in g0.vertices
-        }
         renumber = {}
-        for v in g0.vertices:
-            renumber.setdefault(signatures[v], len(renumber))
-        new_ids = {v: renumber[signatures[v]] for v in g0.vertices}
-        if len(renumber) == len(set(block_id.values())):
+        new = [
+            renumber.setdefault(
+                (block[v],) + tuple([block[t[v]] for t in columns]), len(renumber)
+            )
+            for v in range(n + 1)
+        ]
+        if len(renumber) == count:
             break
-        block_id = new_ids
+        block, count = new, len(renumber)
     blocks = {}
-    for v in g.vertices:
-        blocks.setdefault(block_id[v], set()).add(v)
+    for v, name in enumerate(g.vertices):
+        blocks.setdefault(block[v], set()).add(name)
     classes = sorted((frozenset(b) for b in blocks.values()), key=min)
     return FollowerPartition(tuple(classes))
 
@@ -191,13 +191,6 @@ def equal_sync(g, h):
     return are_isomorphic(follower_separation(g), follower_separation(h)) is not None
 
 
-def _is_acyclic(g):
-    # a cycle is a component of size >= 2 or a self loop
-    if any(src == dst for src, _, dst in g.edges):
-        return False
-    return all(len(c.vertices) == 1 for c in irreducible_components(g))
-
-
 def is_sft_sync(g):
     """Returns True iff the shift of the synchronizing presentation `g` has finite type.
 
@@ -212,7 +205,17 @@ def is_sft_sync(g):
     """
     if not is_synchronizing(g):
         raise NotSynchronizingError("input is not a synchronizing presentation")
-    return _is_acyclic(hat_graph(follower_separation(g)))
+    gfs = follower_separation(g)
+    n = len(gfs.vertices)
+    # hat-graph vertex (i, j), i != j, is index i * n + j
+    succ = [[] for _ in range(n * n)]
+    for t in gfs._compiled().targets.values():
+        defined = [(i, ti) for i, ti in enumerate(t) if ti >= 0]
+        for i, ti in defined:
+            for j, tj in defined:
+                if i != j and ti != tj:
+                    succ[i * n + j].append(ti * n + tj)
+    return not cycle_vertices(succ)
 
 
 def m_step_bound(g):

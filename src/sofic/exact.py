@@ -33,9 +33,14 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     alphabet,
+    cycle_vertices,
     induced_subgraph,
     irreducible_components,
     is_essential,
+    paired_targets,
+    reachable_indices,
+    shortest_word,
+    subset_step,
 )
 
 
@@ -56,17 +61,6 @@ def _require(g):
         raise NotDeterministicError("graph is not deterministic")
     if not is_essential(g):
         raise NotEssentialError("graph has stranded vertices")
-
-
-def _letter_actions(g):
-    """Per-label partial functions on vertex indices, in label order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    actions = {}
-    for a in alphabet(g):
-        actions[a] = tuple(
-            index[g._next[v][a]] if a in g._next[v] else -1 for v in g.vertices
-        )
-    return actions
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def action_of_word(g, w):
     """
     if not g._deterministic:
         raise NotDeterministicError("graph is not deterministic")
-    gens = _letter_actions(g)
+    gens = g._compiled().targets
     empty = (-1,) * len(g.vertices)
     func = tuple(range(len(g.vertices)))
     for a in w:
@@ -270,7 +264,7 @@ def action_monoid(g, cap=None):
         raise NotDeterministicError("graph is not deterministic")
     if cap is None:
         cap = DEFAULT_CAPS.relations
-    generators = _letter_actions(g)
+    generators = g._compiled().targets
     identity = tuple(range(len(g.vertices)))
     witnesses = {identity: ()}
     funcs = [identity]
@@ -361,60 +355,7 @@ def _cycle_reachable(m):
     succs = [
         sorted({index[m._cayley[(f, a)]] for a in m._generators}) for f in funcs
     ]
-    # iterative Tarjan over element indices
-    order = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = 0
-    on_cycle = set()
-    for root in range(len(funcs)):
-        if root in order:
-            continue
-        work = [(root, iter(succs[root]))]
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in order:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succs[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == order[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or any(s in comp for s in succs[v]):
-                    on_cycle |= comp
-    reach = set(on_cycle)
-    queue = deque(on_cycle)
-    while queue:
-        v = queue.popleft()
-        for w in succs[v]:
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return reach
+    return reachable_indices(succs, cycle_vertices(succs))
 
 
 def decide_sft(g, caps=DEFAULT_CAPS):
@@ -444,12 +385,6 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     return True
 
 
-def _subset_tables(g):
-    labels = alphabet(g)
-    actions = _letter_actions(g)
-    return labels, actions
-
-
 def _image(mask, targets):
     out = 0
     while mask:
@@ -475,14 +410,14 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return frozenset()
-    labels, actions = _subset_tables(g)
+    view = g._compiled()
     full = (1 << len(g.vertices)) - 1
     seen = {full}
     queue = deque([full])
     while queue:
         mask = queue.popleft()
-        for a in labels:
-            nxt = _image(mask, actions[a])
+        for targets in view.targets.values():
+            nxt = _image(mask, targets)
             if nxt and nxt not in seen:
                 if len(seen) >= caps.subsets:
                     raise CapExceededError(len(seen) + 1, "subset count")
@@ -512,26 +447,19 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return None
-    labels, actions = _subset_tables(g)
+    view = g._compiled()
+    targets = view.targets
+
+    def successor(mask, a):
+        return _image(mask, targets[a]) or None
+
+    def singleton(mask):
+        return mask & (mask - 1) == 0
+
     full = (1 << len(g.vertices)) - 1
-    if full.bit_count() == 1:
-        return ()
-    seen = {full}
-    queue = deque([(full, ())])
-    while queue:
-        mask, word = queue.popleft()
-        for a in labels:
-            nxt = _image(mask, actions[a])
-            if nxt == 0 or nxt in seen:
-                continue
-            extended = word + (a,)
-            if nxt.bit_count() == 1:
-                return extended
-            if len(seen) >= caps.subsets:
-                raise CapExceededError(len(seen) + 1, "subset count")
-            seen.add(nxt)
-            queue.append((nxt, extended))
-    return None
+    return shortest_word(
+        [full], view.labels, successor, singleton, caps.subsets, "subset count"
+    )
 
 
 def subshift_witness(g, h, caps=DEFAULT_CAPS):
@@ -560,30 +488,27 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
         return True, None
     if not h.vertices:
         return False, ()
-    labels = tuple(sorted(set(alphabet(g)) | set(alphabet(h))))
-    actions_g = _letter_actions(g)
-    actions_h = _letter_actions(h)
-    none_g = (-1,) * len(g.vertices)
-    none_h = (-1,) * len(h.vertices)
+    tables = paired_targets(g, h)
+
+    def successor(masks, a):
+        tg, th = tables[a]
+        ng = _image(masks[0], tg)
+        return (ng, _image(masks[1], th)) if ng else None
+
+    def killed(masks):
+        return masks[1] == 0
+
     full_g = (1 << len(g.vertices)) - 1
     full_h = (1 << len(h.vertices)) - 1
-    seen = {(full_g, full_h)}
-    queue = deque([((full_g, full_h), ())])
-    while queue:
-        (mg, mh), word = queue.popleft()
-        for a in labels:
-            ng = _image(mg, actions_g.get(a, none_g))
-            if ng == 0:
-                continue
-            nh = _image(mh, actions_h.get(a, none_h))
-            if nh == 0:
-                return False, word + (a,)
-            if (ng, nh) not in seen:
-                if len(seen) >= caps.subsets:
-                    raise CapExceededError(len(seen) + 1, "subset-pair count")
-                seen.add((ng, nh))
-                queue.append(((ng, nh), word + (a,)))
-    return True, None
+    witness = shortest_word(
+        [(full_g, full_h)],
+        tuple(tables),
+        successor,
+        killed,
+        caps.subsets,
+        "subset-pair count",
+    )
+    return witness is None, witness
 
 
 def decide_subshift(g, h, caps=DEFAULT_CAPS):
@@ -657,14 +582,9 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
 
-    labels_g, actions_g = _subset_tables(g)
-    full_g = (1 << n) - 1
-    two_letter = set()
-    for a in sigma:
-        first = _image(full_g, actions_g[a])
-        for b in sigma:
-            if _image(first, actions_g[b]):
-                two_letter.add((a, b))
+    two_letter = {
+        (a, b) for a in sigma for b in sigma if subset_step(g, g.vertices, (a, b))
+    }
 
     # candidate transition choices per label: partial functions on k
     # vertices with at least one edge (every alphabet letter must occur)

@@ -10,11 +10,18 @@ operation in this package is reproducible run to run.
 Duplicate parallel edges carrying the same label are collapsed on
 construction: for the deterministic graphs the algorithms care about they
 are indistinguishable at the language level.
+
+Searches never run over names: a graph compiles, on first use, one
+integer view (:class:`_Compiled`) that every search shares, through the
+one SCC routine :func:`strong_components` and the one parent-pointer
+search :func:`shortest_word`.  A search that completes a graph with an
+absorbing sink gives the sink index n, which a list of n + 1 entries
+also answers at the undefined target -1; no sink graph is built.
 """
 
 from collections import deque
 
-from .errors import NotDeterministicError, UnknownVertexError
+from .errors import CapExceededError, NotDeterministicError, UnknownVertexError
 
 
 def _check_token(token, what):
@@ -44,7 +51,7 @@ class LabeledGraph:
     (('a', 'x', 'b'), ('b', 'x', 'a'))
     """
 
-    __slots__ = ("vertices", "edges", "_out", "_next", "_in_degree", "_deterministic")
+    __slots__ = ("vertices", "edges", "_out", "_deterministic", "_view")
 
     def __init__(self, vertices=(), edges=()):
         vertex_set = {_check_token(v, "vertex") for v in vertices}
@@ -60,24 +67,22 @@ class LabeledGraph:
         self.edges = tuple(sorted(edge_set))
 
         out = {v: {} for v in self.vertices}
-        in_degree = {v: 0 for v in self.vertices}
         for src, label, dst in self.edges:
             out[src].setdefault(label, []).append(dst)
-            in_degree[dst] += 1
         self._out = {
             v: {a: tuple(dsts) for a, dsts in sorted(lab.items())}
             for v, lab in out.items()
         }
-        self._in_degree = in_degree
         self._deterministic = all(
             len(dsts) == 1 for lab in self._out.values() for dsts in lab.values()
         )
-        # single-successor map, meaningful only for deterministic graphs
-        self._next = (
-            {v: {a: dsts[0] for a, dsts in lab.items()} for v, lab in self._out.items()}
-            if self._deterministic
-            else None
-        )
+        self._view = None
+
+    def _compiled(self):
+        """The integer view of this graph, compiled on first use."""
+        if self._view is None:
+            self._view = _Compiled(self)
+        return self._view
 
     def out_edges(self, q):
         """Yields the (label, dst) pairs of edges starting at `q`, sorted."""
@@ -98,7 +103,7 @@ class LabeledGraph:
 
     def in_degree(self, q):
         self._require_vertex(q)
-        return self._in_degree[q]
+        return sum(dst == q for _, _, dst in self.edges)
 
     def _require_vertex(self, q):
         if q not in self._out:
@@ -125,6 +130,33 @@ class LabeledGraph:
         return f"LabeledGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
 
+class _Compiled:
+    """The integer view of a graph: vertex i is ``g.vertices[i]``.
+
+    ``index`` maps names to indices, ``labels`` is the sorted label tuple
+    and ``succ[i]`` the sorted successor indices of i.  ``targets`` maps
+    each label to its action, entry i the index reached from i or -1 (as
+    in ``ActionRelation.targets``); it is None for nondeterministic graphs.
+    """
+
+    __slots__ = ("index", "labels", "succ", "targets")
+
+    def __init__(self, g):
+        n = len(g.vertices)
+        self.index = index = {v: i for i, v in enumerate(g.vertices)}
+        self.labels = tuple(sorted({label for _, label, _ in g.edges}))
+        succ = [set() for _ in range(n)]
+        targets = {a: [-1] * n for a in self.labels}
+        for src, label, dst in g.edges:
+            i, j = index[src], index[dst]
+            succ[i].add(j)
+            targets[label][i] = j
+        self.succ = [sorted(s) for s in succ]
+        self.targets = (
+            {a: tuple(t) for a, t in targets.items()} if g._deterministic else None
+        )
+
+
 EMPTY = LabeledGraph()
 
 
@@ -148,7 +180,7 @@ def _require_deterministic(g):
 
 def alphabet(g):
     """The sorted tuple of labels appearing on edges of `g`."""
-    return tuple(sorted({label for _, label, _ in g.edges}))
+    return g._compiled().labels
 
 
 def essentialize(g):
@@ -172,17 +204,13 @@ def essentialize(g):
         if keep == alive:
             break
         alive = keep
-    return LabeledGraph(
-        vertices=alive,
-        edges=[e for e in g.edges if e[0] in alive and e[2] in alive],
-    )
+    return induced_subgraph(g, alive)
 
 
 def is_essential(g):
     """Returns True iff no vertex of `g` is stranded."""
-    return all(g._out[v] for v in g.vertices) and all(
-        g._in_degree[v] > 0 for v in g.vertices
-    )
+    succ = g._compiled().succ
+    return all(succ) and len({j for s in succ for j in s}) == len(succ)
 
 
 def step(g, q, w):
@@ -208,12 +236,14 @@ def step(g, q, w):
     """
     _require_deterministic(g)
     g._require_vertex(q)
-    table = g._next
+    view = g._compiled()
+    i = view.index[q]
     for a in w:
-        q = table[q].get(a)
-        if q is None:
+        targets = view.targets.get(a)
+        if targets is None or targets[i] < 0:
             return None
-    return q
+        i = targets[i]
+    return g.vertices[i]
 
 
 def subset_step(g, s, w):
@@ -230,21 +260,7 @@ def subset_step(g, s, w):
     w : word
     """
     _require_deterministic(g)
-    current = set()
-    for q in s:
-        g._require_vertex(q)
-        current.add(q)
-    table = g._next
-    for a in w:
-        nxt = set()
-        for q in current:
-            dst = table[q].get(a)
-            if dst is not None:
-                nxt.add(dst)
-        current = nxt
-        if not current:
-            break
-    return frozenset(current)
+    return frozenset(step(g, q, w) for q in s) - {None}
 
 
 class Component(tuple):
@@ -287,69 +303,139 @@ def irreducible_components(g):
     >>> irreducible_components(g)
     (Component(['a'], initial=True, terminal=False), Component(['b'], initial=False, terminal=True))
     """
-    succ = {v: sorted({dst for _, dst in g.out_edges(v)}) for v in g.vertices}
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = 0
-    comp_of = {}
-    comps = []
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        # iterative Tarjan: (vertex, iterator over its successors)
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                cid = len(comps)
-                comps.append(comp)
-                for w in comp:
-                    comp_of[w] = cid
-
+    view = g._compiled()
+    comps = strong_components(view.succ)
+    comp_of = [0] * len(g.vertices)
+    for cid, comp in enumerate(comps):
+        for i in comp:
+            comp_of[i] = cid
     initial = [True] * len(comps)
     terminal = [True] * len(comps)
-    for src, _, dst in g.edges:
-        a, b = comp_of[src], comp_of[dst]
-        if a != b:
-            initial[b] = False
-            terminal[a] = False
+    for i, succ in enumerate(view.succ):
+        for j in succ:
+            a, b = comp_of[i], comp_of[j]
+            if a != b:
+                initial[b] = False
+                terminal[a] = False
     result = [
-        Component(comp, initial[i], terminal[i]) for i, comp in enumerate(comps)
+        Component((g.vertices[i] for i in comp), initial[cid], terminal[cid])
+        for cid, comp in enumerate(comps)
     ]
     result.sort(key=lambda c: min(c.vertices))
     return tuple(result)
+
+
+def strong_components(succ):
+    """The strongly connected components of a graph on vertex indices.
+
+    Iterative Tarjan over ``succ``, where ``succ[i]`` lists the
+    successor indices of vertex i.  Components are lists of indices,
+    each listed after every component it reaches.
+    """
+    n = len(succ)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def cycle_vertices(succ):
+    """The indices on a cycle: in a component of two or more, or on a self loop."""
+    on_cycle = set()
+    for comp in strong_components(succ):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            on_cycle.update(comp)
+    return on_cycle
+
+
+def paired_targets(g, h):
+    """Each label of `g` or `h`, in sorted order, mapped to its targets in both.
+
+    A label missing from one graph is undefined (-1) on all its vertices.
+    """
+    gv, hv = g._compiled(), h._compiled()
+    none_g, none_h = (-1,) * len(g.vertices), (-1,) * len(h.vertices)
+    return {
+        a: (gv.targets.get(a, none_g), hv.targets.get(a, none_h))
+        for a in sorted(set(gv.labels) | set(hv.labels))
+    }
+
+
+def shortest_word(starts, labels, successor, goal, cap=None, what=None):
+    """A shortest word leading from one of `starts` to a state meeting `goal`.
+
+    Breadth-first search with parent pointers over hashable states;
+    ``successor(state, label)`` is the state reached, or None where the
+    search dies.  Labels are tried in the order of `labels`, so among
+    shortest words the least in that order wins.  Returns None when no
+    reachable state meets `goal`.  Storing more than `cap` states raises
+    ``CapExceededError(count, what)``.
+    """
+    parent = {}
+    queue = deque()
+    for state in starts:
+        if goal(state):
+            return ()
+        if state not in parent:
+            parent[state] = None
+            queue.append(state)
+    while queue:
+        state = queue.popleft()
+        for a in labels:
+            nxt = successor(state, a)
+            if nxt is None or nxt in parent:
+                continue
+            if goal(nxt):
+                word = [a]
+                link = parent[state]
+                while link is not None:
+                    state, label = link
+                    word.append(label)
+                    link = parent[state]
+                return tuple(reversed(word))
+            if cap is not None and len(parent) >= cap:
+                raise CapExceededError(len(parent) + 1, what)
+            parent[nxt] = (state, a)
+            queue.append(nxt)
+    return None
 
 
 def is_irreducible(g):
@@ -412,17 +498,21 @@ def disjoint_union(g, h):
 
 def reachable_from(g, sources):
     """The set of vertices reachable from `sources` (including them)."""
-    seen = set()
-    queue = deque()
+    view = g._compiled()
+    starts = []
     for v in sources:
         g._require_vertex(v)
-        if v not in seen:
-            seen.add(v)
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for _, dst in g.out_edges(v):
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return frozenset(seen)
+        starts.append(view.index[v])
+    return frozenset(g.vertices[i] for i in reachable_indices(view.succ, starts))
+
+
+def reachable_indices(succ, sources):
+    """The set of indices reachable in `succ` from the indices `sources`, included."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen

@@ -7,14 +7,21 @@ same word in lockstep; and the *hat graph*, the label product of a graph
 with itself minus the diagonal, whose labeled paths are exactly the
 nonsynchronizing words.
 
-Product vertices are named ``(left|right)``; the names stay legal tokens
-of the text format, so product graphs round-trip through it.
+Product vertices are named ``(left|right)``, with ``\\`` and ``|`` in
+each coordinate escaped as ``\\\\`` and ``\\|``, so distinct pairs get
+distinct names that stay legal tokens of the text format.  The deciders
+search pairs of indices in the integer view of :mod:`sofic.graphs`
+instead, with the sink as index n; these graphs are for display and tests.
 """
 
-from collections import deque
-
 from .errors import AlphabetMismatchError
-from .graphs import LabeledGraph, alphabet, _require_deterministic
+from .graphs import (
+    LabeledGraph,
+    alphabet,
+    induced_subgraph,
+    shortest_word,
+    _require_deterministic,
+)
 
 
 def sink_vertex_name(g):
@@ -65,9 +72,13 @@ def sink_vertex_graph(g, gamma):
     return LabeledGraph(vertices=list(g.vertices) + [sink], edges=edges)
 
 
+def _escape(name):
+    return name.replace("\\", "\\\\").replace("|", "\\|")
+
+
 def product_vertex(p, q):
-    """The name of the product vertex for the pair (p, q)."""
-    return f"({p}|{q})"
+    """The name of the product vertex for (p, q); distinct pairs get distinct names."""
+    return f"({_escape(p)}|{_escape(q)})"
 
 
 def label_product(g, h):
@@ -102,21 +113,9 @@ def hat_graph(g):
     g : deterministic LabeledGraph
     """
     _require_deterministic(g)
-    by_label = {}
-    for src, a, dst in g.edges:
-        by_label.setdefault(a, []).append((src, dst))
-    edges = []
-    for a, pairs in by_label.items():
-        for src1, dst1 in pairs:
-            for src2, dst2 in pairs:
-                if src1 != src2 and dst1 != dst2:
-                    edges.append(
-                        (product_vertex(src1, src2), a, product_vertex(dst1, dst2))
-                    )
-    vertices = [
-        product_vertex(p, q) for p in g.vertices for q in g.vertices if p != q
-    ]
-    return LabeledGraph(vertices=vertices, edges=edges)
+    product = label_product(g, g)
+    diagonal = {product_vertex(v, v) for v in g.vertices}
+    return induced_subgraph(product, set(product.vertices) - diagonal)
 
 
 def find_word_to(g, sources, target_pred):
@@ -133,22 +132,19 @@ def find_word_to(g, sources, target_pred):
     sources : iterable of vertices of `g`
     target_pred : callable taking a vertex name
     """
-    seen = set()
-    queue = deque()
-    for v in sorted(set(sources)):
+    starts = sorted(set(sources))
+    for v in starts:
         g._require_vertex(v)
-        if target_pred(v):
-            return ()
-        seen.add(v)
-        queue.append((v, ()))
-    while queue:
-        v, word = queue.popleft()
-        for a, dst in g.out_edges(v):
-            if dst in seen:
-                continue
-            extended = word + (a,)
-            if target_pred(dst):
-                return extended
-            seen.add(dst)
-            queue.append((dst, extended))
-    return None
+    out = g._out
+    # slot (a, k) is the k-th smallest a-successor, so that
+    # nondeterministic graphs are searched edge by edge
+    slots = sorted(
+        {(a, k) for lab in out.values() for a, d in lab.items() for k in range(len(d))}
+    )
+
+    def successor(v, slot):
+        dsts = out[v].get(slot[0], ())
+        return dsts[slot[1]] if slot[1] < len(dsts) else None
+
+    word = shortest_word(starts, slots, successor, target_pred)
+    return None if word is None else tuple(a for a, _ in word)

@@ -15,27 +15,28 @@ and labels, and all witness searches are breadth-first, so outputs are
 shortest-per-stage and reproducible.
 """
 
-from collections import deque
-
 from .errors import NotIrreducibleError, NotSynchronizingError, SameVertexError
 from .graphs import (
-    alphabet,
     induced_subgraph,
     irreducible_components,
+    paired_targets,
+    reachable_from,
+    shortest_word,
     step,
     subset_step,
     _require_deterministic,
 )
-from .products import find_word_to, sink_vertex_graph, sink_vertex_name
+from .products import find_word_to
 
 
 def pair_synchronizing_word(g, p, q):
     """A shortest word w with ``|{p, q} . w| == 1``, or None.
 
-    The search runs over pairs of vertices of the sink-completed graph,
-    stopping as soon as one coordinate dies (the word is in one follower
-    set but not the other) or both coordinates meet off the sink (the
-    word sends p and q to the same vertex).
+    The search runs over pairs of vertex indices, -1 standing for the
+    sink of the completed graph, stopping as soon as one coordinate dies
+    (the word is in one follower set but not the other) or both
+    coordinates meet off the sink (the word sends p and q to the same
+    vertex).
 
     Parameters
     ----------
@@ -52,26 +53,21 @@ def pair_synchronizing_word(g, p, q):
     g._require_vertex(q)
     if p == q:
         raise SameVertexError(f"need two distinct vertices, got {p!r} twice")
-    gamma = alphabet(g)
-    g0 = sink_vertex_graph(g, gamma)
-    sink = sink_vertex_name(g)
-    table = g0._next
-    seen = {(p, q)}
-    queue = deque([((p, q), ())])
-    while queue:
-        (x, y), word = queue.popleft()
-        for a in gamma:
-            x2, y2 = table[x][a], table[y][a]
-            extended = word + (a,)
-            dead_x, dead_y = x2 == sink, y2 == sink
-            if dead_x != dead_y or (not dead_x and x2 == y2):
-                return extended
-            if dead_x and dead_y:
-                continue
-            if (x2, y2) not in seen:
-                seen.add((x2, y2))
-                queue.append(((x2, y2), extended))
-    return None
+    view = g._compiled()
+    targets = view.targets
+
+    def successor(pair, a):
+        t = targets[a]
+        x, y = t[pair[0]], t[pair[1]]
+        return None if x < 0 and y < 0 else (x, y)
+
+    def merged(pair):
+        x, y = pair
+        return x == y or x < 0 or y < 0
+
+    return shortest_word(
+        [(view.index[p], view.index[q])], view.labels, successor, merged
+    )
 
 
 def synchronizing_word_irreducible(g):
@@ -134,36 +130,27 @@ def separating_word(g, h):
         raise NotIrreducibleError("the first argument must be nonempty")
     if len(irreducible_components(g)) != 1:
         raise NotIrreducibleError("the first argument must be strongly connected")
-    gamma = tuple(sorted(set(alphabet(g)) | set(alphabet(h))))
-    h0 = sink_vertex_graph(h, gamma)
-    sink = sink_vertex_name(h)
-    h_table = h0._next
-    g_table = g._next
-    p = g.vertices[0]
-    live = frozenset(h.vertices)
+    tables = paired_targets(g, h)
+
+    def successor(pair, a):
+        tg, th = tables[a]
+        x = tg[pair[0]]
+        return None if x < 0 else (x, th[pair[1]])
+
+    def killed(pair):
+        return pair[1] < 0
+
+    p = 0
+    live = set(range(len(h.vertices)))
     word = ()
     while live:
-        q = min(live)
-        found = None
-        seen = {(p, q)}
-        queue = deque([((p, q), ())])
-        while queue and found is None:
-            (x, y), prefix = queue.popleft()
-            for a in gamma:
-                x2 = g_table[x].get(a)
-                if x2 is None:
-                    continue
-                y2 = h_table[y][a]
-                if y2 == sink:
-                    found = prefix + (a,)
-                    break
-                if (x2, y2) not in seen:
-                    seen.add((x2, y2))
-                    queue.append(((x2, y2), prefix + (a,)))
+        found = shortest_word([(p, min(live))], tuple(tables), successor, killed)
         if found is None:
             return None
-        p = step(g, p, found)
-        live = subset_step(h, live, found)
+        for a in found:
+            tg, th = tables[a]
+            p = tg[p]
+            live = {th[q] for q in live if th[q] >= 0}
         word += found
     return word
 
@@ -214,21 +201,10 @@ def sync_word_to_vertex(g, r):
     g._require_vertex(r)
     if not is_synchronizing(g):
         raise NotSynchronizingError("graph is not a synchronizing presentation")
-    preds = {}
-    for src, _, dst in g.edges:
-        preds.setdefault(dst, set()).add(src)
-    can_reach = {r}
-    queue = deque([r])
-    while queue:
-        v = queue.popleft()
-        for u in preds.get(v, ()):
-            if u not in can_reach:
-                can_reach.add(u)
-                queue.append(u)
     component = next(
         comp
         for comp in irreducible_components(g)
-        if comp.initial and comp.vertices & can_reach
+        if comp.initial and r in reachable_from(g, comp.vertices)
     )
     inside = induced_subgraph(g, component.vertices)
     outside = induced_subgraph(g, set(g.vertices) - component.vertices)
