@@ -9,6 +9,7 @@ human-readable report for a single JSON object with ``result``,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -268,7 +269,9 @@ def cmd_oracle(args):
     return _bool_result(args, universal, witness=witness)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sofic",
         description="decision procedures and generators for sofic-shift presentations",

@@ -8,12 +8,22 @@ reachable subsets of vertices, or reachable *actions* of words.
 
 The action of a word w is the relation pairing p with q whenever a
 w-labeled path runs from p to q.  On a deterministic graph every action
-is a partial function, stored as a tuple of target indices with -1 for
-undefined.  Actions compose like the words they come from, so the set of
-all actions is a finite monoid generated by the single-letter actions;
-breadth-first closure enumerates it together with a shortest generating
-word per element.  Emptiness and intrinsic-synchronization tests over
-that monoid decide the SFT and synchronizing-presentation questions.
+is a partial function; :class:`ActionRelation` lists its target indices
+with -1 for undefined.  Actions compose like the words they come from,
+so the set of all actions is a finite monoid generated by the
+single-letter actions; breadth-first closure enumerates it together with
+a shortest generating word per element.  Emptiness and
+intrinsic-synchronization tests over that monoid decide the SFT and
+synchronizing-presentation questions.
+
+Inside the closure an action on n vertices is a byte string of target
+indices with the sink index n for undefined, and composing it with a
+letter is one ``bytes.translate`` over that letter's 256-byte table;
+above 255 vertices actions are tuples instead.  Elements get integer
+ids in breadth-first order; the Cayley table is one row of element ids
+per element, and each element's witness is a parent pointer (the
+element and label it was first reached from).  The analysis works on
+the domain and range masks of the elements, deduplicated.
 
 Subsets are bit masks over vertex indices.  The subset searches look
 images up 4 vertices at a time: per label, one 16-entry table per chunk
@@ -141,20 +151,26 @@ def compose(r, s):
     )
 
 
-def _dom_mask(func):
-    m = 0
-    for i, t in enumerate(func):
-        if t >= 0:
-            m |= 1 << i
-    return m
+def _tuple_compose(func, ext):
+    return tuple(map(ext.__getitem__, func))
 
 
-def _ran_mask(func):
-    m = 0
-    for t in func:
-        if t >= 0:
-            m |= 1 << t
-    return m
+def _action_codec(n, target_lists):
+    """How actions on n vertices are stored and composed.
+
+    An action lists a target index per vertex, with the sink index n for
+    undefined.  Returns ``(pack, compose, letters)``: ``pack`` turns a
+    sequence of indices into an action, and ``compose(func,
+    letters[c])`` is the action `func` followed by the partial function
+    ``target_lists[c]`` (-1 for undefined), which maps the sink to
+    itself.  Up to 255 vertices actions are byte strings and composing
+    is one ``bytes.translate`` over a 256-byte table; above that they
+    are tuples.  This is the only place where storage depends on n.
+    """
+    exts = [[n if t < 0 else t for t in targets] + [n] for targets in target_lists]
+    if n <= 255:
+        return bytes, bytes.translate, [bytes(ext + [n] * (255 - n)) for ext in exts]
+    return tuple, _tuple_compose, [tuple(ext) for ext in exts]
 
 
 class ActionMonoid:
@@ -163,15 +179,27 @@ class ActionMonoid:
     Built by :func:`action_monoid`.  Elements are reported in
     breadth-first order, so the witness of each element is a shortest
     (and lexicographically least) word generating it.
+
+    Internally element k is the action ``_funcs[k]`` (see
+    :func:`_action_codec`), ``_rows[k][c]`` is the element reached from
+    it by label c, and ``_parents[k]`` is the (element, label index) pair
+    it was first reached from.  Relations are converted only at the
+    public boundary.
     """
 
-    def __init__(self, graph, funcs, witnesses, generators, cayley):
+    def __init__(self, graph, funcs, index, rows, parents, codec):
         self.graph = graph
         self._funcs = funcs
-        self._witnesses = witnesses
-        self._generators = generators
-        self._cayley = cayley
-        self._intrinsic_cache = {}
+        self._index = index
+        self._rows = rows
+        self._parents = parents
+        self._pack, self._compose = codec
+        self._generators = graph._compiled().targets
+        self._labels = {a: c for c, a in enumerate(self._generators)}
+        n = len(graph.vertices)
+        self._codes = {t: t for t in range(n)}
+        self._codes[-1] = n
+        self._intrinsic = [None] * len(funcs)
         self._analysis = None
 
     @property
@@ -180,77 +208,104 @@ class ActionMonoid:
 
     @property
     def elements(self):
-        return tuple(ActionRelation(self.graph, f) for f in self._funcs)
+        return tuple(self._relation(k) for k in range(len(self._funcs)))
 
     @property
     def generators(self):
         return {a: ActionRelation(self.graph, f) for a, f in self._generators.items()}
 
     def __contains__(self, relation):
-        return (
-            isinstance(relation, ActionRelation)
-            and relation.graph == self.graph
-            and relation.targets in self._witnesses
-        )
+        return self._lookup(relation) is not None
 
     def __iter__(self):
         return iter(self.elements)
 
     def word_witness(self, relation):
         """A shortest word whose action is `relation`."""
-        self._require_element(relation)
-        return self._witnesses[relation.targets]
+        k = self._require_element(relation)
+        labels = tuple(self._generators)
+        word = []
+        while self._parents[k] is not None:
+            k, c = self._parents[k]
+            word.append(labels[c])
+        return tuple(reversed(word))
 
     def step(self, relation, label):
         """The element ``relation ; [label]`` read off the Cayley table."""
-        self._require_element(relation)
-        try:
-            func = self._cayley[(relation.targets, label)]
-        except KeyError:
+        k = self._require_element(relation)
+        c = self._labels.get(label)
+        if c is None:
             raise NotAnElementError(
                 f"label {label!r} is not a generator of this monoid"
-            ) from None
-        return ActionRelation(self.graph, func)
+            )
+        return self._relation(self._rows[k][c])
+
+    def _relation(self, k):
+        n = len(self.graph.vertices)
+        return ActionRelation(
+            self.graph, tuple(-1 if t == n else t for t in self._funcs[k])
+        )
+
+    def _lookup(self, relation):
+        """The element id of `relation`, or None if it is not an element."""
+        if not isinstance(relation, ActionRelation) or relation.graph != self.graph:
+            return None
+        key = [self._codes.get(t) for t in relation.targets]
+        if None in key:
+            return None
+        return self._index.get(self._pack(key))
 
     def _require_element(self, relation):
-        if relation not in self:
+        k = self._lookup(relation)
+        if k is None:
             raise NotAnElementError("relation is not an element of this monoid")
+        return k
 
     def _prepare(self):
+        """Per element id the domain and range masks, and their distinct values.
+
+        Masks are worked out once per distinct domain pattern and per
+        distinct set of targets, which many elements share.
+        """
         if self._analysis is None:
-            doms = {}
-            rans = {}
-            for f in self._funcs:
-                doms[f] = _dom_mask(f)
-                rans[f] = _ran_mask(f)
-            self._analysis = (doms, rans, set(rans.values()), set(doms.values()))
+            n = len(self.graph.vertices)
+            compose = self._compose
+            keep = _action_codec(n, [(0,) * n])[2][0]
+            patterns = [compose(f, keep) for f in self._funcs]
+            dom_of = dict.fromkeys(patterns)
+            for pattern in dom_of:
+                dom_of[pattern] = sum(1 << i for i, t in enumerate(pattern) if t != n)
+            targets = list(map(frozenset, self._funcs))
+            ran_of = dict.fromkeys(targets)
+            for image in ran_of:
+                ran_of[image] = sum(1 << t for t in image if t != n)
+            doms = list(map(dom_of.__getitem__, patterns))
+            rans = list(map(ran_of.__getitem__, targets))
+            self._analysis = (doms, rans, set(rans), set(doms))
         return self._analysis
 
-    def _is_intrinsic(self, func):
-        """Whether no live left/right extension pair of this action goes dead."""
-        cached = self._intrinsic_cache.get(func)
-        if cached is not None:
-            return cached
-        doms, rans, range_masks, dom_masks = self._prepare()
-        dom_r = doms[func]
-        ran_r = rans[func]
-        result = True
-        for left in range_masks:
-            m = left & dom_r
-            if m == 0:
-                continue
-            image = 0
-            while m:
-                low = m & -m
-                image |= 1 << func[low.bit_length() - 1]
-                m ^= low
-            for right in dom_masks:
-                if ran_r & right and not image & right:
-                    result = False
-                    break
-            if not result:
-                break
-        self._intrinsic_cache[func] = result
+    def _is_intrinsic(self, k):
+        """Whether no live left/right extension pair of element k goes dead.
+
+        With ``r`` the element, a left extension S and a right one T keep
+        ``S;r;T`` alive exactly when the image under r of ``ran S & dom r``
+        meets ``dom T & ran r``; only the distinct masks matter.
+        """
+        result = self._intrinsic[k]
+        if result is None:
+            doms, rans, range_masks, dom_masks = self._prepare()
+            dom_r = doms[k]
+            ran_r = rans[k]
+            # the sink entries of the action are never looked up, since
+            # every mask imaged lies inside its domain
+            tables = _image_tables(self._funcs[k])
+            images = {
+                _image(left & dom_r, tables) for left in range_masks if left & dom_r
+            }
+            values = {right & ran_r for right in dom_masks}
+            values.discard(0)
+            result = all(image & v for image in images for v in values)
+            self._intrinsic[k] = result
         return result
 
 
@@ -272,25 +327,30 @@ def action_monoid(g, cap=None):
         raise NotDeterministicError("graph is not deterministic")
     if cap is None:
         cap = DEFAULT_CAPS.relations
-    generators = g._compiled().targets
-    identity = tuple(range(len(g.vertices)))
-    witnesses = {identity: ()}
+    n = len(g.vertices)
+    pack, compose, letters = _action_codec(n, g._compiled().targets.values())
+    identity = pack(range(n))
     funcs = [identity]
-    cayley = {}
-    queue = deque([identity])
-    while queue:
-        func = queue.popleft()
-        word = witnesses[func]
-        for a, gen in generators.items():
-            nxt = tuple(gen[t] if t >= 0 else -1 for t in func)
-            cayley[(func, a)] = nxt
-            if nxt not in witnesses:
-                if len(witnesses) >= cap:
-                    raise CapExceededError(len(witnesses) + 1, "monoid element count")
-                witnesses[nxt] = word + (a,)
+    index = {identity: 0}
+    parents = [None]
+    rows = []
+    # funcs doubles as the breadth-first queue: row k is filled in when
+    # element k is dequeued, and new elements are appended behind it
+    for func in funcs:
+        row = []
+        for letter in letters:
+            nxt = compose(func, letter)
+            k = index.get(nxt)
+            if k is None:
+                k = len(funcs)
+                if k >= cap:
+                    raise CapExceededError(k + 1, "monoid element count")
+                index[nxt] = k
                 funcs.append(nxt)
-                queue.append(nxt)
-    return ActionMonoid(g, tuple(funcs), witnesses, generators, cayley)
+                parents.append((len(rows), len(row)))
+            row.append(k)
+        rows.append(row)
+    return ActionMonoid(g, funcs, index, rows, parents, (pack, compose))
 
 
 def is_intrinsically_sync_relation(m, r):
@@ -305,8 +365,7 @@ def is_intrinsically_sync_relation(m, r):
     ------
     NotAnElementError
     """
-    m._require_element(r)
-    return m._is_intrinsic(r.targets)
+    return m._is_intrinsic(m._require_element(r))
 
 
 def preceded_by_intrinsic_sync(m, r):
@@ -316,13 +375,10 @@ def preceded_by_intrinsic_sync(m, r):
     ------
     NotAnElementError
     """
-    m._require_element(r)
+    k = m._require_element(r)
     doms, rans, _, _ = m._prepare()
-    dom_r = doms[r.targets]
-    for func in m._funcs:
-        if rans[func] & dom_r and m._is_intrinsic(func):
-            return True
-    return False
+    dom_r = doms[k]
+    return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(rans))
 
 
 def decide_sdp_exists(g, caps=DEFAULT_CAPS):
@@ -342,28 +398,15 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     _require(g)
     m = action_monoid(g, caps.relations)
     doms, rans, _, _ = m._prepare()
-    uncovered = {doms[f] for f in m._funcs if doms[f]}
-    for func in m._funcs:
+    uncovered = {d for d in doms if d}
+    for k, ran in enumerate(rans):
         if not uncovered:
             break
-        ran = rans[func]
-        if not ran:
-            continue
         if not any(d & ran for d in uncovered):
             continue
-        if m._is_intrinsic(func):
+        if m._is_intrinsic(k):
             uncovered = {d for d in uncovered if not d & ran}
     return not uncovered
-
-
-def _cycle_reachable(m):
-    """Indices of elements reachable from some element on a Cayley cycle."""
-    funcs = m._funcs
-    index = {f: i for i, f in enumerate(funcs)}
-    succs = [
-        sorted({index[m._cayley[(f, a)]] for a in m._generators}) for f in funcs
-    ]
-    return reachable_indices(succs, cycle_vertices(succs))
 
 
 def decide_sft(g, caps=DEFAULT_CAPS):
@@ -385,12 +428,12 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     """
     _require(g)
     m = action_monoid(g, caps.relations)
-    doms, _, _, _ = m._prepare()
-    for i in _cycle_reachable(m):
-        func = m._funcs[i]
-        if doms[func] and not m._is_intrinsic(func):
-            return False
-    return True
+    doms = m._prepare()[0]
+    rows = m._rows
+    return not any(
+        doms[k] and not m._is_intrinsic(k)
+        for k in reachable_indices(rows, cycle_vertices(rows))
+    )
 
 
 def _image_tables(targets):
