@@ -30,27 +30,32 @@ ELL = "ell"
 RESERVED_LABELS = (LEFT, RIGHT, STAR, TERM, ELL)
 
 
-class Dfa:
-    """A fully deterministic automaton: total transitions, one start state.
+class MultiEntryDfa:
+    """A fully deterministic automaton with several entry states.
+
+    A word is accepted when reading it from at least one entry state ends
+    in an accepting state.
 
     Parameters
     ----------
     states : iterable of str
     alphabet : iterable of str
     delta : dict mapping (state, label) to state, total on states x alphabet
-    start : state
+    starts : nonempty sequence of states, in order
     accepting : iterable of states
     """
 
-    __slots__ = ("states", "alphabet", "delta", "start", "accepting")
+    __slots__ = ("states", "alphabet", "delta", "starts", "accepting")
 
-    def __init__(self, states, alphabet, delta, start, accepting):
+    def __init__(self, states, alphabet, delta, starts, accepting):
+        self.starts = tuple(starts)
+        if not self.starts:
+            raise ValueError("need at least one entry state")
         self.states = tuple(sorted(set(states)))
         self.alphabet = tuple(sorted(set(alphabet)))
-        self.start = start
         self.accepting = frozenset(accepting)
-        if start not in self.states:
-            raise ValueError(f"start state {start!r} is not a state")
+        if self.starts[0] not in self.states:
+            raise ValueError(f"start state {self.starts[0]!r} is not a state")
         if not self.accepting <= set(self.states):
             raise ValueError("accepting states must be states")
         expected = {(q, a) for q in self.states for a in self.alphabet}
@@ -59,6 +64,9 @@ class Dfa:
         if not set(delta.values()) <= set(self.states):
             raise ValueError("transition targets must be states")
         self.delta = dict(delta)
+        for s in self.starts:
+            if s not in self.states:
+                raise ValueError(f"entry state {s!r} is not a state")
 
     def step(self, q, w):
         for a in w:
@@ -66,12 +74,12 @@ class Dfa:
         return q
 
     def accepts(self, w):
-        return self.step(self.start, w) in self.accepting
+        return any(self.step(s, w) in self.accepting for s in self.starts)
 
     def reachable(self):
-        """States reachable from the start state."""
-        seen = {self.start}
-        frontier = [self.start]
+        """States reachable from an entry state."""
+        seen = set(self.starts)
+        frontier = list(seen)
         while frontier:
             q = frontier.pop()
             for a in self.alphabet:
@@ -80,6 +88,38 @@ class Dfa:
                     seen.add(t)
                     frontier.append(t)
         return frozenset(seen)
+
+    def _key(self):
+        # the class is part of the key, so a Dfa never equals a MultiEntryDfa
+        return (
+            type(self),
+            self.states,
+            self.alphabet,
+            frozenset(self.delta.items()),
+            self.starts,
+            self.accepting,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiEntryDfa):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Dfa(MultiEntryDfa):
+    """A fully deterministic automaton: total transitions, one start state.
+
+    The multiple-entry automaton whose only entry state is `start`.
+    """
+
+    __slots__ = ("start",)
+
+    def __init__(self, states, alphabet, delta, start, accepting):
+        super().__init__(states, alphabet, delta, (start,), accepting)
+        self.start = start
 
     def restricted(self, keep):
         """The same automaton on a closed subset of states containing the start."""
@@ -101,73 +141,10 @@ class Dfa:
             set(self.states) - self.accepting,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Dfa):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.delta == other.delta
-            and self.start == other.start
-            and self.accepting == other.accepting
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.states, self.alphabet, frozenset(self.delta.items()), self.start, self.accepting)
-        )
-
     def __repr__(self):
         return (
             f"Dfa(states={self.states!r}, alphabet={self.alphabet!r}, "
             f"start={self.start!r}, accepting={sorted(self.accepting)!r})"
-        )
-
-
-class MultiEntryDfa:
-    """A fully deterministic automaton with several entry states.
-
-    A word is accepted when reading it from at least one entry state ends
-    in an accepting state.
-    """
-
-    __slots__ = ("states", "alphabet", "delta", "starts", "accepting")
-
-    def __init__(self, states, alphabet, delta, starts, accepting):
-        self.starts = tuple(starts)
-        if not self.starts:
-            raise ValueError("need at least one entry state")
-        base = Dfa(states, alphabet, delta, self.starts[0], accepting)
-        self.states = base.states
-        self.alphabet = base.alphabet
-        self.delta = base.delta
-        self.accepting = base.accepting
-        for s in self.starts:
-            if s not in self.states:
-                raise ValueError(f"entry state {s!r} is not a state")
-
-    def step(self, q, w):
-        for a in w:
-            q = self.delta[(q, a)]
-        return q
-
-    def accepts(self, w):
-        return any(self.step(s, w) in self.accepting for s in self.starts)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiEntryDfa):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.delta == other.delta
-            and self.starts == other.starts
-            and self.accepting == other.accepting
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.states, self.alphabet, frozenset(self.delta.items()), self.starts, self.accepting)
         )
 
 
@@ -344,16 +321,7 @@ def sdp_blowup(medfa):
     LabeledGraph
     """
     _check_reserved(medfa.alphabet)
-    reach = set()
-    frontier = list(dict.fromkeys(medfa.starts))
-    reach.update(frontier)
-    while frontier:
-        q = frontier.pop()
-        for a in medfa.alphabet:
-            t = medfa.delta[(q, a)]
-            if t not in reach:
-                reach.add(t)
-                frontier.append(t)
+    reach = medfa.reachable()
 
     edges = [("t", TERM, "t")]
     for i, s in enumerate(dict.fromkeys(medfa.starts), start=1):

@@ -618,7 +618,8 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     components = irreducible_components(gfs)
     if not any(c.terminal and c.vertices == sync_vertices for c in components):
         return False
-    return decide_equality(gfs, induced_subgraph(gfs, sync_vertices), caps)
+    # a subgraph presents a subshift of its host, so one containment is enough
+    return decide_subshift(gfs, induced_subgraph(gfs, sync_vertices), caps)
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):

@@ -73,7 +73,7 @@ def parse(text):
     docs = []
     kind = name = None
     header_line = 0
-    vertices = []
+    vertices = set()
     edges = []
     starts = []
     accepting = []
@@ -94,7 +94,7 @@ def parse(text):
                 raise ParseError(number, f"{directive} header needs exactly one name")
             close()
             kind, name, header_line = directive, args[0], number
-            vertices, edges, starts, accepting = [], [], [], []
+            vertices, edges, starts, accepting = set(), [], [], []
             continue
         if kind is None:
             raise ParseError(number, f"{directive!r} before any document header")
@@ -105,7 +105,7 @@ def parse(text):
                 raise DuplicateVertexError(
                     number, f"vertex {args[0]!r} declared twice"
                 )
-            vertices.append(args[0])
+            vertices.add(args[0])
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError(number, "edge takes SRC LABEL DST")

@@ -11,15 +11,19 @@ Duplicate parallel edges carrying the same label are collapsed on
 construction: for the deterministic graphs the algorithms care about they
 are indistinguishable at the language level.
 
-Searches never run over names: a graph compiles, on first use, one
-integer view (:class:`_Compiled`) that every search shares, through the
-one SCC routine :func:`strong_components` and the one parent-pointer
-search :func:`shortest_word`.  A search that completes a graph with an
-absorbing sink gives the sink index n, which a list of n + 1 entries
-also answers at the undefined target -1; no sink graph is built.
+A graph is its sorted vertex and edge tuples plus one integer view
+(:class:`_Compiled`), compiled on first use.  The name accessors
+(membership, ``out_edges``, ``successors``, ``out_labels``) read that
+view, and searches never run over names: every search shares the view,
+through the one SCC routine :func:`strong_components` and the one
+parent-pointer search :func:`shortest_word`.  A search that completes a
+graph with an absorbing sink gives the sink index n, which a list of
+n + 1 entries also answers at the undefined target -1; no sink graph is
+built.
 """
 
 from collections import deque
+from itertools import accumulate
 
 from .errors import CapExceededError, NotDeterministicError, UnknownVertexError
 
@@ -51,7 +55,7 @@ class LabeledGraph:
     (('a', 'x', 'b'), ('b', 'x', 'a'))
     """
 
-    __slots__ = ("vertices", "edges", "_out", "_deterministic", "_view")
+    __slots__ = ("vertices", "edges", "_deterministic", "_view")
 
     def __init__(self, vertices=(), edges=()):
         vertex_set = {_check_token(v, "vertex") for v in vertices}
@@ -65,17 +69,7 @@ class LabeledGraph:
             edge_set.add((src, label, dst))
         self.vertices = tuple(sorted(vertex_set))
         self.edges = tuple(sorted(edge_set))
-
-        out = {v: {} for v in self.vertices}
-        for src, label, dst in self.edges:
-            out[src].setdefault(label, []).append(dst)
-        self._out = {
-            v: {a: tuple(dsts) for a, dsts in sorted(lab.items())}
-            for v, lab in out.items()
-        }
-        self._deterministic = all(
-            len(dsts) == 1 for lab in self._out.values() for dsts in lab.values()
-        )
+        self._deterministic = len({e[:2] for e in self.edges}) == len(self.edges)
         self._view = None
 
     def _compiled(self):
@@ -84,30 +78,31 @@ class LabeledGraph:
             self._view = _Compiled(self)
         return self._view
 
+    def _edges_from(self, q):
+        """The edges starting at `q`: one contiguous run of the sorted edges."""
+        first = self._compiled().first
+        i = self._require_vertex(q)
+        return self.edges[first[i]:first[i + 1]]
+
     def out_edges(self, q):
         """Yields the (label, dst) pairs of edges starting at `q`, sorted."""
-        self._require_vertex(q)
-        for label, dsts in self._out[q].items():
-            for dst in dsts:
-                yield label, dst
+        for _, label, dst in self._edges_from(q):
+            yield label, dst
 
     def successors(self, q, label):
         """The tuple of endpoints of `label`-edges starting at `q`, sorted."""
-        self._require_vertex(q)
-        return self._out[q].get(label, ())
+        return tuple(dst for _, a, dst in self._edges_from(q) if a == label)
 
     def out_labels(self, q):
         """The sorted tuple of labels on edges starting at `q`."""
-        self._require_vertex(q)
-        return tuple(self._out[q])
-
-    def in_degree(self, q):
-        self._require_vertex(q)
-        return sum(dst == q for _, _, dst in self.edges)
+        return tuple(dict.fromkeys(a for _, a, _ in self._edges_from(q)))
 
     def _require_vertex(self, q):
-        if q not in self._out:
+        """The index of vertex `q`."""
+        i = self._compiled().index.get(q)
+        if i is None:
             raise UnknownVertexError(f"vertex {q!r} is not in the graph")
+        return i
 
     def __iter__(self):
         return iter(self.vertices)
@@ -116,7 +111,7 @@ class LabeledGraph:
         return len(self.vertices)
 
     def __contains__(self, q):
-        return q in self._out
+        return q in self._compiled().index
 
     def __eq__(self, other):
         if not isinstance(other, LabeledGraph):
@@ -134,24 +129,29 @@ class _Compiled:
     """The integer view of a graph: vertex i is ``g.vertices[i]``.
 
     ``index`` maps names to indices, ``labels`` is the sorted label tuple
-    and ``succ[i]`` the sorted successor indices of i.  ``targets`` maps
-    each label to its action, entry i the index reached from i or -1 (as
-    in ``ActionRelation.targets``); it is None for nondeterministic graphs.
+    and ``succ[i]`` the sorted successor indices of i.  The edges starting
+    at vertex i are ``g.edges[first[i]:first[i + 1]]``, one run of the
+    sorted edge tuple.  ``targets`` maps each label to its action, entry
+    i the index reached from i or -1 (as in ``ActionRelation.targets``);
+    it is None for nondeterministic graphs.
     """
 
-    __slots__ = ("index", "labels", "succ", "targets")
+    __slots__ = ("index", "labels", "succ", "first", "targets")
 
     def __init__(self, g):
         n = len(g.vertices)
         self.index = index = {v: i for i, v in enumerate(g.vertices)}
         self.labels = tuple(sorted({label for _, label, _ in g.edges}))
         succ = [set() for _ in range(n)]
+        first = [0] * (n + 1)
         targets = {a: [-1] * n for a in self.labels}
         for src, label, dst in g.edges:
             i, j = index[src], index[dst]
             succ[i].add(j)
+            first[i + 1] += 1
             targets[label][i] = j
         self.succ = [sorted(s) for s in succ]
+        self.first = list(accumulate(first))
         self.targets = (
             {a: tuple(t) for a, t in targets.items()} if g._deterministic else None
         )
@@ -235,9 +235,8 @@ def step(g, q, w):
     True
     """
     _require_deterministic(g)
-    g._require_vertex(q)
     view = g._compiled()
-    i = view.index[q]
+    i = g._require_vertex(q)
     for a in w:
         targets = view.targets.get(a)
         if targets is None or targets[i] < 0:
@@ -499,10 +498,7 @@ def disjoint_union(g, h):
 def reachable_from(g, sources):
     """The set of vertices reachable from `sources` (including them)."""
     view = g._compiled()
-    starts = []
-    for v in sources:
-        g._require_vertex(v)
-        starts.append(view.index[v])
+    starts = [g._require_vertex(v) for v in sources]
     return frozenset(g.vertices[i] for i in reachable_indices(view.succ, starts))
 
 

@@ -14,6 +14,8 @@ search pairs of indices in the integer view of :mod:`sofic.graphs`
 instead, with the sink as index n; these graphs are for display and tests.
 """
 
+from collections import Counter
+
 from .errors import AlphabetMismatchError
 from .graphs import (
     LabeledGraph,
@@ -135,15 +137,13 @@ def find_word_to(g, sources, target_pred):
     starts = sorted(set(sources))
     for v in starts:
         g._require_vertex(v)
-    out = g._out
     # slot (a, k) is the k-th smallest a-successor, so that
     # nondeterministic graphs are searched edge by edge
-    slots = sorted(
-        {(a, k) for lab in out.values() for a, d in lab.items() for k in range(len(d))}
-    )
+    counts = Counter((src, a) for src, a, _ in g.edges)
+    slots = sorted({(a, k) for (_, a), c in counts.items() for k in range(c)})
 
     def successor(v, slot):
-        dsts = out[v].get(slot[0], ())
+        dsts = g.successors(v, slot[0])
         return dsts[slot[1]] if slot[1] < len(dsts) else None
 
     word = shortest_word(starts, slots, successor, target_pred)
