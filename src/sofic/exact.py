@@ -22,13 +22,23 @@ letter is one ``bytes.translate`` over that letter's 256-byte table;
 above 255 vertices actions are tuples instead.  Elements get integer
 ids in breadth-first order; the Cayley table is one row of element ids
 per element, and each element's witness is a parent pointer (the
-element and label it was first reached from).  The analysis works on
-the domain and range masks of the elements, deduplicated.
+element and label it was first reached from).
+
+The analysis reads range and domain masks.  The range of an element is
+the range of its parent imaged under the label it was reached by; the
+domains are worked out per distinct domain pattern.  Whether an element
+r is intrinsically synchronizing depends only on its left-image set
+L(r), the set of nonzero ranges ``ran(S;r)`` over all elements S.
+L(identity) is the set of nonzero ranges, and L(p;c) is L(p) imaged
+under the letter c, less 0.  So the L-sets are interned per monoid and
+worked out lazily down the witness chains of the elements tested: each
+distinct set is imaged once per label and judged once, however many
+elements share it.
 
 Subsets are bit masks over vertex indices.  The subset searches look
 images up 4 vertices at a time: per label, one 16-entry table per chunk
 of 4 vertices gives the image of every subset of that chunk.  The tables
-are built once per search and never cached on the graph: caching 8-bit
+are built once per decision and never cached on the graph: caching 8-bit
 tables on the compiled view raised the peak RSS of the benchmark's
 padded-family workload from 21.6 to 27.8 MiB (+29%), and saved nothing
 there because that workload builds fresh graphs on every pass.
@@ -39,6 +49,7 @@ when an instance grows past desk scale.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .classify import follower_separation, is_universal
 from .errors import (
@@ -55,10 +66,8 @@ from .graphs import (
     induced_subgraph,
     irreducible_components,
     is_essential,
-    paired_targets,
     reachable_indices,
     shortest_word,
-    subset_step,
 )
 
 
@@ -199,8 +208,14 @@ class ActionMonoid:
         n = len(graph.vertices)
         self._codes = {t: t for t in range(n)}
         self._codes[-1] = n
-        self._intrinsic = [None] * len(funcs)
         self._analysis = None
+        # left-image sets, interned: element -> set id, and per set id
+        # the set, its step per label and its verdict (None until asked)
+        self._left = {}
+        self._left_ids = {}
+        self._left_sets = []
+        self._left_steps = []
+        self._verdicts = []
 
     @property
     def size(self):
@@ -262,51 +277,91 @@ class ActionMonoid:
         return k
 
     def _prepare(self):
-        """Per element id the domain and range masks, and their distinct values.
+        """Per element id the range mask; the distinct domain masks; letter tables.
 
-        Masks are worked out once per distinct domain pattern and per
-        distinct set of targets, which many elements share.
+        The range of an element is the range of its parent imaged under
+        the label it was reached by, imaged once per distinct (range,
+        label) pair.  Domain masks are worked out once per distinct
+        domain pattern.  The first call also interns L(identity), the
+        set of nonzero range masks (see :meth:`_is_intrinsic`).
         """
         if self._analysis is None:
             n = len(self.graph.vertices)
-            compose = self._compose
+            tables = list(_letter_tables(self.graph).values())
+            known = [{} for _ in tables]
+            rans = [(1 << n) - 1]  # the identity reaches every vertex
+            for p, c in islice(self._parents, 1, None):
+                ran = rans[p]
+                image = known[c].get(ran)
+                if image is None:
+                    image = known[c][ran] = _image(ran, tables[c])
+                rans.append(image)
             keep = _action_codec(n, [(0,) * n])[2][0]
-            patterns = [compose(f, keep) for f in self._funcs]
-            dom_of = dict.fromkeys(patterns)
-            for pattern in dom_of:
-                dom_of[pattern] = sum(1 << i for i, t in enumerate(pattern) if t != n)
-            targets = list(map(frozenset, self._funcs))
-            ran_of = dict.fromkeys(targets)
-            for image in ran_of:
-                ran_of[image] = sum(1 << t for t in image if t != n)
-            doms = list(map(dom_of.__getitem__, patterns))
-            rans = list(map(ran_of.__getitem__, targets))
-            self._analysis = (doms, rans, set(rans), set(doms))
+            patterns = set(map(self._compose, self._funcs, repeat(keep)))
+            doms = {_domain(pattern, n) for pattern in patterns}
+            self._analysis = (rans, doms, tables)
+            self._left[0] = self._intern(frozenset(rans) - {0})
         return self._analysis
 
     def _is_intrinsic(self, k):
         """Whether no live left/right extension pair of element k goes dead.
 
         With ``r`` the element, a left extension S and a right one T keep
-        ``S;r;T`` alive exactly when the image under r of ``ran S & dom r``
-        meets ``dom T & ran r``; only the distinct masks matter.
+        ``S;r;T`` alive exactly when ``ran(S;r)`` meets ``dom T``.  So the
+        verdict depends only on the left-image set L(k) of the nonzero
+        ranges ``ran(S;r)``: every member must meet every nonzero
+        ``dom T & ran r``, where ``ran r`` is the largest member (S the
+        identity).  It is worked out once per distinct L-set.
         """
-        result = self._intrinsic[k]
-        if result is None:
-            doms, rans, range_masks, dom_masks = self._prepare()
-            dom_r = doms[k]
-            ran_r = rans[k]
-            # the sink entries of the action are never looked up, since
-            # every mask imaged lies inside its domain
-            tables = _image_tables(self._funcs[k])
-            images = {
-                _image(left & dom_r, tables) for left in range_masks if left & dom_r
-            }
-            values = {right & ran_r for right in dom_masks}
+        lid = self._left_set(k)
+        verdict = self._verdicts[lid]
+        if verdict is None:
+            left = self._left_sets[lid]
+            ran_r = max(left, default=0)
+            values = {right & ran_r for right in self._prepare()[1]}
             values.discard(0)
-            result = all(image & v for image in images for v in values)
-            self._intrinsic[k] = result
-        return result
+            verdict = all(x & v for x in left for v in values)
+            self._verdicts[lid] = verdict
+        return verdict
+
+    def _left_set(self, k):
+        """The id of the interned L-set of element k.
+
+        When ``_parents[k] == (p, c)``, L(k) is L(p) imaged under the
+        letter c, less 0.  Ids are worked out down the witness chain from
+        the nearest element already known, with one image per distinct
+        (L-set, label) pair.
+        """
+        tables = self._prepare()[2]
+        left = self._left
+        chain = []
+        while k not in left:
+            chain.append(k)
+            k = self._parents[k][0]
+        lid = left[k]
+        for j in reversed(chain):
+            c = self._parents[j][1]
+            steps = self._left_steps[lid]
+            if steps[c] is None:
+                image = {_image(x, tables[c]) for x in self._left_sets[lid]}
+                image.discard(0)
+                steps[c] = self._intern(frozenset(image))
+            lid = left[j] = steps[c]
+        return lid
+
+    def _intern(self, left):
+        """The id of the L-set `left`, a frozenset of masks, given on first sight."""
+        lid = self._left_ids.setdefault(left, len(self._left_sets))
+        if lid == len(self._left_sets):
+            self._left_sets.append(left)
+            self._left_steps.append([None] * len(self._generators))
+            self._verdicts.append(None)
+        return lid
+
+
+def _domain(func, n):
+    """The domain mask of an action with sink index n."""
+    return sum(1 << i for i, t in enumerate(func) if t != n)
 
 
 def action_monoid(g, cap=None):
@@ -376,8 +431,8 @@ def preceded_by_intrinsic_sync(m, r):
     NotAnElementError
     """
     k = m._require_element(r)
-    doms, rans, _, _ = m._prepare()
-    dom_r = doms[k]
+    rans = m._prepare()[0]
+    dom_r = _domain(m._funcs[k], len(m.graph.vertices))
     return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(rans))
 
 
@@ -397,8 +452,8 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     """
     _require(g)
     m = action_monoid(g, caps.relations)
-    doms, rans, _, _ = m._prepare()
-    uncovered = {d for d in doms if d}
+    rans, doms, _ = m._prepare()
+    uncovered = doms - {0}
     for k, ran in enumerate(rans):
         if not uncovered:
             break
@@ -428,10 +483,10 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     """
     _require(g)
     m = action_monoid(g, caps.relations)
-    doms = m._prepare()[0]
+    rans = m._prepare()[0]
     rows = m._rows
     return not any(
-        doms[k] and not m._is_intrinsic(k)
+        rans[k] and not m._is_intrinsic(k)
         for k in reachable_indices(rows, cycle_vertices(rows))
     )
 
@@ -454,6 +509,11 @@ def _image_tables(targets):
              z, w | z, x | z, wx | z, yz, w | yz, x | yz, wx | yz]
         )
     return tables
+
+
+def _letter_tables(g):
+    """Per label of `g`, in sorted order, its subset-image tables."""
+    return {a: _image_tables(t) for a, t in g._compiled().targets.items()}
 
 
 def _image(mask, tables):
@@ -480,7 +540,7 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return frozenset()
-    tables = [_image_tables(t) for t in g._compiled().targets.values()]
+    tables = list(_letter_tables(g).values())
     full = (1 << len(g.vertices)) - 1
     seen = {full}
     queue = deque([full])
@@ -517,8 +577,7 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return None
-    view = g._compiled()
-    tables = {a: _image_tables(t) for a, t in view.targets.items()}
+    tables = _letter_tables(g)
 
     def successor(mask, a):
         return _image(mask, tables[a]) or None
@@ -528,7 +587,7 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
 
     full = (1 << len(g.vertices)) - 1
     return shortest_word(
-        [full], view.labels, successor, singleton, caps.subsets, "subset count"
+        [full], tuple(tables), successor, singleton, caps.subsets, "subset count"
     )
 
 
@@ -554,14 +613,18 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     """
     _require(g)
     _require(h)
+    return _containment(g, h, _letter_tables(g), _letter_tables(h), caps)
+
+
+def _containment(g, h, tables_g, tables_h, caps):
+    """:func:`subshift_witness` on checked graphs, given their letter tables."""
     if not g.vertices:
         return True, None
     if not h.vertices:
         return False, ()
-    tables = {
-        a: (_image_tables(tg), _image_tables(th))
-        for a, (tg, th) in paired_targets(g, h).items()
-    }
+    # labels of h alone kill g at once, so only g's labels are tried
+    dead = _image_tables((-1,) * len(h.vertices))
+    tables = {a: (tg, tables_h.get(a, dead)) for a, tg in tables_g.items()}
 
     def successor(masks, a):
         tg, th = tables[a]
@@ -584,6 +647,15 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     return witness is None, witness
 
 
+def _equal(g, h, tables_g, caps):
+    """Containment both ways of checked graphs, given g's letter tables."""
+    tables_h = _letter_tables(h)
+    return (
+        _containment(g, h, tables_g, tables_h, caps)[0]
+        and _containment(h, g, tables_h, tables_g, caps)[0]
+    )
+
+
 def decide_subshift(g, h, caps=DEFAULT_CAPS):
     """Whether the shift presented by `g` is contained in that of `h`."""
     return subshift_witness(g, h, caps)[0]
@@ -591,7 +663,9 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift (containment both ways)."""
-    return subshift_witness(g, h, caps)[0] and subshift_witness(h, g, caps)[0]
+    _require(g)
+    _require(h)
+    return _equal(g, h, _letter_tables(g), caps)
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
@@ -656,8 +730,12 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
 
+    targets = g._compiled().targets
     two_letter = {
-        (a, b) for a in sigma for b in sigma if subset_step(g, g.vertices, (a, b))
+        (a, b)
+        for a in sigma
+        for b in sigma
+        if any(t >= 0 and targets[b][t] >= 0 for t in targets[a])
     }
 
     # candidate transition choices per label: partial functions on k
@@ -682,6 +760,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     order = sorted(sigma, key=lambda a: (len(domains[a]), a))
 
     names = tuple(f"k{i}" for i in range(k))
+    tables = _letter_tables(g)
 
     def equal_candidate(assignment):
         edges = [
@@ -691,7 +770,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
             if f[v] >= 0
         ]
         candidate = LabeledGraph(vertices=names, edges=edges)
-        return is_essential(candidate) and decide_equality(g, candidate, caps)
+        return is_essential(candidate) and _equal(g, candidate, tables, caps)
 
     def search(pos, assignment):
         if pos == len(order):

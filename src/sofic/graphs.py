@@ -31,7 +31,8 @@ from .errors import CapExceededError, NotDeterministicError, UnknownVertexError
 def _check_token(token, what):
     if not isinstance(token, str) or not token:
         raise ValueError(f"{what} must be a nonempty string, got {token!r}")
-    if any(c.isspace() for c in token):
+    # str.split() breaks at exactly the characters str.isspace() accepts
+    if token.split() != [token]:
         raise ValueError(f"{what} {token!r} contains whitespace")
     return token
 

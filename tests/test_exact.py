@@ -165,6 +165,60 @@ def test_preceded_matches_naive_scan():
             assert preceded_by_intrinsic_sync(m, element) == expected
 
 
+def _small_monoid_graphs():
+    """Seeded reduction graphs of 2-3 random DFAs and random graphs, small monoids only."""
+    from sofic.constructions import Dfa, reduction_irred, reduction_sft
+    from sofic.errors import AllLanguagesEmptyError
+
+    rng = random.Random(56)
+    graphs = [random_deterministic_graph(rng, 4, ["0", "1", "2"]) for _ in range(12)]
+    tuples = 0
+    while tuples < 6:
+        dfas = []
+        for _ in range(rng.randint(2, 3)):
+            states = [f"s{i}" for i in range(rng.randint(1, 2))]
+            delta = {(q, a): rng.choice(states) for q in states for a in ("a", "b")}
+            accepting = [q for q in states if rng.random() < 0.5]
+            dfas.append(Dfa(states, ("a", "b"), delta, states[0], accepting))
+        try:
+            candidates = [reduction_irred(dfas)[0], reduction_sft(dfas)[0]]
+        except AllLanguagesEmptyError:
+            continue
+        for g in candidates:
+            try:
+                action_monoid(g, cap=60)
+            except CapExceededError:
+                continue
+            graphs.append(g)
+        tuples += 1
+    return graphs
+
+
+def test_analysis_does_not_depend_on_query_order():
+    # the analysis memoizes along witness chains, so ask fresh monoids
+    # for their elements last-first and in shuffled order
+    rng = random.Random(57)
+    graphs = _small_monoid_graphs()
+    assert sum(action_monoid(g).size > 20 for g in graphs) >= 5
+    for g in graphs:
+        elements = action_monoid(g).elements
+        pair_sets = [e.pairs for e in elements]
+        intrinsic = [naive_intrinsic(pair_sets, r) for r in pair_sets]
+        preceded = [
+            any(compose_pairs(s, r) for s, ok in zip(pair_sets, intrinsic) if ok)
+            for r in pair_sets
+        ]
+        shuffled = list(range(len(elements)))
+        rng.shuffle(shuffled)
+        for order in (list(reversed(range(len(elements)))), shuffled):
+            m = action_monoid(g)
+            for k in order:
+                assert is_intrinsically_sync_relation(m, elements[k]) == intrinsic[k]
+        m = action_monoid(g)
+        for k in shuffled:
+            assert preceded_by_intrinsic_sync(m, elements[k]) == preceded[k]
+
+
 def test_decide_sdp_exists(gm, fig1):
     assert decide_sdp_exists(gm)
     assert decide_sdp_exists(fig1)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sofic.errors import NotDeterministicError, UnknownVertexError
 from sofic.graphs import (
     LabeledGraph,
+    _check_token,
     alphabet,
     disjoint_union,
     essentialize,
@@ -32,6 +34,26 @@ def test_construction_rejects_bad_tokens():
         LabeledGraph(edges=[("a", "", "b")])
     with pytest.raises(ValueError):
         LabeledGraph(vertices=[""])
+
+
+def test_token_check_rejects_exactly_the_whitespace_characters():
+    # every code point, alone and inside a token
+    rejected = []
+    for code in range(sys.maxunicode + 1):
+        for token in (chr(code), f"a{chr(code)}b"):
+            try:
+                _check_token(token, "vertex")
+            except ValueError as exc:
+                assert str(exc) == f"vertex {token!r} contains whitespace"
+                rejected.append(token)
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert rejected == [t for c in spaces for t in (c, f"a{c}b")]
+    with pytest.raises(ValueError) as info:
+        LabeledGraph(edges=[("a", "x\u2003y", "b")])
+    assert str(info.value) == "label 'x\\u2003y' contains whitespace"
+    with pytest.raises(ValueError) as info:
+        LabeledGraph(vertices=[""])
+    assert str(info.value) == "vertex must be a nonempty string, got ''"
 
 
 def test_is_deterministic(full1, fig1):
