@@ -25,15 +25,26 @@ per element, and each element's witness is a parent pointer (the
 element and label it was first reached from).
 
 The analysis reads range and domain masks.  The range of an element is
-the range of its parent imaged under the label it was reached by; the
-domains are worked out per distinct domain pattern.  Whether an element
-r is intrinsically synchronizing depends only on its left-image set
-L(r), the set of nonzero ranges ``ran(S;r)`` over all elements S.
-L(identity) is the set of nonzero ranges, and L(p;c) is L(p) imaged
-under the letter c, less 0.  So the L-sets are interned per monoid and
-worked out lazily down the witness chains of the elements tested: each
-distinct set is imaged once per label and judged once, however many
-elements share it.
+the range of its parent imaged under the label it was reached by.  The
+domains of all elements are the subsets reached from the full vertex
+set under preimages, since ``dom(c;w)`` is the preimage of ``dom(w)``
+under c.  Whether an element r is intrinsically synchronizing depends
+only on its left-image set L(r), the set of nonzero ranges ``ran(S;r)``
+over all elements S.  L(identity) is the set of nonzero ranges, which
+are the subsets reached from the full set under images, and L(p;c) is
+L(p) imaged under the letter c, less 0.  So the L-sets are interned per
+monoid and worked out lazily down the witness chains of the elements
+tested: each distinct set is imaged once per label and judged once,
+however many elements share it.
+
+The SDP search does not need the whole monoid.  A nonempty extension
+``r;w`` of an intrinsically synchronizing r is one too, so the union U
+of their ranges is closed under successors, and the search never
+expands an element whose range lies inside the part of U found so far
+(see :func:`decide_sdp_exists`).  Its bounds differ from the SFT
+search's: ``Caps.relations`` bounds the elements it enumerates, not the
+whole monoid, and ``Caps.subsets`` bounds the two subset closures that
+give the domains and L(identity) up front.
 
 Subsets are bit masks over vertex indices.  The subset searches look
 images up 4 vertices at a time: per label, one 16-entry table per chunk
@@ -49,7 +60,6 @@ when an instance grows past desk scale.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
 
 from .classify import follower_separation, is_universal
 from .errors import (
@@ -193,22 +203,31 @@ class ActionMonoid:
     :func:`_action_codec`), ``_rows[k][c]`` is the element reached from
     it by label c, and ``_parents[k]`` is the (element, label index) pair
     it was first reached from.  Relations are converted only at the
-    public boundary.
+    public boundary.  A new monoid holds only the identity until
+    :meth:`_close` enumerates the rest; `caps` bounds the element count
+    and the domain closure of :meth:`_prepare`.
     """
 
-    def __init__(self, graph, funcs, index, rows, parents, codec):
+    def __init__(self, graph, caps):
         self.graph = graph
-        self._funcs = funcs
-        self._index = index
-        self._rows = rows
-        self._parents = parents
-        self._pack, self._compose = codec
+        self._caps = caps
         self._generators = graph._compiled().targets
         self._labels = {a: c for c, a in enumerate(self._generators)}
         n = len(graph.vertices)
+        self._pack, self._compose, self._letters = _action_codec(
+            n, self._generators.values()
+        )
+        identity = self._pack(range(n))
+        self._funcs = [identity]
+        self._index = {identity: 0}
+        self._rows = []
+        self._parents = [None]
         self._codes = {t: t for t in range(n)}
         self._codes[-1] = n
         self._analysis = None
+        # per element id its range mask, and per label the ranges imaged so far
+        self._rans = [(1 << n) - 1]  # the identity reaches every vertex
+        self._known = [{} for _ in self._generators]
         # left-image sets, interned: element -> set id, and per set id
         # the set, its step per label and its verdict (None until asked)
         self._left = {}
@@ -276,32 +295,75 @@ class ActionMonoid:
             raise NotAnElementError("relation is not an element of this monoid")
         return k
 
+    def _close(self, expand=None):
+        """Enumerates the elements breadth-first, filling in the Cayley rows.
+
+        Element k is composed with every letter when it is dequeued; with
+        `expand` given, only when ``expand(k)`` is true, and otherwise its
+        row is None.  Elements are dequeued in id order.
+
+        Raises
+        ------
+        CapExceededError
+            When the element count exceeds ``caps.relations``.
+        """
+        funcs, index, rows, parents = self._funcs, self._index, self._rows, self._parents
+        compose, letters = self._compose, self._letters
+        cap = self._caps.relations
+        # funcs doubles as the breadth-first queue: row k is filled in when
+        # element k is dequeued, and new elements are appended behind it
+        for func in funcs:
+            if expand is not None and not expand(len(rows)):
+                rows.append(None)
+                continue
+            row = []
+            for letter in letters:
+                nxt = compose(func, letter)
+                k = index.get(nxt)
+                if k is None:
+                    k = len(funcs)
+                    if k >= cap:
+                        raise CapExceededError(k + 1, "monoid element count")
+                    index[nxt] = k
+                    funcs.append(nxt)
+                    parents.append((len(rows), len(row)))
+                row.append(k)
+            rows.append(row)
+
     def _prepare(self):
-        """Per element id the range mask; the distinct domain masks; letter tables.
+        """The nonzero domain masks of all elements, and the letter tables.
+
+        The domains are the subsets reached from the full vertex set
+        under preimages, since ``dom(c;w)`` is the preimage of ``dom(w)``
+        under the letter c; so they do not depend on how much of the
+        monoid is enumerated.
+        """
+        if self._analysis is None:
+            preimages = [_preimage_tables(t) for t in self._generators.values()]
+            doms = _subset_closure(
+                preimages, len(self.graph.vertices), self._caps.subsets
+            )
+            self._analysis = (doms, list(_letter_tables(self.graph).values()))
+        return self._analysis
+
+    def _ranges(self):
+        """Per element id, for every element enumerated so far, its range mask.
 
         The range of an element is the range of its parent imaged under
         the label it was reached by, imaged once per distinct (range,
-        label) pair.  Domain masks are worked out once per distinct
-        domain pattern.  The first call also interns L(identity), the
-        set of nonzero range masks (see :meth:`_is_intrinsic`).
+        label) pair.
         """
-        if self._analysis is None:
-            n = len(self.graph.vertices)
-            tables = list(_letter_tables(self.graph).values())
-            known = [{} for _ in tables]
-            rans = [(1 << n) - 1]  # the identity reaches every vertex
-            for p, c in islice(self._parents, 1, None):
+        rans = self._rans
+        if len(rans) < len(self._parents):
+            tables = self._prepare()[1]
+            known = self._known
+            for p, c in self._parents[len(rans):]:
                 ran = rans[p]
                 image = known[c].get(ran)
                 if image is None:
                     image = known[c][ran] = _image(ran, tables[c])
                 rans.append(image)
-            keep = _action_codec(n, [(0,) * n])[2][0]
-            patterns = set(map(self._compose, self._funcs, repeat(keep)))
-            doms = {_domain(pattern, n) for pattern in patterns}
-            self._analysis = (rans, doms, tables)
-            self._left[0] = self._intern(frozenset(rans) - {0})
-        return self._analysis
+        return rans
 
     def _is_intrinsic(self, k):
         """Whether no live left/right extension pair of element k goes dead.
@@ -318,7 +380,7 @@ class ActionMonoid:
         if verdict is None:
             left = self._left_sets[lid]
             ran_r = max(left, default=0)
-            values = {right & ran_r for right in self._prepare()[1]}
+            values = {right & ran_r for right in self._prepare()[0]}
             values.discard(0)
             verdict = all(x & v for x in left for v in values)
             self._verdicts[lid] = verdict
@@ -332,8 +394,12 @@ class ActionMonoid:
         the nearest element already known, with one image per distinct
         (L-set, label) pair.
         """
-        tables = self._prepare()[2]
+        tables = self._prepare()[1]
         left = self._left
+        if not left:
+            # L(identity) is the set of nonzero ranges; a search that
+            # enumerates only part of the monoid sets it beforehand
+            left[0] = self._intern(frozenset(self._ranges()) - {0})
         chain = []
         while k not in left:
             chain.append(k)
@@ -382,30 +448,11 @@ def action_monoid(g, cap=None):
         raise NotDeterministicError("graph is not deterministic")
     if cap is None:
         cap = DEFAULT_CAPS.relations
-    n = len(g.vertices)
-    pack, compose, letters = _action_codec(n, g._compiled().targets.values())
-    identity = pack(range(n))
-    funcs = [identity]
-    index = {identity: 0}
-    parents = [None]
-    rows = []
-    # funcs doubles as the breadth-first queue: row k is filled in when
-    # element k is dequeued, and new elements are appended behind it
-    for func in funcs:
-        row = []
-        for letter in letters:
-            nxt = compose(func, letter)
-            k = index.get(nxt)
-            if k is None:
-                k = len(funcs)
-                if k >= cap:
-                    raise CapExceededError(k + 1, "monoid element count")
-                index[nxt] = k
-                funcs.append(nxt)
-                parents.append((len(rows), len(row)))
-            row.append(k)
-        rows.append(row)
-    return ActionMonoid(g, funcs, index, rows, parents, (pack, compose))
+    # no monoid has more distinct domains than elements, so the domain
+    # closure never reaches the same cap
+    m = ActionMonoid(g, Caps(subsets=cap, relations=cap))
+    m._close()
+    return m
 
 
 def is_intrinsically_sync_relation(m, r):
@@ -431,7 +478,7 @@ def preceded_by_intrinsic_sync(m, r):
     NotAnElementError
     """
     k = m._require_element(r)
-    rans = m._prepare()[0]
+    rans = m._ranges()
     dom_r = _domain(m._funcs[k], len(m.graph.vertices))
     return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(rans))
 
@@ -440,27 +487,52 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     """Whether the shift presented by `g` has a synchronizing deterministic presentation.
 
     Holds exactly when every nonempty action is preceded by an
-    intrinsically synchronizing one.
+    intrinsically synchronizing one, that is when every nonzero domain
+    meets the union U of the ranges of intrinsically synchronizing
+    elements.  A nonempty extension ``r;w`` of an intrinsically
+    synchronizing r is one too, since ``S;r;w`` nonempty implies ``S;r``
+    nonempty; so U is the set of vertices reachable from those ranges.
+
+    The monoid is enumerated breadth-first, but an element whose range
+    lies inside the part of U found so far is never expanded: every
+    extension of it has its range inside U too.  The search stops once
+    every nonzero domain meets U.
 
     Parameters
     ----------
     g : deterministic essential LabeledGraph
+    caps : Caps
+        ``caps.relations`` bounds the elements enumerated, and
+        ``caps.subsets`` each of the two subset closures that give the
+        domains and the ranges of all elements up front.  An input whose
+        whole monoid exceeds ``caps.relations`` can still get an answer.
 
     Raises
     ------
     CapExceededError
     """
     _require(g)
-    m = action_monoid(g, caps.relations)
-    rans, doms, _ = m._prepare()
-    uncovered = doms - {0}
-    for k, ran in enumerate(rans):
-        if not uncovered:
-            break
-        if not any(d & ran for d in uncovered):
-            continue
+    n = len(g.vertices)
+    succ = g._compiled().succ
+    m = ActionMonoid(g, caps)
+    doms, tables = m._prepare()
+    m._left[0] = m._intern(frozenset(_subset_closure(tables, n, caps.subsets)))
+    uncovered = list(doms)
+    covered = 0
+
+    def expand(k):
+        nonlocal uncovered, covered
+        ran = m._ranges()[k]
+        if not uncovered or not ran & ~covered:
+            return False
         if m._is_intrinsic(k):
-            uncovered = {d for d in uncovered if not d & ran}
+            reached = reachable_indices(succ, (v for v in range(n) if ran >> v & 1))
+            covered |= sum(1 << v for v in reached)
+            uncovered = [d for d in uncovered if not d & covered]
+            return False
+        return True
+
+    m._close(expand)
     return not uncovered
 
 
@@ -483,7 +555,7 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     """
     _require(g)
     m = action_monoid(g, caps.relations)
-    rans = m._prepare()[0]
+    rans = m._ranges()
     rows = m._rows
     return not any(
         rans[k] and not m._is_intrinsic(k)
@@ -491,15 +563,14 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     )
 
 
-def _image_tables(targets):
-    """Subset-image tables of one label, 16 entries per 4 vertices.
+def _mask_tables(bits):
+    """Subset-image tables over per-vertex masks, 16 entries per 4 vertices.
 
     ``tables[c][b]`` is the image mask of the subset ``b << 4*c``: the
-    OR of the target bits ``1 << t`` of the chunk's vertices that ``b``
-    selects, with 0 for a target of -1.
+    OR of ``bits[v]`` over the vertices v of the chunk that ``b``
+    selects.
     """
-    bits = [1 << t if t >= 0 else 0 for t in targets] + [0, 0, 0]
-    chunks = iter(bits)
+    chunks = iter(list(bits) + [0, 0, 0])
     tables = []
     for w, x, y, z in zip(chunks, chunks, chunks, chunks):
         wx = w | x
@@ -509,6 +580,22 @@ def _image_tables(targets):
              z, w | z, x | z, wx | z, yz, w | yz, x | yz, wx | yz]
         )
     return tables
+
+
+def _image_tables(targets):
+    """Subset-image tables of one label: the target bit ``1 << t`` per
+    vertex, with 0 for a target of -1 (see :func:`_mask_tables`)."""
+    return _mask_tables(1 << t if t >= 0 else 0 for t in targets)
+
+
+def _preimage_tables(targets):
+    """Subset-preimage tables of one label: a subset's image under them
+    is the set of vertices the label takes into it."""
+    bits = [0] * len(targets)
+    for v, t in enumerate(targets):
+        if t >= 0:
+            bits[t] |= 1 << v
+    return _mask_tables(bits)
 
 
 def _letter_tables(g):
@@ -526,6 +613,31 @@ def _image(mask, tables):
     return out
 
 
+def _subset_closure(tables, n, cap):
+    """The nonzero subsets the tables reach from the full set of n vertices.
+
+    Breadth-first, with the full set included when n > 0.
+
+    Raises
+    ------
+    CapExceededError
+        When the subset count exceeds `cap`.
+    """
+    full = (1 << n) - 1
+    seen = {full} if n else set()
+    queue = deque(seen)
+    while queue:
+        mask = queue.popleft()
+        for label_tables in tables:
+            nxt = _image(mask, label_tables)
+            if nxt and nxt not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(len(seen) + 1, "subset count")
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     """The set of vertices some word synchronizes to, via subset search.
 
@@ -538,24 +650,10 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     CapExceededError
     """
     _require(g)
-    if not g.vertices:
-        return frozenset()
     tables = list(_letter_tables(g).values())
-    full = (1 << len(g.vertices)) - 1
-    seen = {full}
-    queue = deque([full])
-    while queue:
-        mask = queue.popleft()
-        for label_tables in tables:
-            nxt = _image(mask, label_tables)
-            if nxt and nxt not in seen:
-                if len(seen) >= caps.subsets:
-                    raise CapExceededError(len(seen) + 1, "subset count")
-                seen.add(nxt)
-                queue.append(nxt)
     return frozenset(
         g.vertices[mask.bit_length() - 1]
-        for mask in seen
+        for mask in _subset_closure(tables, len(g.vertices), caps.subsets)
         if mask.bit_count() == 1
     )
 

@@ -190,3 +190,37 @@ def random_deterministic_graph(rng, max_vertices, labels):
             if t >= 0:
                 edges.append((names[i], a, names[t]))
     return LabeledGraph(vertices=names, edges=edges)
+
+
+def brute_monoid(g):
+    """Every action of a word on g, as pair sets.
+
+    Breadth-first over words in label order: each word's action is found
+    by walking the edge list from every vertex, and a word is extended
+    only when its action is new, so every action is reached.
+    """
+    labels = graph_labels(g)
+
+    def action(w):
+        return frozenset(
+            (p, q) for p in g.vertices for q in [walk(g, p, w)] if q is not None
+        )
+
+    seen = {action(())}
+    queue = deque([()])
+    while queue:
+        w = queue.popleft()
+        for a in labels:
+            r = action(w + (a,))
+            if r not in seen:
+                seen.add(r)
+                queue.append(w + (a,))
+    return seen
+
+
+def naive_sdp_exists(g):
+    """Whether every nonempty action of g is preceded by an intrinsically
+    synchronizing one, scanning the whole brute-force monoid."""
+    elements = list(brute_monoid(g))
+    intrinsic = [s for s in elements if naive_intrinsic(elements, s)]
+    return all(any(compose_pairs(s, r) for s in intrinsic) for r in elements if r)
