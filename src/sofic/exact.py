@@ -46,13 +46,19 @@ search's: ``Caps.relations`` bounds the elements it enumerates, not the
 whole monoid, and ``Caps.subsets`` bounds the two subset closures that
 give the domains and L(identity) up front.
 
-Subsets are bit masks over vertex indices.  The subset searches look
-images up 4 vertices at a time: per label, one 16-entry table per chunk
-of 4 vertices gives the image of every subset of that chunk.  The tables
-are built once per decision and never cached on the graph: caching 8-bit
-tables on the compiled view raised the peak RSS of the benchmark's
-padded-family workload from 21.6 to 27.8 MiB (+29%), and saved nothing
-there because that workload builds fresh graphs on every pass.
+Subsets are bit masks over vertex indices.  Images are looked up 4
+vertices at a time: one 16-entry table per chunk of 4 vertices gives the
+image of every subset of that chunk.  The subset searches image a subset
+under every label at once through one packed table per graph: label c's
+target t of a vertex sits at bit ``c*n + t`` of that vertex's mask, so
+one lookup per chunk yields all the label images side by side, and label
+c's image is the packed image shifted right by ``c*n`` and cut to n
+bits.  The monoid's range and L-set steps image one label at a time and
+keep one table per label.  The tables are built once per decision and
+never cached on the graph: caching 8-bit tables on the compiled view
+raised the peak RSS of the benchmark's padded-family workload from 21.6
+to 27.8 MiB (+29%), and saved nothing there because that workload builds
+fresh graphs on every pass.
 
 Every search is guarded by a cap and raises :class:`CapExceededError`
 when an instance grows past desk scale.
@@ -339,11 +345,11 @@ class ActionMonoid:
         monoid is enumerated.
         """
         if self._analysis is None:
-            preimages = [_preimage_tables(t) for t in self._generators.values()]
+            gens = self._generators.values()
             doms = _subset_closure(
-                preimages, len(self.graph.vertices), self._caps.subsets
+                gens, len(self.graph.vertices), self._caps.subsets, preimages=True
             )
-            self._analysis = (doms, list(_letter_tables(self.graph).values()))
+            self._analysis = (doms, [_image_tables(t) for t in gens])
         return self._analysis
 
     def _ranges(self):
@@ -515,8 +521,9 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     n = len(g.vertices)
     succ = g._compiled().succ
     m = ActionMonoid(g, caps)
-    doms, tables = m._prepare()
-    m._left[0] = m._intern(frozenset(_subset_closure(tables, n, caps.subsets)))
+    doms = m._prepare()[0]
+    ranges = _subset_closure(g._compiled().targets.values(), n, caps.subsets)
+    m._left[0] = m._intern(frozenset(ranges))
     uncovered = list(doms)
     covered = 0
 
@@ -582,25 +589,33 @@ def _mask_tables(bits):
     return tables
 
 
-def _image_tables(targets):
-    """Subset-image tables of one label: the target bit ``1 << t`` per
-    vertex, with 0 for a target of -1 (see :func:`_mask_tables`)."""
-    return _mask_tables(1 << t if t >= 0 else 0 for t in targets)
+def _packed_tables(target_lists, n, preimages=False):
+    """Subset-image tables of several labels on n vertices at once.
 
-
-def _preimage_tables(targets):
-    """Subset-preimage tables of one label: a subset's image under them
-    is the set of vertices the label takes into it."""
-    bits = [0] * len(targets)
-    for v, t in enumerate(targets):
-        if t >= 0:
-            bits[t] |= 1 << v
+    Label c takes bits ``c*n`` up to ``(c+1)*n``: vertex v's mask has bit
+    ``c*n + t`` when label c takes v to t, so that a subset's image is
+    every label's image side by side (see :func:`_mask_tables`).  An
+    empty entry of `target_lists` is a label defined nowhere.  With
+    `preimages`, vertex t's mask has bit ``c*n + v`` instead, and label
+    c's block of an image is the set of vertices c takes into the subset.
+    """
+    bits = [0] * n
+    for c, targets in enumerate(target_lists):
+        for v, t in enumerate(targets):
+            if t >= 0:
+                src, dst = (t, v) if preimages else (v, t)
+                bits[src] |= 1 << c * n + dst
     return _mask_tables(bits)
 
 
-def _letter_tables(g):
-    """Per label of `g`, in sorted order, its subset-image tables."""
-    return {a: _image_tables(t) for a, t in g._compiled().targets.items()}
+def _image_tables(targets):
+    """Subset-image tables of one label, -1 for undefined."""
+    return _packed_tables([targets], len(targets))
+
+
+def _preimage_tables(targets):
+    """Subset-preimage tables of one label."""
+    return _packed_tables([targets], len(targets), preimages=True)
 
 
 def _image(mask, tables):
@@ -613,23 +628,27 @@ def _image(mask, tables):
     return out
 
 
-def _subset_closure(tables, n, cap):
-    """The nonzero subsets the tables reach from the full set of n vertices.
+def _subset_closure(target_lists, n, cap, preimages=False):
+    """The nonzero subsets reached from the full set of n vertices.
 
-    Breadth-first, with the full set included when n > 0.
+    Breadth-first under the images of the labels `target_lists`, or
+    their preimages (see :func:`_packed_tables`), with the full set
+    included when n > 0.
 
     Raises
     ------
     CapExceededError
         When the subset count exceeds `cap`.
     """
+    tables = _packed_tables(target_lists, n, preimages)
+    offsets = [c * n for c in range(len(target_lists))]
     full = (1 << n) - 1
     seen = {full} if n else set()
     queue = deque(seen)
     while queue:
-        mask = queue.popleft()
-        for label_tables in tables:
-            nxt = _image(mask, label_tables)
+        packed = _image(queue.popleft(), tables)
+        for offset in offsets:
+            nxt = packed >> offset & full
             if nxt and nxt not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(len(seen) + 1, "subset count")
@@ -650,10 +669,10 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     CapExceededError
     """
     _require(g)
-    tables = list(_letter_tables(g).values())
+    targets = g._compiled().targets
     return frozenset(
         g.vertices[mask.bit_length() - 1]
-        for mask in _subset_closure(tables, len(g.vertices), caps.subsets)
+        for mask in _subset_closure(targets.values(), len(g.vertices), caps.subsets)
         if mask.bit_count() == 1
     )
 
@@ -675,17 +694,21 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return None
-    tables = _letter_tables(g)
+    n = len(g.vertices)
+    targets = g._compiled().targets
+    tables = _packed_tables(targets.values(), n)
+    offsets = [c * n for c in range(len(targets))]
+    full = (1 << n) - 1
 
-    def successor(mask, a):
-        return _image(mask, tables[a]) or None
+    def successors(mask):
+        packed = _image(mask, tables)
+        return [packed >> offset & full or None for offset in offsets]
 
     def singleton(mask):
         return mask & (mask - 1) == 0
 
-    full = (1 << len(g.vertices)) - 1
     return shortest_word(
-        [full], tuple(tables), successor, singleton, caps.subsets, "subset count"
+        [full], tuple(targets), successors, singleton, caps.subsets, "subset count"
     )
 
 
@@ -711,46 +734,53 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     """
     _require(g)
     _require(h)
-    return _containment(g, h, _letter_tables(g), _letter_tables(h), caps)
+    # labels of h alone kill g at once, so only g's labels are tried
+    labels = g._compiled().labels
+    return _containment(g, h, labels, _tables(g, labels), _tables(h, labels), caps)
 
 
-def _containment(g, h, tables_g, tables_h, caps):
-    """:func:`subshift_witness` on checked graphs, given their letter tables."""
+def _tables(g, labels):
+    """The packed image tables of `g` over `labels` (see
+    :func:`_packed_tables`); a label `g` lacks is a zero block."""
+    targets = g._compiled().targets
+    return _packed_tables([targets.get(a, ()) for a in labels], len(g.vertices))
+
+
+def _containment(g, h, labels, tables_g, tables_h, caps):
+    """:func:`subshift_witness` on checked graphs, given their packed
+    tables over `labels`, which hold every label of `g`."""
     if not g.vertices:
         return True, None
     if not h.vertices:
         return False, ()
-    # labels of h alone kill g at once, so only g's labels are tried
-    dead = _image_tables((-1,) * len(h.vertices))
-    tables = {a: (tg, tables_h.get(a, dead)) for a, tg in tables_g.items()}
+    n_g, n_h = len(g.vertices), len(h.vertices)
+    offsets = [(c * n_g, c * n_h) for c in range(len(labels))]
+    full_g, full_h = (1 << n_g) - 1, (1 << n_h) - 1
 
-    def successor(masks, a):
-        tg, th = tables[a]
-        ng = _image(masks[0], tg)
-        return (ng, _image(masks[1], th)) if ng else None
+    def successors(masks):
+        packed_g = _image(masks[0], tables_g)
+        packed_h = _image(masks[1], tables_h)
+        return [
+            (x, packed_h >> at_h & full_h) if (x := packed_g >> at_g & full_g) else None
+            for at_g, at_h in offsets
+        ]
 
     def killed(masks):
         return masks[1] == 0
 
-    full_g = (1 << len(g.vertices)) - 1
-    full_h = (1 << len(h.vertices)) - 1
     witness = shortest_word(
-        [(full_g, full_h)],
-        tuple(tables),
-        successor,
-        killed,
-        caps.subsets,
-        "subset-pair count",
+        [(full_g, full_h)], labels, successors, killed, caps.subsets, "subset-pair count"
     )
     return witness is None, witness
 
 
-def _equal(g, h, tables_g, caps):
-    """Containment both ways of checked graphs, given g's letter tables."""
-    tables_h = _letter_tables(h)
+def _equal(g, h, labels, tables_g, caps):
+    """Containment both ways of checked graphs, given g's packed tables
+    over `labels`, which hold every label of both."""
+    tables_h = _tables(h, labels)
     return (
-        _containment(g, h, tables_g, tables_h, caps)[0]
-        and _containment(h, g, tables_h, tables_g, caps)[0]
+        _containment(g, h, labels, tables_g, tables_h, caps)[0]
+        and _containment(h, g, labels, tables_h, tables_g, caps)[0]
     )
 
 
@@ -763,7 +793,8 @@ def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift (containment both ways)."""
     _require(g)
     _require(h)
-    return _equal(g, h, _letter_tables(g), caps)
+    labels = tuple(sorted(set(g._compiled().labels) | set(h._compiled().labels)))
+    return _equal(g, h, labels, _tables(g, labels), caps)
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
@@ -858,7 +889,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     order = sorted(sigma, key=lambda a: (len(domains[a]), a))
 
     names = tuple(f"k{i}" for i in range(k))
-    tables = _letter_tables(g)
+    tables = _tables(g, sigma)
 
     def equal_candidate(assignment):
         edges = [
@@ -868,7 +899,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
             if f[v] >= 0
         ]
         candidate = LabeledGraph(vertices=names, edges=edges)
-        return is_essential(candidate) and _equal(g, candidate, tables, caps)
+        return is_essential(candidate) and _equal(g, candidate, sigma, tables, caps)
 
     def search(pos, assignment):
         if pos == len(order):

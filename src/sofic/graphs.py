@@ -399,15 +399,24 @@ def paired_targets(g, h):
     }
 
 
-def shortest_word(starts, labels, successor, goal, cap=None, what=None):
+def shortest_word(starts, labels, successors, goal, cap=None, what=None):
     """A shortest word leading from one of `starts` to a state meeting `goal`.
 
     Breadth-first search with parent pointers over hashable states;
-    ``successor(state, label)`` is the state reached, or None where the
-    search dies.  Labels are tried in the order of `labels`, so among
-    shortest words the least in that order wins.  Returns None when no
-    reachable state meets `goal`.  Storing more than `cap` states raises
-    ``CapExceededError(count, what)``.
+    ``successors(state)`` lists the state reached by each entry of
+    `labels`, in order, with None where the search dies.  Labels are
+    tried in the order of `labels`, so among shortest words the least in
+    that order wins.  Returns None when no reachable state meets `goal`.
+    Storing more than `cap` states raises ``CapExceededError(count,
+    what)``.
+
+    Examples
+    --------
+    Counting up modulo 5 by ones and twos, 4 is two steps from 0:
+
+    >>> shortest_word([0], "ab", lambda s: [(s + 1) % 5, (s + 2) % 5], lambda s: s == 4)
+    ('b', 'b')
+    >>> shortest_word([0], "a", lambda s: [None if s == 2 else s + 1], lambda s: s == 4)
     """
     parent = {}
     queue = deque()
@@ -419,8 +428,7 @@ def shortest_word(starts, labels, successor, goal, cap=None, what=None):
             queue.append(state)
     while queue:
         state = queue.popleft()
-        for a in labels:
-            nxt = successor(state, a)
+        for a, nxt in zip(labels, successors(state)):
             if nxt is None or nxt in parent:
                 continue
             if goal(nxt):

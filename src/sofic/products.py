@@ -142,9 +142,9 @@ def find_word_to(g, sources, target_pred):
     counts = Counter((src, a) for src, a, _ in g.edges)
     slots = sorted({(a, k) for (_, a), c in counts.items() for k in range(c)})
 
-    def successor(v, slot):
-        dsts = g.successors(v, slot[0])
-        return dsts[slot[1]] if slot[1] < len(dsts) else None
+    def successors(v):
+        dsts = {a: g.successors(v, a) for a, _ in slots}
+        return [dsts[a][k] if k < len(dsts[a]) else None for a, k in slots]
 
-    word = shortest_word(starts, slots, successor, target_pred)
+    word = shortest_word(starts, slots, successors, target_pred)
     return None if word is None else tuple(a for a, _ in word)

@@ -54,19 +54,18 @@ def pair_synchronizing_word(g, p, q):
     if p == q:
         raise SameVertexError(f"need two distinct vertices, got {p!r} twice")
     view = g._compiled()
-    targets = view.targets
+    rows = view.targets.values()
 
-    def successor(pair, a):
-        t = targets[a]
-        x, y = t[pair[0]], t[pair[1]]
-        return None if x < 0 and y < 0 else (x, y)
+    def successors(pair):
+        p, q = pair
+        return [(t[p], t[q]) if t[p] >= 0 or t[q] >= 0 else None for t in rows]
 
     def merged(pair):
         x, y = pair
         return x == y or x < 0 or y < 0
 
     return shortest_word(
-        [(view.index[p], view.index[q])], view.labels, successor, merged
+        [(view.index[p], view.index[q])], view.labels, successors, merged
     )
 
 
@@ -131,11 +130,11 @@ def separating_word(g, h):
     if len(irreducible_components(g)) != 1:
         raise NotIrreducibleError("the first argument must be strongly connected")
     tables = paired_targets(g, h)
+    rows = tables.values()
 
-    def successor(pair, a):
-        tg, th = tables[a]
-        x = tg[pair[0]]
-        return None if x < 0 else (x, th[pair[1]])
+    def successors(pair):
+        p, q = pair
+        return [(tg[p], th[q]) if tg[p] >= 0 else None for tg, th in rows]
 
     def killed(pair):
         return pair[1] < 0
@@ -144,7 +143,7 @@ def separating_word(g, h):
     live = set(range(len(h.vertices)))
     word = ()
     while live:
-        found = shortest_word([(p, min(live))], tuple(tables), successor, killed)
+        found = shortest_word([(p, min(live))], tuple(tables), successors, killed)
         if found is None:
             return None
         for a in found:
