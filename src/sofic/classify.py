@@ -4,32 +4,27 @@ Follower equivalence reduces to DFA state equivalence: complete the
 graph with a sink, treat every non-sink state as accepting, and refine.
 The refinement here is Moore-style iterated splitting, which is
 polynomial and produces the same partition as the faster textbook
-algorithms.
+algorithms.  It runs on the integer views of one or more graphs at once.
 
 On top of the partition sit the quotient construction (follower
 separation), label-graph isomorphism for follower-separated inputs,
 shift equality for synchronizing presentations (isomorphism of the
 quotients), the hat-graph test for shifts of finite type, and the
 universality and irreducibility shortcuts valid for synchronizing
-presentations.
+presentations.  Isomorphism and equality refine the disjoint union of
+their inputs once, building neither the union nor a quotient.
 """
 
 from dataclasses import dataclass
 
-from .errors import (
-    NotEssentialError,
-    NotFollowerSeparatedError,
-    NotSftError,
-    NotSynchronizingError,
-)
+from .errors import NotFollowerSeparatedError, NotSftError, NotSynchronizingError
 from .graphs import (
     LabeledGraph,
     alphabet,
     cycle_vertices,
-    disjoint_union,
     irreducible_components,
-    is_essential,
     _require_deterministic,
+    _require_essential,
 )
 from .syncwords import is_synchronizing, separating_word
 
@@ -51,29 +46,26 @@ class FollowerPartition:
         return all(len(block) == 1 for block in self.classes)
 
 
-def follower_partition(g):
-    """Groups the vertices of `g` by equality of their follower sets.
+def _blocks(*graphs):
+    """Follower-class ids of the disjoint union of deterministic `graphs`.
 
-    Completes `g` with a sink and refines the two-block partition
-    {sink} / rest by successor signatures until stable; two vertices
-    land in one block exactly when every word is readable from both or
-    from neither.
-
-    Parameters
-    ----------
-    g : deterministic LabeledGraph
-
-    Raises
-    ------
-    NotDeterministicError
+    Vertex i of a graph is index i plus the sizes of the graphs before
+    it; the sink is the last index.  Refines {sink} / rest by successor
+    signatures until stable, so two indices share an id exactly when
+    every word is readable from both or from neither.
     """
-    _require_deterministic(g)
-    if not g.vertices:
-        return FollowerPartition(())
-    n = len(g.vertices)
+    views = [g._compiled() for g in graphs]
+    n = sum(len(view.index) for view in views)
     # each column is one label's targets plus the sink's own (index n);
     # a target -1 reads the sink's block at block[-1]
-    columns = [t + (n,) for t in g._compiled().targets.values()]
+    columns = []
+    for a in dict.fromkeys(a for view in views for a in view.labels):
+        column = ()
+        for view in views:
+            t = view.targets.get(a, (-1,) * len(view.index))
+            shift = len(column)
+            column += tuple([j + shift if j >= 0 else -1 for j in t]) if shift else t
+        columns.append(column + (n,))
     block = [0] * n + [1]
     count = 2
     while True:
@@ -87,9 +79,24 @@ def follower_partition(g):
         if len(renumber) == count:
             break
         block, count = new, len(renumber)
+    return block
+
+
+def follower_partition(g):
+    """Groups the vertices of `g` by equality of their follower sets.
+
+    Parameters
+    ----------
+    g : deterministic LabeledGraph
+
+    Raises
+    ------
+    NotDeterministicError
+    """
+    _require_deterministic(g)
     blocks = {}
-    for v, name in enumerate(g.vertices):
-        blocks.setdefault(block[v], set()).add(name)
+    for name, b in zip(g.vertices, _blocks(g)):
+        blocks.setdefault(b, set()).add(name)
     classes = sorted((frozenset(b) for b in blocks.values()), key=min)
     return FollowerPartition(tuple(classes))
 
@@ -117,16 +124,12 @@ def follower_separation(g):
     NotEssentialError
     """
     _require_deterministic(g)
-    if not is_essential(g):
-        raise NotEssentialError("graph has stranded vertices")
-    partition = follower_partition(g)
-    rep = {}
-    for block in partition.classes:
-        name = min(block)
-        for v in block:
-            rep[v] = name
+    _require_essential(g)
+    # vertices come in sorted order, so a class's first is its smallest
+    first = {}
+    rep = {v: first.setdefault(b, v) for v, b in zip(g.vertices, _blocks(g))}
     return LabeledGraph(
-        vertices=set(rep.values()),
+        vertices=first.values(),
         edges=[(rep[src], a, rep[dst]) for src, a, dst in g.edges],
     )
 
@@ -135,8 +138,8 @@ def are_isomorphic(g, h):
     """A label-graph isomorphism between `g` and `h`, or None.
 
     Both inputs must be follower-separated; then an isomorphism exists
-    exactly when the follower classes of the disjoint union all pair one
-    vertex of `g` with one of `h`, and the pairing itself is the map.
+    exactly when every follower class of the disjoint union meets both
+    graphs, and the pairing by class is the map.
 
     Returns
     -------
@@ -153,20 +156,12 @@ def are_isomorphic(g, h):
             raise NotFollowerSeparatedError(
                 "isomorphism testing needs follower-separated inputs"
             )
-    if len(g.vertices) != len(h.vertices):
+    n = len(g.vertices)
+    block = _blocks(g, h)
+    partner = dict(zip(block[n:], h.vertices))
+    if set(block[:n]) != set(partner):
         return None
-    union, provenance = disjoint_union(g, h)
-    mapping = {}
-    for block in follower_partition(union).classes:
-        if len(block) != 2:
-            return None
-        (side_a, orig_a), (side_b, orig_b) = sorted(
-            provenance[v] for v in block
-        )
-        if side_a == side_b:
-            return None
-        mapping[orig_a] = orig_b
-    return mapping
+    return {v: partner[b] for v, b in zip(g.vertices, block)}
 
 
 def equal_sync(g, h):
@@ -174,8 +169,10 @@ def equal_sync(g, h):
 
     Follower-separated synchronizing presentations of one shift are
     unique up to isomorphism, so equality reduces to isomorphism of the
-    two quotients.  The synchronizing hypothesis is verified, not
-    trusted: without it the reduction to isomorphism is unsound.
+    two quotients: as follower sets survive the quotient, exactly when
+    every follower class of the disjoint union meets both graphs.  The
+    synchronizing hypothesis is verified, not trusted: without it the
+    reduction to isomorphism is unsound.
 
     Parameters
     ----------
@@ -184,11 +181,15 @@ def equal_sync(g, h):
     Raises
     ------
     NotSynchronizingError
+    NotEssentialError
     """
     for side in (g, h):
         if not is_synchronizing(side):
             raise NotSynchronizingError("input is not a synchronizing presentation")
-    return are_isomorphic(follower_separation(g), follower_separation(h)) is not None
+    _require_essential(g)
+    _require_essential(h)
+    block, n = _blocks(g, h), len(g.vertices)
+    return set(block[:n]) == set(block[n:-1])
 
 
 def is_sft_sync(g):
@@ -268,8 +269,7 @@ def is_universal(g):
     NotEssentialError
     """
     _require_deterministic(g)
-    if not is_essential(g):
-        raise NotEssentialError("graph has stranded vertices")
+    _require_essential(g)
     if not g.vertices:
         return True
     full = LabeledGraph(edges=[("full", a, "full") for a in alphabet(g)])

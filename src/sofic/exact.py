@@ -68,13 +68,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import follower_separation, is_universal
-from .errors import (
-    CapExceededError,
-    HostMismatchError,
-    NotAnElementError,
-    NotDeterministicError,
-    NotEssentialError,
-)
+from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
     LabeledGraph,
     alphabet,
@@ -84,6 +78,8 @@ from .graphs import (
     is_essential,
     reachable_indices,
     shortest_word,
+    _require_deterministic,
+    _require_essential,
 )
 
 
@@ -100,10 +96,8 @@ DEFAULT_CAPS = Caps()
 
 
 def _require(g):
-    if not g._deterministic:
-        raise NotDeterministicError("graph is not deterministic")
-    if not is_essential(g):
-        raise NotEssentialError("graph has stranded vertices")
+    _require_deterministic(g)
+    _require_essential(g)
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,7 @@ def action_of_word(g, w):
     ------
     NotDeterministicError
     """
-    if not g._deterministic:
-        raise NotDeterministicError("graph is not deterministic")
+    _require_deterministic(g)
     gens = g._compiled().targets
     empty = (-1,) * len(g.vertices)
     func = tuple(range(len(g.vertices)))
@@ -450,8 +443,7 @@ def action_monoid(g, cap=None):
     NotDeterministicError
     CapExceededError
     """
-    if not g._deterministic:
-        raise NotDeterministicError("graph is not deterministic")
+    _require_deterministic(g)
     if cap is None:
         cap = DEFAULT_CAPS.relations
     # no monoid has more distinct domains than elements, so the domain

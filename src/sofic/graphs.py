@@ -25,7 +25,12 @@ built.
 from collections import deque
 from itertools import accumulate
 
-from .errors import CapExceededError, NotDeterministicError, UnknownVertexError
+from .errors import (
+    CapExceededError,
+    NotDeterministicError,
+    NotEssentialError,
+    UnknownVertexError,
+)
 
 
 def _check_token(token, what):
@@ -212,6 +217,11 @@ def is_essential(g):
     """Returns True iff no vertex of `g` is stranded."""
     succ = g._compiled().succ
     return all(succ) and len({j for s in succ for j in s}) == len(succ)
+
+
+def _require_essential(g):
+    if not is_essential(g):
+        raise NotEssentialError("graph has stranded vertices")
 
 
 def step(g, q, w):
@@ -502,13 +512,6 @@ def disjoint_union(g, h):
         + [(rename[s], a, rename[d]) for s, a, d in h.edges],
     )
     return union, provenance
-
-
-def reachable_from(g, sources):
-    """The set of vertices reachable from `sources` (including them)."""
-    view = g._compiled()
-    starts = [g._require_vertex(v) for v in sources]
-    return frozenset(g.vertices[i] for i in reachable_indices(view.succ, starts))
 
 
 def reachable_indices(succ, sources):

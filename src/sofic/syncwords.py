@@ -8,7 +8,9 @@ containment when the first graph is irreducible.  The third combines the
 two to recognize synchronizing presentations: every initial irreducible
 component must synchronize internally and be separable from the rest of
 the graph.  A constructive variant produces, for a synchronizing
-presentation, a word synchronizing to any requested vertex.
+presentation, a word synchronizing to any requested vertex.  Each search
+runs on index sets of a compiled view, a component's through targets
+masked to it, so none builds a subgraph.
 
 All "choose any" points are resolved by the sorted order on vertex names
 and labels, and all witness searches are breadth-first, so outputs are
@@ -17,16 +19,63 @@ shortest-per-stage and reproducible.
 
 from .errors import NotIrreducibleError, NotSynchronizingError, SameVertexError
 from .graphs import (
-    induced_subgraph,
     irreducible_components,
     paired_targets,
-    reachable_from,
+    reachable_indices,
     shortest_word,
-    step,
-    subset_step,
     _require_deterministic,
 )
 from .products import find_word_to
+
+
+def _pair_word(targets, p, q):
+    """:func:`pair_synchronizing_word` on indices; `targets` maps labels to targets."""
+    rows = targets.values()
+
+    def successors(pair):
+        p, q = pair
+        return [(t[p], t[q]) if t[p] >= 0 or t[q] >= 0 else None for t in rows]
+
+    def merged(pair):
+        return pair[0] == pair[1] or min(pair) < 0
+
+    return shortest_word([(p, q)], tuple(targets), successors, merged)
+
+
+def _sync_word(targets, live):
+    """A word taking the index set `live` to one index, and that index; or None."""
+    word = ()
+    while len(live) >= 2:
+        w = _pair_word(targets, *sorted(live)[:2])
+        if w is None:
+            return None
+        for t in map(targets.get, w):
+            live = {t[v] for v in live if t[v] >= 0}
+        word += w
+    return word, min(live)  # a pair word keeps one of its two indices
+
+
+def _separating(tables, p, live):
+    """:func:`separating_word` on indices: the word and p's image, or None."""
+    rows = tables.values()
+
+    def successors(pair):
+        p, q = pair
+        return [(tg[p], th[q]) if tg[p] >= 0 else None for tg, th in rows]
+
+    def killed(pair):
+        return pair[1] < 0
+
+    word = ()
+    while live:
+        found = shortest_word([(p, min(live))], tuple(tables), successors, killed)
+        if found is None:
+            return None
+        for tg, th in map(tables.get, found):
+            p = tg[p]
+            live = {th[q] for q in live if th[q] >= 0}
+        word += found
+    return word, p
 
 
 def pair_synchronizing_word(g, p, q):
@@ -54,19 +103,7 @@ def pair_synchronizing_word(g, p, q):
     if p == q:
         raise SameVertexError(f"need two distinct vertices, got {p!r} twice")
     view = g._compiled()
-    rows = view.targets.values()
-
-    def successors(pair):
-        p, q = pair
-        return [(t[p], t[q]) if t[p] >= 0 or t[q] >= 0 else None for t in rows]
-
-    def merged(pair):
-        x, y = pair
-        return x == y or x < 0 or y < 0
-
-    return shortest_word(
-        [(view.index[p], view.index[q])], view.labels, successors, merged
-    )
+    return _pair_word(view.targets, view.index[p], view.index[q])
 
 
 def synchronizing_word_irreducible(g):
@@ -88,16 +125,8 @@ def synchronizing_word_irreducible(g):
         raise NotIrreducibleError("the empty graph has no synchronizing-word search")
     if len(irreducible_components(g)) != 1:
         raise NotIrreducibleError("graph is not strongly connected")
-    live = frozenset(g.vertices)
-    word = ()
-    while len(live) >= 2:
-        p, q = sorted(live)[:2]
-        w = pair_synchronizing_word(g, p, q)
-        if w is None:
-            return None
-        live = subset_step(g, live, w)
-        word += w
-    return word
+    found = _sync_word(g._compiled().targets, set(range(len(g.vertices))))
+    return None if found is None else found[0]
 
 
 def separating_word(g, h):
@@ -129,53 +158,43 @@ def separating_word(g, h):
         raise NotIrreducibleError("the first argument must be nonempty")
     if len(irreducible_components(g)) != 1:
         raise NotIrreducibleError("the first argument must be strongly connected")
-    tables = paired_targets(g, h)
-    rows = tables.values()
+    found = _separating(paired_targets(g, h), 0, set(range(len(h.vertices))))
+    return None if found is None else found[0]
 
-    def successors(pair):
-        p, q = pair
-        return [(tg[p], th[q]) if tg[p] >= 0 else None for tg, th in rows]
 
-    def killed(pair):
-        return pair[1] < 0
-
-    p = 0
-    live = set(range(len(h.vertices)))
-    word = ()
-    while live:
-        found = shortest_word([(p, min(live))], tuple(tables), successors, killed)
-        if found is None:
-            return None
-        for a in found:
-            tg, th = tables[a]
-            p = tg[p]
-            live = {th[q] for q in live if th[q] >= 0}
-        word += found
-    return word
+def _initial_components(g):
+    """Yields each initial component's index set, g's targets masked to it
+    (-1 outside), and those paired with g's own: no edge enters it."""
+    view = g._compiled()
+    for comp in irreducible_components(g):
+        if comp.initial:
+            inside = {view.index[v] for v in comp.vertices}
+            targets = {
+                a: tuple([j if j in inside else -1 for j in t])
+                for a, t in view.targets.items()
+            }
+            tables = {a: (targets[a], t) for a, t in view.targets.items()}
+            yield inside, targets, tables
 
 
 def is_synchronizing(g):
     """Returns True iff every vertex of `g` has a word synchronizing to it.
 
-    Checks, for each initial irreducible component, that the induced
-    subgraph has a synchronizing word and that a word separates it from
-    the subgraph induced by the remaining vertices.  The empty graph is
-    vacuously synchronizing.
+    Checks, for each initial irreducible component, that it has a
+    synchronizing word and that a word readable in it kills the remaining
+    vertices.  Both searches run on the component's index set.  The empty
+    graph is vacuously synchronizing.
 
     Raises
     ------
     NotDeterministicError
     """
     _require_deterministic(g)
-    all_vertices = set(g.vertices)
-    for comp in irreducible_components(g):
-        if not comp.initial:
-            continue
-        inside = induced_subgraph(g, comp.vertices)
-        outside = induced_subgraph(g, all_vertices - comp.vertices)
-        if synchronizing_word_irreducible(inside) is None:
+    everything = set(range(len(g.vertices)))
+    for inside, targets, tables in _initial_components(g):
+        if _sync_word(targets, inside) is None:
             return False
-        if separating_word(inside, outside) is None:
+        if _separating(tables, min(inside), everything - inside) is None:
             return False
     return True
 
@@ -200,18 +219,17 @@ def sync_word_to_vertex(g, r):
     g._require_vertex(r)
     if not is_synchronizing(g):
         raise NotSynchronizingError("graph is not a synchronizing presentation")
-    component = next(
+    view = g._compiled()
+    inside, targets, tables = next(
         comp
-        for comp in irreducible_components(g)
-        if comp.initial and r in reachable_from(g, comp.vertices)
+        for comp in _initial_components(g)
+        if view.index[r] in reachable_indices(view.succ, comp[0])
     )
-    inside = induced_subgraph(g, component.vertices)
-    outside = induced_subgraph(g, set(g.vertices) - component.vertices)
-    sync = synchronizing_word_irreducible(inside)
-    (focused,) = subset_step(inside, component.vertices, sync)
-    separator = separating_word(inside, outside)
-    sep_start = inside.vertices[0]
-    connector = find_word_to(inside, {focused}, lambda v: v == sep_start)
-    landing = step(inside, sep_start, separator)
-    tail = find_word_to(g, {landing}, lambda v: v == r)
+    names = g.vertices
+    sync, focused = _sync_word(targets, inside)
+    start = min(inside)
+    separator, landing = _separating(tables, start, set(range(len(names))) - inside)
+    # a shortest path between two vertices of a component stays in it
+    connector = find_word_to(g, {names[focused]}, lambda v: v == names[start])
+    tail = find_word_to(g, {names[landing]}, lambda v: v == r)
     return sync + connector + separator + tail
