@@ -14,7 +14,9 @@ so the set of all actions is a finite monoid generated by the
 single-letter actions; breadth-first closure enumerates it together with
 a shortest generating word per element.  Emptiness and
 intrinsic-synchronization tests over that monoid decide the SFT and
-synchronizing-presentation questions.
+synchronizing-presentation questions; the SFT test needs only the
+nonempty idempotents of the actions of nonempty words (see
+:func:`decide_sft`).
 
 Inside the closure an action on n vertices is a byte string of target
 indices with the sink index n for undefined, and composing it with a
@@ -60,24 +62,28 @@ raised the peak RSS of the benchmark's padded-family workload from 21.6
 to 27.8 MiB (+29%), and saved nothing there because that workload builds
 fresh graphs on every pass.
 
+The deciders build no graphs.  Irreducibility works on the target lists
+of the follower quotient over class ids, minimality on the target lists
+of each candidate, and the subset-pair searches take sizes and packed
+tables.  The one exception is minimality for k = 1, which asks
+:func:`~sofic.classify.is_universal` and so builds the one-vertex full
+shift.
+
 Every search is guarded by a cap and raises :class:`CapExceededError`
 when an instance grows past desk scale.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
-from .classify import follower_separation, is_universal
+from .classify import _blocks, is_universal
 from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
-    LabeledGraph,
     alphabet,
-    cycle_vertices,
-    induced_subgraph,
-    irreducible_components,
-    is_essential,
     reachable_indices,
     shortest_word,
+    strong_components,
     _require_deterministic,
     _require_essential,
 )
@@ -177,18 +183,21 @@ def _action_codec(n, target_lists):
     """How actions on n vertices are stored and composed.
 
     An action lists a target index per vertex, with the sink index n for
-    undefined.  Returns ``(pack, compose, letters)``: ``pack`` turns a
-    sequence of indices into an action, and ``compose(func,
+    undefined.  Returns ``(pack, compose, letters, pad)``: ``pack`` turns
+    a sequence of indices into an action, and ``compose(func,
     letters[c])`` is the action `func` followed by the partial function
     ``target_lists[c]`` (-1 for undefined), which maps the sink to
-    itself.  Up to 255 vertices actions are byte strings and composing
-    is one ``bytes.translate`` over a 256-byte table; above that they
-    are tuples.  This is the only place where storage depends on n.
+    itself; ``func + pad`` is `func` as such a letter, so that
+    ``compose(func, func + pad)`` is `func` twice.  Up to 255 vertices
+    actions are byte strings and composing is one ``bytes.translate``
+    over a 256-byte table; above that they are tuples.  This is the only
+    place where storage depends on n.
     """
     exts = [[n if t < 0 else t for t in targets] + [n] for targets in target_lists]
     if n <= 255:
-        return bytes, bytes.translate, [bytes(ext + [n] * (255 - n)) for ext in exts]
-    return tuple, _tuple_compose, [tuple(ext) for ext in exts]
+        pad = [n] * (256 - n)
+        return bytes, bytes.translate, [bytes(ext + pad[1:]) for ext in exts], bytes(pad)
+    return tuple, _tuple_compose, [tuple(ext) for ext in exts], (n,)
 
 
 class ActionMonoid:
@@ -213,7 +222,7 @@ class ActionMonoid:
         self._generators = graph._compiled().targets
         self._labels = {a: c for c, a in enumerate(self._generators)}
         n = len(graph.vertices)
-        self._pack, self._compose, self._letters = _action_codec(
+        self._pack, self._compose, self._letters, self._pad = _action_codec(
             n, self._generators.values()
         )
         identity = self._pack(range(n))
@@ -541,8 +550,23 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     The shift fails to be an SFT exactly when arbitrarily long language
     words fail intrinsic synchronization.  In the finite Cayley graph of
     the action monoid, the actions of arbitrarily long words are exactly
-    the elements reachable from a cycle, so it suffices to scan those for
-    a nonempty non-intrinsically-synchronizing element.
+    the elements reachable from a cycle.  Those hold a nonempty
+    non-intrinsically-synchronizing element exactly when some nonempty
+    idempotent e of S+, the actions of nonempty words, is not
+    intrinsically synchronizing:
+
+    - An element c on a cycle satisfies ``c = c;s`` with s in S+, so
+      ``c = c;e`` for the idempotent power e of s, and every element
+      reachable from a cycle has the form ``a;e;b``.
+    - Intrinsic synchronization is closed under extension on both
+      sides: if ``a;e;b`` is nonempty and e is intrinsically
+      synchronizing, so is ``a;e;b``.
+    - Every idempotent e of S+ lies on a cycle, since ``e = e;e``.
+
+    The idempotents other than the identity are the elements k with
+    ``k;k == k``; the identity is in S+ exactly when some letter acts as
+    a total permutation.  The whole monoid is enumerated first, so
+    ``caps.relations`` bounds it as in :func:`action_monoid`.
 
     Parameters
     ----------
@@ -554,12 +578,19 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     """
     _require(g)
     m = action_monoid(g, caps.relations)
-    rans = m._ranges()
-    rows = m._rows
-    return not any(
-        rans[k] and not m._is_intrinsic(k)
-        for k in reachable_indices(rows, cycle_vertices(rows))
-    )
+    n = len(g.vertices)
+    gens = m._generators.values()
+    # the nonzero ranges are the subsets reached from the full set, no
+    # more of them than elements, so this closure stays under the cap
+    m._left[0] = m._intern(frozenset(_subset_closure(gens, n, m._caps.subsets)))
+    funcs, compose, pad = m._funcs, m._compose, m._pad
+    idempotents = [
+        k for k in range(1, len(funcs)) if compose(funcs[k], funcs[k] + pad) == funcs[k]
+    ]
+    if any(-1 not in t and len(set(t)) == n for t in gens):
+        idempotents.append(0)
+    zero = m._pack([n] * n)
+    return all(m._is_intrinsic(k) for k in idempotents if funcs[k] != zero)
 
 
 def _mask_tables(bits):
@@ -728,7 +759,9 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     _require(h)
     # labels of h alone kill g at once, so only g's labels are tried
     labels = g._compiled().labels
-    return _containment(g, h, labels, _tables(g, labels), _tables(h, labels), caps)
+    return _containment(
+        len(g.vertices), len(h.vertices), labels, _tables(g, labels), _tables(h, labels), caps
+    )
 
 
 def _tables(g, labels):
@@ -738,14 +771,14 @@ def _tables(g, labels):
     return _packed_tables([targets.get(a, ()) for a in labels], len(g.vertices))
 
 
-def _containment(g, h, labels, tables_g, tables_h, caps):
-    """:func:`subshift_witness` on checked graphs, given their packed
-    tables over `labels`, which hold every label of `g`."""
-    if not g.vertices:
+def _containment(n_g, n_h, labels, tables_g, tables_h, caps):
+    """:func:`subshift_witness` on checked graphs of n_g and n_h vertices,
+    given their packed tables over `labels`, which hold every label of the
+    first."""
+    if not n_g:
         return True, None
-    if not h.vertices:
+    if not n_h:
         return False, ()
-    n_g, n_h = len(g.vertices), len(h.vertices)
     offsets = [(c * n_g, c * n_h) for c in range(len(labels))]
     full_g, full_h = (1 << n_g) - 1, (1 << n_h) - 1
 
@@ -766,13 +799,12 @@ def _containment(g, h, labels, tables_g, tables_h, caps):
     return witness is None, witness
 
 
-def _equal(g, h, labels, tables_g, caps):
-    """Containment both ways of checked graphs, given g's packed tables
-    over `labels`, which hold every label of both."""
-    tables_h = _tables(h, labels)
+def _equal(n_g, n_h, labels, tables_g, tables_h, caps):
+    """Containment both ways of checked graphs of n_g and n_h vertices,
+    given their packed tables over `labels`, which hold every label of both."""
     return (
-        _containment(g, h, labels, tables_g, tables_h, caps)[0]
-        and _containment(h, g, labels, tables_h, tables_g, caps)[0]
+        _containment(n_g, n_h, labels, tables_g, tables_h, caps)[0]
+        and _containment(n_h, n_g, labels, tables_h, tables_g, caps)[0]
     )
 
 
@@ -786,14 +818,20 @@ def decide_equality(g, h, caps=DEFAULT_CAPS):
     _require(g)
     _require(h)
     labels = tuple(sorted(set(g._compiled().labels) | set(h._compiled().labels)))
-    return _equal(g, h, labels, _tables(g, labels), caps)
+    return _equal(
+        len(g.vertices), len(h.vertices), labels, _tables(g, labels), _tables(h, labels), caps
+    )
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
     """Whether the shift presented by `g` is irreducible.
 
-    Follower-separates `g`, then checks that the synchronizing vertices
-    form a terminal irreducible component presenting the whole shift.
+    Works on the follower quotient of `g`, kept as target lists over the
+    follower classes: the shift is irreducible exactly when the
+    synchronizing classes form a terminal irreducible component whose
+    restriction presents the whole shift.  A successor of a
+    synchronizing class is synchronizing too, so they form a terminal
+    component as soon as they form a component.
 
     Parameters
     ----------
@@ -804,17 +842,34 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     CapExceededError
     """
     _require(g)
-    gfs = follower_separation(g)
-    if not gfs.vertices:
+    if not g.vertices:
         return True
-    sync_vertices = synchronizing_vertices(gfs, caps)
-    if not sync_vertices:
+    block = _blocks(g)
+    # class ids come in first-member order and the sink's is the class count
+    n = block[-1]
+    quotient = []
+    for targets in g._compiled().targets.values():
+        moved = [-1] * n
+        for v, t in enumerate(targets):
+            if t >= 0:
+                moved[block[v]] = block[t]
+        quotient.append(moved)
+    sync = sorted(
+        mask.bit_length() - 1
+        for mask in _subset_closure(quotient, n, caps.subsets)
+        if mask.bit_count() == 1
+    )
+    succ = [{t[v] for t in quotient} - {-1} for v in range(n)]
+    if not any(sorted(comp) == sync for comp in strong_components(succ)):
         return False
-    components = irreducible_components(gfs)
-    if not any(c.terminal and c.vertices == sync_vertices for c in components):
-        return False
-    # a subgraph presents a subshift of its host, so one containment is enough
-    return decide_subshift(gfs, induced_subgraph(gfs, sync_vertices), caps)
+    # the restriction presents a subshift of the quotient's, so one
+    # containment is enough
+    position = {v: i for i, v in enumerate(sync)}
+    restricted = [[position.get(t[v], -1) for v in sync] for t in quotient]
+    return _containment(
+        n, len(sync), g._compiled().labels, _packed_tables(quotient, n),
+        _packed_tables(restricted, len(sync)), caps,
+    )[0]
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):
@@ -825,7 +880,11 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     all essential deterministic candidates with exactly k vertices over
     the alphabet of `g` are searched, pruned by the candidate's one- and
     two-letter language, and survivors are checked with the exact
-    equality decider.
+    equality decider.  A candidate is one target list per label, each
+    with its domain and range masks: the pruning tests whether a range
+    meets a domain, essentiality whether the domains and the ranges each
+    cover every vertex, and equality reads a packed table built from the
+    lists.
 
     Parameters
     ----------
@@ -851,62 +910,66 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
 
-    targets = g._compiled().targets
-    two_letter = {
-        (a, b)
-        for a in sigma
-        for b in sigma
-        if any(t >= 0 and targets[b][t] >= 0 for t in targets[a])
-    }
-
-    # candidate transition choices per label: partial functions on k
-    # vertices with at least one edge (every alphabet letter must occur)
-    def functions():
-        funcs = [()]
-        for _ in range(k):
-            funcs = [f + (t,) for f in funcs for t in range(-1, k)]
-        return [f for f in funcs if any(t >= 0 for t in f)]
-
-    options = functions()
-
-    def joint_ok(fa, fb, need):
-        has = any(t >= 0 and fb[t] >= 0 for t in fa)
-        return has == need
+    # a label's options are the partial functions on k vertices with at
+    # least one edge (every alphabet letter must occur), with their domain
+    # and range masks: ab is a word exactly when a's range meets b's domain
+    options = [
+        (f, dom, ran)
+        for f in product(range(-1, k), repeat=k)
+        for dom, ran in [_masks(f)]
+        if dom
+    ]
+    masks = {a: _masks(t) for a, t in g._compiled().targets.items()}
+    two_letter = {(a, b) for a in sigma for b in sigma if masks[a][1] & masks[b][0]}
 
     # assign the most constrained labels first
     domains = {
-        a: [f for f in options if joint_ok(f, f, (a, a) in two_letter)]
+        a: [o for o in options if bool(o[2] & o[1]) == ((a, a) in two_letter)]
         for a in sigma
     }
     order = sorted(sigma, key=lambda a: (len(domains[a]), a))
-
-    names = tuple(f"k{i}" for i in range(k))
+    full = (1 << k) - 1
     tables = _tables(g, sigma)
 
     def equal_candidate(assignment):
-        edges = [
-            (names[v], a, names[f[v]])
-            for a, f in assignment.items()
-            for v in range(k)
-            if f[v] >= 0
-        ]
-        candidate = LabeledGraph(vertices=names, edges=edges)
-        return is_essential(candidate) and _equal(g, candidate, sigma, tables, caps)
+        chosen = [assignment[a] for a in sigma]
+        dom = ran = 0
+        for _, d, r in chosen:
+            dom |= d
+            ran |= r
+        # an essential candidate has an edge out of and into every vertex
+        return (
+            dom == full
+            and ran == full
+            and _equal(n, k, sigma, tables, _packed_tables([o[0] for o in chosen], k), caps)
+        )
 
     def search(pos, assignment):
         if pos == len(order):
             return equal_candidate(assignment)
         a = order[pos]
-        for f in domains[a]:
+        joint = [
+            (dom_b, ran_b, (a, b) in two_letter, (b, a) in two_letter)
+            for b, (_, dom_b, ran_b) in assignment.items()
+        ]
+        for option in domains[a]:
+            _, dom, ran = option
             if all(
-                joint_ok(f, fb, (a, b) in two_letter)
-                and joint_ok(fb, f, (b, a) in two_letter)
-                for b, fb in assignment.items()
+                bool(ran & dom_b) == ab and bool(ran_b & dom) == ba
+                for dom_b, ran_b, ab, ba in joint
             ):
-                assignment[a] = f
+                assignment[a] = option
                 if search(pos + 1, assignment):
                     return True
                 del assignment[a]
         return False
 
     return search(0, {})
+
+
+def _masks(targets):
+    """The domain and range masks of a partial function, -1 for undefined."""
+    return (
+        sum(1 << v for v, t in enumerate(targets) if t >= 0),
+        sum({1 << t for t in targets if t >= 0}),
+    )

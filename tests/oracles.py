@@ -1,7 +1,10 @@
 """Deliberately naive reference computations for cross-validation.
 
-Nothing here imports algorithm modules; everything recomputes from the
-raw edge list so that agreement with the package is meaningful.
+Everything here recomputes from the raw edge list so that agreement with
+the package is meaningful.  The exceptions are the last two functions:
+they keep the routes of the exact deciders that build derived graphs
+(a follower quotient, an induced subgraph, named candidates), so they
+import the package's public functions inside their bodies.
 """
 
 import itertools
@@ -224,3 +227,102 @@ def naive_sdp_exists(g):
     elements = list(brute_monoid(g))
     intrinsic = [s for s in elements if naive_intrinsic(elements, s)]
     return all(any(compose_pairs(s, r) for s in intrinsic) for r in elements if r)
+
+
+def naive_sft(g):
+    """Whether g presents a shift of finite type, by cycle reachability.
+
+    The actions of arbitrarily long words are the elements of the Cayley
+    graph of ``brute_monoid(g)`` reachable from a cycle; the shift is an
+    SFT exactly when each nonempty one of them is intrinsically
+    synchronizing (``naive_intrinsic``).
+    """
+    elements = list(brute_monoid(g))
+    letters = [
+        frozenset((p, q) for p, a, q in g.edges if a == b) for b in graph_labels(g)
+    ]
+
+    def after(sources):
+        """The elements reached from `sources` by nonempty words."""
+        seen = set()
+        stack = list(sources)
+        while stack:
+            r = stack.pop()
+            for letter in letters:
+                s = compose_pairs(r, letter)
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return seen
+
+    on_cycle = [r for r in elements if r in after([r])]
+    return all(naive_intrinsic(elements, r) for r in after(on_cycle) if r)
+
+
+def quotient_irreducibility(g):
+    """Irreducibility of g's shift through derived graphs.
+
+    Builds the follower quotient, asks whether its synchronizing
+    vertices form a terminal irreducible component, and whether the
+    subgraph they induce presents the quotient's whole shift.
+    """
+    from sofic.classify import follower_separation
+    from sofic.exact import decide_subshift, synchronizing_vertices
+    from sofic.graphs import induced_subgraph, irreducible_components
+
+    gfs = follower_separation(g)
+    if not gfs.vertices:
+        return True
+    sync = synchronizing_vertices(gfs)
+    if not sync:
+        return False
+    if not any(
+        c.terminal and c.vertices == sync for c in irreducible_components(gfs)
+    ):
+        return False
+    return decide_subshift(gfs, induced_subgraph(gfs, sync))
+
+
+def named_minimality(g, k):
+    """Whether some essential deterministic graph on k named vertices
+    presents g's shift, over g's labels with each one used.
+
+    Candidates are picked label by label as edge lists on ``k0 ..
+    k(k-1)``, kept only while their two-letter words are g's; each full
+    pick is built as a graph and compared with ``decide_equality``.
+    """
+    from sofic.exact import decide_equality
+    from sofic.graphs import is_essential
+
+    names = [f"k{i}" for i in range(k)]
+    labels = graph_labels(g)
+    two = {w for w in brute_language(g, 2) if len(w) == 2}
+    choices = {}
+    for a in labels:
+        choices[a] = []
+        for targets in itertools.product([None] + names, repeat=k):
+            edges = [(v, a, t) for v, t in zip(names, targets) if t is not None]
+            if edges:
+                starts = {v for v, _, _ in edges}
+                ends = {t for _, _, t in edges}
+                if bool(ends & starts) == ((a, a) in two):
+                    choices[a].append((edges, starts, ends))
+
+    def search(picked):
+        if len(picked) == len(labels):
+            candidate = LabeledGraph(
+                vertices=names, edges=[e for _, (es, _, _) in picked for e in es]
+            )
+            return is_essential(candidate) and decide_equality(g, candidate)
+        a = labels[len(picked)]
+        for edges, starts, ends in choices[a]:
+            if all(
+                bool(ends & starts_b) == ((a, b) in two)
+                and bool(ends_b & starts) == ((b, a) in two)
+                for b, (_, starts_b, ends_b) in picked
+            ):
+                if search(picked + [(a, (edges, starts, ends))]):
+                    return True
+        return False
+
+    return search([])

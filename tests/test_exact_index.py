@@ -1,0 +1,235 @@
+"""The SFT, irreducibility and minimality deciders against oracles.
+
+``decide_sft`` scans the nonempty idempotents of the actions of nonempty
+words; it must agree with the cycle-reachability criterion of
+``tests.oracles.naive_sft`` on seeded ``reduction_sft`` and
+``reduction_irred`` graphs, on random essential graphs (some with a
+letter acting as a total permutation, which puts the identity among
+those actions), and above 255 vertices, where actions are tuples.
+``decide_irreducibility`` and ``decide_minimality`` must agree with the
+routes that build a follower quotient, an induced subgraph and named
+candidates.  None of the three deciders builds a graph.
+"""
+
+import random
+
+import pytest
+
+from sofic.constructions import Dfa, reduction_irred, reduction_sft
+from sofic.errors import AllLanguagesEmptyError, CapExceededError
+from sofic.exact import (
+    action_monoid,
+    decide_equality,
+    decide_irreducibility,
+    decide_minimality,
+    decide_sft,
+)
+from sofic.graphs import LabeledGraph, essentialize
+
+from .oracles import (
+    named_minimality,
+    naive_sft,
+    quotient_irreducibility,
+    random_deterministic_graph,
+)
+from .test_exact_monoid import big_graph
+
+# inputs whose monoid exceeds this are skipped, since the naive SFT
+# oracle is cubic in the monoid size
+NAIVE_SIZE_LIMIT = 40
+
+# a swaps the two vertices, b loops at p: ``b a^(2j+1) b`` is never a
+# word, so the shift is not of finite type, yet every nonempty
+# idempotent but the identity (``a a``) is intrinsically synchronizing
+SWAP_AND_LOOP = LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p"), ("p", "b", "p")])
+
+
+def small_monoid(g):
+    try:
+        action_monoid(g, cap=NAIVE_SIZE_LIMIT)
+    except CapExceededError:
+        return False
+    return True
+
+
+def random_dfas(rng, max_states):
+    dfas = []
+    for _ in range(rng.randint(1, 2)):
+        states = [f"s{i}" for i in range(rng.randint(1, max_states))]
+        delta = {(q, a): rng.choice(states) for q in states for a in ("a", "b")}
+        accepting = [q for q in states if rng.random() < 0.5]
+        dfas.append(Dfa(states, ("a", "b"), delta, states[0], accepting))
+    return dfas
+
+
+def reduction_graphs(seed, count, max_states=2, small=True):
+    """`count` seeded ``reduction_sft`` and ``reduction_irred`` graphs, in turn."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        dfas = random_dfas(rng, max_states)
+        try:
+            g = reduction_irred(dfas)[0] if len(graphs) % 2 else reduction_sft(dfas)[0]
+        except AllLanguagesEmptyError:
+            continue
+        if not small or small_monoid(g):
+            graphs.append(g)
+    return graphs
+
+
+def permutation_graph(rng, n, labels):
+    """A random graph whose first label acts as a total permutation."""
+    names = [f"v{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    edges = [(v, labels[0], t) for v, t in zip(names, order)]
+    for a in labels[1:]:
+        for v in names:
+            t = rng.randrange(-1, n)
+            if t >= 0:
+                edges.append((v, a, names[t]))
+    return LabeledGraph(vertices=names, edges=edges)
+
+
+def random_graphs(seed, count, permutations=False, small=True, max_vertices=5):
+    """`count` nonempty essential random graphs over two or three labels."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        labels = "012"[: rng.choice((2, 2, 3))]
+        if permutations:
+            # the permutation gives every vertex an edge in and out
+            g = permutation_graph(rng, rng.randint(1, 4), labels)
+        else:
+            g = essentialize(random_deterministic_graph(rng, max_vertices, labels))
+        if g.vertices and (not small or small_monoid(g)):
+            graphs.append(g)
+    return graphs
+
+
+def copies(g, count):
+    """The disjoint union of `count` renamed copies of `g`: the same shift."""
+    return LabeledGraph(
+        vertices=[f"c{j}_{v}" for j in range(count) for v in g.vertices],
+        edges=[(f"c{j}_{s}", a, f"c{j}_{d}") for j in range(count) for s, a, d in g.edges],
+    )
+
+
+# ------------------------------------------------------------------- SFT
+
+
+def test_identity_counts_when_a_letter_is_a_permutation():
+    assert naive_sft(SWAP_AND_LOOP) is False
+    assert decide_sft(SWAP_AND_LOOP) is False
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        reduction_graphs(81, 40),
+        random_graphs(82, 150),
+        random_graphs(83, 150, permutations=True),
+    ],
+    ids=["reductions", "random", "permutation"],
+)
+def test_sft_matches_cycle_reachability(graphs):
+    answers = [naive_sft(g) for g in graphs]
+    assert [decide_sft(g) for g in graphs] == answers
+    assert any(answers) and not all(answers)
+
+
+def test_sft_above_255_vertices_matches_one_copy():
+    graphs = [SWAP_AND_LOOP] + random_graphs(84, 6) + random_graphs(85, 6, permutations=True)
+    answers = []
+    for g in graphs:
+        big = copies(g, 256 // len(g.vertices) + 1)
+        assert len(big.vertices) > 255
+        answers.append(naive_sft(g))
+        assert decide_sft(big) == answers[-1]
+    assert any(answers) and not all(answers)
+
+
+def test_big_graph_matches_its_two_vertex_collapse():
+    # every even vertex of big_graph reads 0 or 1 into an odd one, and
+    # every odd one reads 0 into an even one
+    collapse = LabeledGraph(edges=[("E", "0", "O"), ("E", "1", "O"), ("O", "0", "E")])
+    big = big_graph()
+    assert decide_equality(big, collapse)
+    assert naive_sft(collapse) is False
+    assert decide_sft(big) is False
+
+
+# -------------------------------------------------------- irreducibility
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        reduction_graphs(86, 60, max_states=3, small=False),
+        random_graphs(87, 200, small=False, max_vertices=7),
+    ],
+    ids=["reductions", "random"],
+)
+def test_irreducibility_matches_the_quotient_route(graphs):
+    answers = [quotient_irreducibility(g) for g in graphs]
+    assert [decide_irreducibility(g) for g in graphs] == answers
+    assert any(answers) and not all(answers)
+
+
+# ------------------------------------------------------------ minimality
+
+
+def minimality_ks(g):
+    """The k in 2..3 below g's vertex count whose candidates fit the cap."""
+    labels = len({a for _, a, _ in g.edges})
+    return [k for k in (2, 3) if k < len(g.vertices) and (k + 1) ** (k * labels) <= 10**6]
+
+
+# two disjoint ab-cycles: no essential 3-vertex graph presents their
+# shift, but one of the 2-cycle and a vertex with no incoming edge
+# reads its language from its full vertex set
+TWO_CYCLES = LabeledGraph(
+    edges=[("p", "a", "q"), ("q", "b", "p"), ("r", "a", "s"), ("s", "b", "r")]
+)
+
+
+def minimality_inputs():
+    rng = random.Random(88)
+    graphs = []
+    while len(graphs) < 30:
+        g = essentialize(random_deterministic_graph(rng, 5, "01"))
+        if len(g.vertices) >= 3:
+            graphs.append(g)
+    reductions = [g for g in reduction_graphs(89, 10) if len(g.vertices) >= 3]
+    return graphs + reductions + [TWO_CYCLES]
+
+
+def test_minimality_matches_named_candidates():
+    answers = []
+    for g in minimality_inputs():
+        for k in minimality_ks(g):
+            answers.append(named_minimality(g, k))
+            assert decide_minimality(g, k) == answers[-1], (g, k)
+    assert any(answers) and not all(answers)
+
+
+# ----------------------------------------------------------- no graphs
+
+
+def test_deciders_build_no_graph(monkeypatch):
+    graphs = reduction_graphs(90, 10) + random_graphs(91, 10) + [SWAP_AND_LOOP]
+    candidates = minimality_inputs()
+    built = []
+    init = LabeledGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", counted)
+    for g in graphs:
+        decide_sft(g)
+        decide_irreducibility(g)
+    for g in candidates:
+        for k in minimality_ks(g):
+            decide_minimality(g, k)
+    assert built == []

@@ -170,19 +170,31 @@ def test_padded_family_against_a_larger_member(n):
 
 def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     built = []
+    packed = []
     tables = exact._tables
+    packed_tables = exact._packed_tables
 
     def counted(g, labels):
         built.append(g)
         return tables(g, labels)
 
+    def counted_packed(target_lists, n, preimages=False):
+        packed.append(n)
+        return packed_tables(target_lists, n, preimages)
+
     monkeypatch.setattr(exact, "_tables", counted)
+    monkeypatch.setattr(exact, "_packed_tables", counted_packed)
     rng = random.Random(0)
     g, h = essential_graph(rng, 4, "01"), essential_graph(rng, 5, "012")
     assert decide_equality(g, h) is False
     assert sorted(map(id, built)) == sorted([id(g), id(h)])
+    assert packed == [4, 5]
     built.clear()
-    # g has no 2-vertex presentation, so every surviving candidate is tried
+    packed.clear()
+    # g has no 2-vertex presentation, so every surviving candidate is
+    # tried; g's tables come through _tables, a candidate's straight from
+    # its target lists
     assert exact.decide_minimality(g, 2) is False
-    assert len(built) > 2
-    assert sum(x is g for x in built) == 1
+    assert built == [g]
+    assert len(packed) > 2
+    assert packed.count(2) == len(packed) - 1
