@@ -48,24 +48,26 @@ search's: ``Caps.relations`` bounds the elements it enumerates, not the
 whole monoid, and ``Caps.subsets`` bounds the two subset closures that
 give the domains and L(identity) up front.
 
-Subsets are bit masks over vertex indices.  Images are looked up 4
-vertices at a time: one 16-entry table per chunk of 4 vertices gives the
-image of every subset of that chunk.  The subset searches image a subset
-under every label at once through one packed table per graph: label c's
-target t of a vertex sits at bit ``c*n + t`` of that vertex's mask, so
-one lookup per chunk yields all the label images side by side, and label
-c's image is the packed image shifted right by ``c*n`` and cut to n
-bits.  The monoid's range and L-set steps image one label at a time and
-keep one table per label.  The tables are built once per decision and
-never cached on the graph: caching 8-bit tables on the compiled view
-raised the peak RSS of the benchmark's padded-family workload from 21.6
-to 27.8 MiB (+29%), and saved nothing there because that workload builds
-fresh graphs on every pass.
+Subsets are bit masks over vertex indices, imaged 4 vertices at a time
+through one 16-entry table per chunk.  One packed table images a subset
+under every label at once: label c's target t of a vertex sits at bit
+``c*n + t`` of that vertex's mask.  A subset pair is one mask over the
+disjoint union of the two graphs, g's vertices at the low n_g bits and
+h's above, with one packed table of width ``n_g + n_h``: g is alive while
+the mask meets the low bits, and h is killed once it misses the high
+ones; containment the other way reads the same table.  Tables are built
+once per decision.  Caching 8-bit tables on the compiled view raised the
+peak RSS of the benchmark's padded-family workload from 21.6 to 27.8 MiB
+(+29%) and saved nothing, as it builds fresh graphs on every pass.
+Building 8-bit chunk tables (256 entries per 8 vertices) per decision
+raised its throughput from about 380 to 430 verdicts/s but cut that of
+the DFA reduction battery, whose small graphs pay for the larger tables
+on every call, from 2768 to 2351 (-15%; ``bench/run.py``, 15 s runs on a
+shared 2-core VM); a chunk width chosen by size would be one more knob.
 
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists
-of each candidate, and the subset-pair searches take sizes and packed
-tables.  The one exception is minimality for k = 1, which asks
+of each candidate.  The one exception is minimality for k = 1, which asks
 :func:`~sofic.classify.is_universal` and so builds the one-vertex full
 shift.
 
@@ -82,7 +84,6 @@ from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
     alphabet,
     reachable_indices,
-    shortest_word,
     strong_components,
     _require_deterministic,
     _require_essential,
@@ -348,9 +349,9 @@ class ActionMonoid:
         """
         if self._analysis is None:
             gens = self._generators.values()
-            doms = _subset_closure(
-                gens, len(self.graph.vertices), self._caps.subsets, preimages=True
-            )
+            n = len(self.graph.vertices)
+            tables = _packed_tables(gens, n, preimages=True)
+            doms = _subset_closure(tables, n, len(gens), (1 << n) - 1, self._caps.subsets)
             self._analysis = (doms, [_image_tables(t) for t in gens])
         return self._analysis
 
@@ -433,11 +434,6 @@ class ActionMonoid:
         return lid
 
 
-def _domain(func, n):
-    """The domain mask of an action with sink index n."""
-    return sum(1 << i for i, t in enumerate(func) if t != n)
-
-
 def action_monoid(g, cap=None):
     """The monoid of all word actions on `g`, enumerated breadth-first.
 
@@ -484,10 +480,9 @@ def preceded_by_intrinsic_sync(m, r):
     ------
     NotAnElementError
     """
-    k = m._require_element(r)
-    rans = m._ranges()
-    dom_r = _domain(m._funcs[k], len(m.graph.vertices))
-    return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(rans))
+    m._require_element(r)
+    dom_r = _masks(r.targets)[0]
+    return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(m._ranges()))
 
 
 def decide_sdp_exists(g, caps=DEFAULT_CAPS):
@@ -523,7 +518,8 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     succ = g._compiled().succ
     m = ActionMonoid(g, caps)
     doms = m._prepare()[0]
-    ranges = _subset_closure(g._compiled().targets.values(), n, caps.subsets)
+    gens = g._compiled().targets.values()
+    ranges = _subset_closure(_packed_tables(gens, n), n, len(gens), (1 << n) - 1, caps.subsets)
     m._left[0] = m._intern(frozenset(ranges))
     uncovered = list(doms)
     covered = 0
@@ -582,7 +578,8 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     gens = m._generators.values()
     # the nonzero ranges are the subsets reached from the full set, no
     # more of them than elements, so this closure stays under the cap
-    m._left[0] = m._intern(frozenset(_subset_closure(gens, n, m._caps.subsets)))
+    ranges = _subset_closure(_packed_tables(gens, n), n, len(gens), (1 << n) - 1, m._caps.subsets)
+    m._left[0] = m._intern(frozenset(ranges))
     funcs, compose, pad = m._funcs, m._compose, m._pad
     idempotents = [
         k for k in range(1, len(funcs)) if compose(funcs[k], funcs[k] + pad) == funcs[k]
@@ -615,20 +612,29 @@ def _mask_tables(bits):
 def _packed_tables(target_lists, n, preimages=False):
     """Subset-image tables of several labels on n vertices at once.
 
-    Label c takes bits ``c*n`` up to ``(c+1)*n``: vertex v's mask has bit
-    ``c*n + t`` when label c takes v to t, so that a subset's image is
-    every label's image side by side (see :func:`_mask_tables`).  An
-    empty entry of `target_lists` is a label defined nowhere.  With
-    `preimages`, vertex t's mask has bit ``c*n + v`` instead, and label
+    Label c takes bits ``c*n`` up to ``(c+1)*n``, so that a subset's image
+    is every label's image side by side (see :func:`_packed_bits`).
+    """
+    return _mask_tables(_packed_bits(target_lists, n, n, 0, preimages))
+
+
+def _packed_bits(target_lists, n, width, at=0, preimages=False):
+    """The per-vertex masks of :func:`_mask_tables` for n vertices laid out
+    at bits ``at`` up to ``at + n`` of label blocks `width` bits wide.
+
+    Vertex v's mask has bit ``c*width + at + t`` when label c takes v to
+    t; an empty entry of `target_lists` is a label defined nowhere.  With
+    `preimages`, vertex t's mask has that bit for v instead, and label
     c's block of an image is the set of vertices c takes into the subset.
     """
     bits = [0] * n
     for c, targets in enumerate(target_lists):
+        base = c * width + at
         for v, t in enumerate(targets):
             if t >= 0:
                 src, dst = (t, v) if preimages else (v, t)
-                bits[src] |= 1 << c * n + dst
-    return _mask_tables(bits)
+                bits[src] |= 1 << base + dst
+    return bits
 
 
 def _image_tables(targets):
@@ -651,33 +657,54 @@ def _image(mask, tables):
     return out
 
 
-def _subset_closure(target_lists, n, cap, preimages=False):
-    """The nonzero subsets reached from the full set of n vertices.
+def _word_search(tables, width, labels, start, live, goal, spare, cap, what):
+    """Breadth-first search with parent pointers over the subsets reached
+    from `start` under the packed `tables` of `labels` in blocks `width`
+    bits wide, labels tried in order.
 
-    Breadth-first under the images of the labels `target_lists`, or
-    their preimages (see :func:`_packed_tables`), with the full set
-    included when n > 0.
-
-    Raises
-    ------
-    CapExceededError
-        When the subset count exceeds `cap`.
+    A subset that misses `live` dies; one with at most `spare` (0 or 1)
+    vertices in `goal` is a goal, tested on `start` and on each subset
+    when first reached.  Returns the parent pointers of the subsets stored
+    and the word to the first goal found, or None.  Storing more than
+    `cap` subsets raises ``CapExceededError(count, what)``.
     """
-    tables = _packed_tables(target_lists, n, preimages)
-    offsets = [c * n for c in range(len(target_lists))]
-    full = (1 << n) - 1
-    seen = {full} if n else set()
-    queue = deque(seen)
+    parent = {start: None}
+    found = start & goal
+    if not found & (found - spare):
+        return parent, ()
+    full = (1 << width) - 1
+    indices = range(len(labels))
+    queue = deque(parent)
     while queue:
-        packed = _image(queue.popleft(), tables)
-        for offset in offsets:
-            nxt = packed >> offset & full
-            if nxt and nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(len(seen) + 1, "subset count")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+        mask = queue.popleft()
+        packed = _image(mask, tables)
+        for c in indices:
+            nxt = packed & full
+            packed >>= width
+            if not nxt & live or nxt in parent:
+                continue
+            found = nxt & goal
+            if not found & (found - spare):
+                word = [labels[c]]
+                while parent[mask] is not None:
+                    mask, c = parent[mask]
+                    word.append(labels[c])
+                return parent, tuple(reversed(word))
+            if len(parent) >= cap:
+                raise CapExceededError(len(parent) + 1, what)
+            parent[nxt] = (mask, c)
+            queue.append(nxt)
+    return parent, None
+
+
+def _subset_closure(tables, width, count, start, cap):
+    """The nonzero subsets reached from `start` under `count` labels, as the
+    keys of a dict (see :func:`_word_search`, where no nonzero subset has
+    no vertex in `full`, so none is a goal)."""
+    if not start:
+        return {}
+    full = (1 << width) - 1
+    return _word_search(tables, width, range(count), start, full, full, 0, cap, "subset count")[0]
 
 
 def synchronizing_vertices(g, caps=DEFAULT_CAPS):
@@ -692,12 +719,10 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     CapExceededError
     """
     _require(g)
-    targets = g._compiled().targets
-    return frozenset(
-        g.vertices[mask.bit_length() - 1]
-        for mask in _subset_closure(targets.values(), len(g.vertices), caps.subsets)
-        if mask.bit_count() == 1
-    )
+    gens = g._compiled().targets.values()
+    n = len(g.vertices)
+    reached = _subset_closure(_packed_tables(gens, n), n, len(gens), (1 << n) - 1, caps.subsets)
+    return frozenset(g.vertices[m.bit_length() - 1] for m in reached if m.bit_count() == 1)
 
 
 def shortest_sync_word(g, caps=DEFAULT_CAPS):
@@ -719,20 +744,11 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
         return None
     n = len(g.vertices)
     targets = g._compiled().targets
-    tables = _packed_tables(targets.values(), n)
-    offsets = [c * n for c in range(len(targets))]
     full = (1 << n) - 1
-
-    def successors(mask):
-        packed = _image(mask, tables)
-        return [packed >> offset & full or None for offset in offsets]
-
-    def singleton(mask):
-        return mask & (mask - 1) == 0
-
-    return shortest_word(
-        [full], tuple(targets), successors, singleton, caps.subsets, "subset count"
-    )
+    return _word_search(
+        _packed_tables(targets.values(), n), n, tuple(targets), full, full, full, 1,
+        caps.subsets, "subset count",
+    )[1]
 
 
 def subshift_witness(g, h, caps=DEFAULT_CAPS):
@@ -759,52 +775,40 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     _require(h)
     # labels of h alone kill g at once, so only g's labels are tried
     labels = g._compiled().labels
-    return _containment(
-        len(g.vertices), len(h.vertices), labels, _tables(g, labels), _tables(h, labels), caps
-    )
+    tables, width = _union_tables(g, h, labels)
+    return _containment(tables, width, labels, (1 << width) - 1, (1 << len(g.vertices)) - 1, caps)
 
 
-def _tables(g, labels):
-    """The packed image tables of `g` over `labels` (see
-    :func:`_packed_tables`); a label `g` lacks is a zero block."""
-    targets = g._compiled().targets
-    return _packed_tables([targets.get(a, ()) for a in labels], len(g.vertices))
+def _union_tables(g, h, labels):
+    """The packed image tables over `labels` of the disjoint union of `g`
+    and `h`, g's vertices first, and their width; a label that a graph
+    lacks leaves its part of the label's block empty."""
+    n_g = len(g.vertices)
+    width = n_g + len(h.vertices)
+    lists_g, lists_h = ([x._compiled().targets.get(a, ()) for a in labels] for x in (g, h))
+    bits = _packed_bits(lists_g, n_g, width) + _packed_bits(lists_h, width - n_g, width, n_g)
+    return _mask_tables(bits), width
 
 
-def _containment(n_g, n_h, labels, tables_g, tables_h, caps):
-    """:func:`subshift_witness` on checked graphs of n_g and n_h vertices,
-    given their packed tables over `labels`, which hold every label of the
-    first."""
-    if not n_g:
+def _containment(tables, width, labels, start, live, caps):
+    """:func:`subshift_witness` on the subset `start` of a union, given its
+    packed tables over `labels`: whether no word kills the part outside
+    `live` and keeps the part inside alive, and the first word that does."""
+    if not start & live:
         return True, None
-    if not n_h:
-        return False, ()
-    offsets = [(c * n_g, c * n_h) for c in range(len(labels))]
-    full_g, full_h = (1 << n_g) - 1, (1 << n_h) - 1
-
-    def successors(masks):
-        packed_g = _image(masks[0], tables_g)
-        packed_h = _image(masks[1], tables_h)
-        return [
-            (x, packed_h >> at_h & full_h) if (x := packed_g >> at_g & full_g) else None
-            for at_g, at_h in offsets
-        ]
-
-    def killed(masks):
-        return masks[1] == 0
-
-    witness = shortest_word(
-        [(full_g, full_h)], labels, successors, killed, caps.subsets, "subset-pair count"
-    )
+    witness = _word_search(
+        tables, width, labels, start, live, ~live, 0, caps.subsets, "subset-pair count"
+    )[1]
     return witness is None, witness
 
 
-def _equal(n_g, n_h, labels, tables_g, tables_h, caps):
-    """Containment both ways of checked graphs of n_g and n_h vertices,
-    given their packed tables over `labels`, which hold every label of both."""
+def _equal(tables, width, labels, n_g, caps):
+    """Containment both ways between the first n_g vertices of a union and
+    the rest, given its packed tables over every label of both."""
+    full, low = (1 << width) - 1, (1 << n_g) - 1
     return (
-        _containment(n_g, n_h, labels, tables_g, tables_h, caps)[0]
-        and _containment(n_h, n_g, labels, tables_h, tables_g, caps)[0]
+        _containment(tables, width, labels, full, low, caps)[0]
+        and _containment(tables, width, labels, full, full ^ low, caps)[0]
     )
 
 
@@ -818,9 +822,8 @@ def decide_equality(g, h, caps=DEFAULT_CAPS):
     _require(g)
     _require(h)
     labels = tuple(sorted(set(g._compiled().labels) | set(h._compiled().labels)))
-    return _equal(
-        len(g.vertices), len(h.vertices), labels, _tables(g, labels), _tables(h, labels), caps
-    )
+    tables, width = _union_tables(g, h, labels)
+    return _equal(tables, width, labels, len(g.vertices), caps)
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
@@ -831,7 +834,9 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     synchronizing classes form a terminal irreducible component whose
     restriction presents the whole shift.  A successor of a
     synchronizing class is synchronizing too, so they form a terminal
-    component as soon as they form a component.
+    component as soon as they form a component, and the restriction's
+    images are the quotient's own: one table of the quotient joined with
+    itself serves the class closure and the containment.
 
     Parameters
     ----------
@@ -854,22 +859,16 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
             if t >= 0:
                 moved[block[v]] = block[t]
         quotient.append(moved)
-    sync = sorted(
-        mask.bit_length() - 1
-        for mask in _subset_closure(quotient, n, caps.subsets)
-        if mask.bit_count() == 1
-    )
+    tables = _mask_tables(_packed_bits(quotient, n, 2 * n) + _packed_bits(quotient, n, 2 * n, n))
+    full = (1 << n) - 1
+    reached = _subset_closure(tables, 2 * n, len(quotient), full, caps.subsets)
+    sync = sum(mask for mask in reached if mask.bit_count() == 1)
     succ = [{t[v] for t in quotient} - {-1} for v in range(n)]
-    if not any(sorted(comp) == sync for comp in strong_components(succ)):
+    if not any(sum(1 << v for v in comp) == sync for comp in strong_components(succ)):
         return False
     # the restriction presents a subshift of the quotient's, so one
     # containment is enough
-    position = {v: i for i, v in enumerate(sync)}
-    restricted = [[position.get(t[v], -1) for v in sync] for t in quotient]
-    return _containment(
-        n, len(sync), g._compiled().labels, _packed_tables(quotient, n),
-        _packed_tables(restricted, len(sync)), caps,
-    )[0]
+    return _containment(tables, 2 * n, g._compiled().labels, full | sync << n, full, caps)[0]
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):
@@ -883,8 +882,8 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     equality decider.  A candidate is one target list per label, each
     with its domain and range masks: the pruning tests whether a range
     meets a domain, essentiality whether the domains and the ranges each
-    cover every vertex, and equality reads a packed table built from the
-    lists.
+    cover every vertex, and equality reads one packed table of the union
+    of `g` and the candidate, g's part laid out once per call.
 
     Parameters
     ----------
@@ -929,7 +928,8 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     }
     order = sorted(sigma, key=lambda a: (len(domains[a]), a))
     full = (1 << k) - 1
-    tables = _tables(g, sigma)
+    # g's part of the union with each candidate, whose vertices follow g's
+    g_bits = _packed_bits(g._compiled().targets.values(), n, n + k)
 
     def equal_candidate(assignment):
         chosen = [assignment[a] for a in sigma]
@@ -938,11 +938,10 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
             dom |= d
             ran |= r
         # an essential candidate has an edge out of and into every vertex
-        return (
-            dom == full
-            and ran == full
-            and _equal(n, k, sigma, tables, _packed_tables([o[0] for o in chosen], k), caps)
-        )
+        if dom != full or ran != full:
+            return False
+        bits = g_bits + _packed_bits([o[0] for o in chosen], k, n + k, n)
+        return _equal(_mask_tables(bits), n + k, sigma, n, caps)
 
     def search(pos, assignment):
         if pos == len(order):

@@ -15,11 +15,12 @@ A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use.  The name accessors
 (membership, ``out_edges``, ``successors``, ``out_labels``) read that
 view, and searches never run over names: every search shares the view,
-through the one SCC routine :func:`strong_components` and the one
-parent-pointer search :func:`shortest_word`.  A search that completes a
-graph with an absorbing sink gives the sink index n, which a list of
-n + 1 entries also answers at the undefined target -1; no sink graph is
-built.
+through the one SCC routine :func:`strong_components` and the
+parent-pointer search :func:`shortest_word` (the exact deciders' subset
+searches run their own over packed masks, see :mod:`sofic.exact`).  A
+search that completes a graph with an absorbing sink gives the sink
+index n, which a list of n + 1 entries also answers at the undefined
+target -1; no sink graph is built.
 """
 
 from collections import deque

@@ -1,10 +1,11 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last two functions:
-they keep the routes of the exact deciders that build derived graphs
-(a follower quotient, an induced subgraph, named candidates), so they
-import the package's public functions inside their bodies.
+the package is meaningful.  The exceptions are the last three
+functions, which import the package inside their bodies: two keep the
+routes of the exact deciders that build derived graphs (a follower
+quotient, an induced subgraph, named candidates), and the last keeps the
+two-mask subset-pair search that the one-mask search replaced.
 """
 
 import itertools
@@ -326,3 +327,42 @@ def named_minimality(g, k):
         return False
 
     return search([])
+
+
+def two_mask_witness(g, h, cap=2**18):
+    """``subshift_witness(g, h)`` by the two-mask subset-pair search.
+
+    A state is the tuple (mask of g, mask of h); each graph has its own
+    packed image table over g's labels (a label h lacks is a zero
+    block), and the search is ``graphs.shortest_word`` from the pair of
+    full sets, stopping where h's mask is empty.  Its witness, answer and
+    cap count are what the one-mask search over the disjoint union must
+    reproduce.
+    """
+    from sofic.exact import _image, _packed_tables
+    from sofic.graphs import shortest_word
+
+    labels = g._compiled().labels
+    n_g, n_h = len(g.vertices), len(h.vertices)
+    if not n_g:
+        return True, None
+    if not n_h:
+        return False, ()
+    lists_h = h._compiled().targets
+    tables_g = _packed_tables([g._compiled().targets[a] for a in labels], n_g)
+    tables_h = _packed_tables([lists_h.get(a, ()) for a in labels], n_h)
+    full_g, full_h = (1 << n_g) - 1, (1 << n_h) - 1
+
+    def successors(masks):
+        packed_g = _image(masks[0], tables_g)
+        packed_h = _image(masks[1], tables_h)
+        return [
+            (x, packed_h >> c * n_h & full_h) if (x := packed_g >> c * n_g & full_g) else None
+            for c in range(len(labels))
+        ]
+
+    witness = shortest_word(
+        [(full_g, full_h)], labels, successors, lambda masks: masks[1] == 0,
+        cap, "subset-pair count",
+    )
+    return witness is None, witness

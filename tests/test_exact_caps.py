@@ -1,10 +1,15 @@
-"""Cap behaviour of the three subset searches, pinned to recorded values.
+"""Cap behaviour of the subset and subset-pair searches, pinned to recorded values.
 
-Each row runs ``shortest_sync_word``, ``synchronizing_vertices`` or
-``subshift_witness`` under ``Caps(subsets=k)`` on ``padded_family_gn``
-members or on the graphs of ``tests/fixtures``.  The expected counts,
-messages and answers were recorded from the bit-walking subset image
-that the table-driven one replaced; any change to the breadth-first
+Each row runs ``shortest_sync_word``, ``synchronizing_vertices``,
+``subshift_witness``, ``decide_equality`` or ``decide_irreducibility``
+under ``Caps(subsets=k)`` on ``padded_family_gn`` members, on the graphs
+of ``tests/fixtures`` or on ``irred_mik1``, the first graph of
+``reduction_irred`` on an instance whose union is universal (so its
+irreducibility test reaches the subset-pair search).  The expected
+counts, messages and answers of the first three were recorded from the
+bit-walking subset image that the table-driven one replaced, those of
+the two deciders from the two-mask pair search that the one-mask search
+over the disjoint union replaced; any change to the breadth-first
 order, to the cap test or to the message shows up here.
 """
 
@@ -12,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from sofic.constructions import padded_family_gn
+from sofic.constructions import family_mik, padded_family_gn, reduction_irred
 from sofic.errors import CapExceededError
 from sofic.exact import (
     Caps,
+    decide_equality,
+    decide_irreducibility,
     shortest_sync_word,
     subshift_witness,
     synchronizing_vertices,
@@ -27,6 +34,8 @@ SEARCHES = {
     "shortest_sync_word": shortest_sync_word,
     "synchronizing_vertices": synchronizing_vertices,
     "subshift_witness": subshift_witness,
+    "decide_equality": decide_equality,
+    "decide_irreducibility": decide_irreducibility,
 }
 
 # (search, graph names, k, CapExceededError.count, message)
@@ -69,6 +78,35 @@ CAP_EXCEEDED = [
     ('subshift_witness', ('full1', 'gm'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'full1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'full1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded21'), 136, 137, 'subset-pair count 137 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded26'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded26'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded26'), 142, 143, 'subset-pair count 143 exceeds the configured cap'),
+    ('decide_equality', ('padded26', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('padded26', 'padded21'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('decide_equality', ('fig1', 'hfig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('fig1', 'hfig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('hfig1', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('gm', 'ev'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('gm', 'ev'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('decide_equality', ('ev', 'gm'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
+    ('decide_equality', ('full1', 'gm'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('gm', 'full1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('padded21',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_irreducibility', ('padded21',), 5, 6, 'subset count 6 exceeds the configured cap'),
+    ('decide_irreducibility', ('padded26',), 5, 6, 'subset count 6 exceeds the configured cap'),
+    ('decide_irreducibility', ('ev',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('fig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('gm',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('hfig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 30, 31, 'subset count 31 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 45, 46, 'subset count 46 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 46, 47, 'subset-pair count 47 exceeds the configured cap'),
+    ('decide_irreducibility', ('irred_mik1',), 52, 53, 'subset-pair count 53 exceeds the configured cap'),
 ]
 
 # (search, graph names, k, answer); vertex sets as sorted tuples
@@ -115,11 +153,30 @@ ANSWERS = [
     ('subshift_witness', ('gm', 'full1'), 3, (True, None)),
     ('subshift_witness', ('gm', 'full1'), 4, (True, None)),
     ('subshift_witness', ('gm', 'full1'), 5, (True, None)),
+    ('decide_equality', ('padded21', 'padded21'), 137, True),
+    ('decide_equality', ('padded21', 'padded26'), 143, False),
+    ('decide_equality', ('padded26', 'padded21'), 5, False),
+    ('decide_equality', ('fig1', 'hfig1'), 3, True),
+    ('decide_equality', ('hfig1', 'fig1'), 3, True),
+    ('decide_equality', ('gm', 'ev'), 5, False),
+    ('decide_equality', ('ev', 'gm'), 4, False),
+    ('decide_equality', ('full1', 'gm'), 3, False),
+    ('decide_equality', ('gm', 'full1'), 3, False),
+    ('decide_irreducibility', ('padded21',), 6, False),
+    ('decide_irreducibility', ('padded26',), 6, False),
+    ('decide_irreducibility', ('ev',), 3, True),
+    ('decide_irreducibility', ('fig1',), 3, True),
+    ('decide_irreducibility', ('gm',), 3, True),
+    ('decide_irreducibility', ('hfig1',), 3, True),
+    ('decide_irreducibility', ('full1',), 1, True),
+    ('decide_irreducibility', ('irred_mik1',), 53, True),
 ]
 
 
 def graphs():
     found = {"padded21": padded_family_gn(21), "padded26": padded_family_gn(26)}
+    machines = family_mik(1)
+    found["irred_mik1"] = reduction_irred(machines + [machines[0].complemented()])[0]
     for path in sorted(FIXTURES.glob("*.sg")):
         for doc in parse(path.read_text(encoding="utf-8")):
             if doc.kind == "graph":

@@ -4,8 +4,9 @@ The subset searches image a subset under every label at once: label c's
 target t of a vertex sits at bit ``c*n + t`` of that vertex's mask, so
 one table lookup per chunk yields all the label images side by side.
 These tests pin the table against the one-label tables, the searches on
-the empty and one-vertex graphs (where every offset ``c*n`` is 0), and
-containment between graphs of unequal sizes and alphabets.
+the empty and one-vertex graphs (where every offset ``c*n`` is 0),
+containment between graphs of unequal sizes and alphabets, and the
+tables a decision builds: one for the union of the two graphs.
 """
 
 import random
@@ -169,32 +170,49 @@ def test_padded_family_against_a_larger_member(n):
 
 
 def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
-    built = []
-    packed = []
-    tables = exact._tables
-    packed_tables = exact._packed_tables
+    built = []  # every table built, and the vertex count of each bits layout
+    laid = []
+    searched = []  # the tables of each containment and each equality test
+    compared = []
+    mask_tables, packed_bits = exact._mask_tables, exact._packed_bits
+    containment, equal = exact._containment, exact._equal
 
-    def counted(g, labels):
-        built.append(g)
-        return tables(g, labels)
+    def counted_tables(bits):
+        built.append(mask_tables(bits))
+        return built[-1]
 
-    def counted_packed(target_lists, n, preimages=False):
-        packed.append(n)
-        return packed_tables(target_lists, n, preimages)
+    def counted_bits(target_lists, n, width, at=0, preimages=False):
+        laid.append(n)
+        return packed_bits(target_lists, n, width, at, preimages)
 
-    monkeypatch.setattr(exact, "_tables", counted)
-    monkeypatch.setattr(exact, "_packed_tables", counted_packed)
+    def counted_containment(tables, *args):
+        searched.append(tables)
+        return containment(tables, *args)
+
+    def counted_equal(tables, *args):
+        compared.append(tables)
+        return equal(tables, *args)
+
+    monkeypatch.setattr(exact, "_mask_tables", counted_tables)
+    monkeypatch.setattr(exact, "_packed_bits", counted_bits)
+    monkeypatch.setattr(exact, "_containment", counted_containment)
+    monkeypatch.setattr(exact, "_equal", counted_equal)
     rng = random.Random(0)
     g, h = essential_graph(rng, 4, "01"), essential_graph(rng, 5, "012")
     assert decide_equality(g, h) is False
-    assert sorted(map(id, built)) == sorted([id(g), id(h)])
-    assert packed == [4, 5]
+    assert len(built) == 1 and laid == [4, 5]
+    # an equal pair runs both containments, on the one table of the union
     built.clear()
-    packed.clear()
+    searched.clear()
+    assert decide_equality(g, LabeledGraph(edges=g.edges)) is True
+    assert len(built) == 1 and list(map(id, searched)) == [id(built[0])] * 2
+    built.clear()
+    laid.clear()
+    compared.clear()
     # g has no 2-vertex presentation, so every surviving candidate is
-    # tried; g's tables come through _tables, a candidate's straight from
-    # its target lists
+    # compared; g's part of the union is laid out once, and each candidate
+    # gets one table of the union, shared by both directions
     assert exact.decide_minimality(g, 2) is False
-    assert built == [g]
-    assert len(packed) > 2
-    assert packed.count(2) == len(packed) - 1
+    assert laid.count(4) == 1
+    assert len(compared) > 1 and list(map(id, compared)) == list(map(id, built))
+    assert laid.count(2) == len(built)
