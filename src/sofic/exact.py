@@ -15,38 +15,41 @@ single-letter actions; breadth-first closure enumerates it together with
 a shortest generating word per element.  Emptiness and
 intrinsic-synchronization tests over that monoid decide the SFT and
 synchronizing-presentation questions; the SFT test needs only the
-nonempty idempotents of the actions of nonempty words (see
-:func:`decide_sft`).
+nonempty idempotents of the actions of nonempty words that are not
+intrinsically synchronizing (see :func:`decide_sft`).
 
 Inside the closure an action on n vertices is a byte string of target
 indices with the sink index n for undefined, and composing it with a
 letter is one ``bytes.translate`` over that letter's 256-byte table;
 above 255 vertices actions are tuples instead.  Elements get integer
-ids in breadth-first order; the Cayley table is one row of element ids
-per element, and each element's witness is a parent pointer (the
-element and label it was first reached from).
+ids in breadth-first order, and each element's witness is a parent
+pointer (the element and label it was first reached from); no Cayley
+table is kept, since a step is one composition and one lookup.
 
-The analysis reads range and domain masks.  The range of an element is
-the range of its parent imaged under the label it was reached by.  The
-domains of all elements are the subsets reached from the full vertex
-set under preimages, since ``dom(c;w)`` is the preimage of ``dom(w)``
-under c.  Whether an element r is intrinsically synchronizing depends
+The analysis reads range and domain masks.  The domains of all elements
+are the subsets reached from the full vertex set under preimages, since
+``dom(c;w)`` is the preimage of ``dom(w)`` under c, and the nonzero
+ranges are the subsets reached from it under images.  One range
+automaton per monoid maps each nonzero range, and 0, to its image under
+every label, so the range of an element is one lookup from its
+parent's.  Whether an element r is intrinsically synchronizing depends
 only on its left-image set L(r), the set of nonzero ranges ``ran(S;r)``
-over all elements S.  L(identity) is the set of nonzero ranges, which
-are the subsets reached from the full set under images, and L(p;c) is
-L(p) imaged under the letter c, less 0.  So the L-sets are interned per
-monoid and worked out lazily down the witness chains of the elements
-tested: each distinct set is imaged once per label and judged once,
-however many elements share it.
+over all elements S.  L(identity) is the set of nonzero ranges, and
+L(p;c) is L(p) imaged under the letter c, less 0.  So the L-sets are
+interned per monoid and worked out lazily down the witness chains of
+the elements tested: each distinct set is imaged once per label, by
+lookups in the automaton, and judged once, however many elements share
+it.
 
-The SDP search does not need the whole monoid.  A nonempty extension
-``r;w`` of an intrinsically synchronizing r is one too, so the union U
-of their ranges is closed under successors, and the search never
-expands an element whose range lies inside the part of U found so far
-(see :func:`decide_sdp_exists`).  Its bounds differ from the SFT
-search's: ``Caps.relations`` bounds the elements it enumerates, not the
-whole monoid, and ``Caps.subsets`` bounds the two subset closures that
-give the domains and L(identity) up front.
+Neither the SFT nor the SDP search needs the whole monoid.  A nonempty
+extension ``r;w`` of an intrinsically synchronizing r is one too, so
+the SFT search never expands an intrinsically synchronizing element
+(see :func:`decide_sft`), and the SDP search never expands an element
+whose range lies inside the vertices reachable from the ranges of those
+found so far (see :func:`decide_sdp_exists`).  In both,
+``Caps.relations`` bounds the elements enumerated, not the whole
+monoid, and ``Caps.subsets`` bounds the two subset closures that give
+the domains and the range automaton up front.
 
 Subsets are bit masks over vertex indices, imaged 4 vertices at a time
 through one 16-entry table per chunk.  One packed table images a subset
@@ -209,12 +212,12 @@ class ActionMonoid:
     (and lexicographically least) word generating it.
 
     Internally element k is the action ``_funcs[k]`` (see
-    :func:`_action_codec`), ``_rows[k][c]`` is the element reached from
-    it by label c, and ``_parents[k]`` is the (element, label index) pair
-    it was first reached from.  Relations are converted only at the
-    public boundary.  A new monoid holds only the identity until
-    :meth:`_close` enumerates the rest; `caps` bounds the element count
-    and the domain closure of :meth:`_prepare`.
+    :func:`_action_codec`) and ``_parents[k]`` is the (element, label
+    index) pair it was first reached from; :meth:`step` composes and
+    looks up.  Relations are converted only at the public boundary.  A
+    new monoid holds only the identity until :meth:`_close` enumerates
+    the rest, all of it or the part a decider expands; `caps` bounds the
+    element count and the two subset closures of :meth:`_prepare`.
     """
 
     def __init__(self, graph, caps):
@@ -229,14 +232,12 @@ class ActionMonoid:
         identity = self._pack(range(n))
         self._funcs = [identity]
         self._index = {identity: 0}
-        self._rows = []
         self._parents = [None]
         self._codes = {t: t for t in range(n)}
         self._codes[-1] = n
         self._analysis = None
-        # per element id its range mask, and per label the ranges imaged so far
+        # per element id its range mask
         self._rans = [(1 << n) - 1]  # the identity reaches every vertex
-        self._known = [{} for _ in self._generators]
         # left-image sets, interned: element -> set id, and per set id
         # the set, its step per label and its verdict (None until asked)
         self._left = {}
@@ -274,14 +275,14 @@ class ActionMonoid:
         return tuple(reversed(word))
 
     def step(self, relation, label):
-        """The element ``relation ; [label]`` read off the Cayley table."""
+        """The element ``relation ; [label]``."""
         k = self._require_element(relation)
         c = self._labels.get(label)
         if c is None:
             raise NotAnElementError(
                 f"label {label!r} is not a generator of this monoid"
             )
-        return self._relation(self._rows[k][c])
+        return self._relation(self._index[self._compose(self._funcs[k], self._letters[c])])
 
     def _relation(self, k):
         n = len(self.graph.vertices)
@@ -305,73 +306,66 @@ class ActionMonoid:
         return k
 
     def _close(self, expand=None):
-        """Enumerates the elements breadth-first, filling in the Cayley rows.
+        """Enumerates the elements breadth-first, recording parent pointers.
 
         Element k is composed with every letter when it is dequeued; with
-        `expand` given, only when ``expand(k)`` is true, and otherwise its
-        row is None.  Elements are dequeued in id order.
+        `expand` given, only when ``expand(k)`` is true.  Elements are
+        dequeued in id order.
 
         Raises
         ------
         CapExceededError
             When the element count exceeds ``caps.relations``.
         """
-        funcs, index, rows, parents = self._funcs, self._index, self._rows, self._parents
+        funcs, index, parents = self._funcs, self._index, self._parents
         compose, letters = self._compose, self._letters
         cap = self._caps.relations
-        # funcs doubles as the breadth-first queue: row k is filled in when
-        # element k is dequeued, and new elements are appended behind it
-        for func in funcs:
-            if expand is not None and not expand(len(rows)):
-                rows.append(None)
+        # funcs doubles as the breadth-first queue: new elements are
+        # appended behind the one being expanded
+        for k, func in enumerate(funcs):
+            if expand is not None and not expand(k):
                 continue
-            row = []
-            for letter in letters:
+            for c, letter in enumerate(letters):
                 nxt = compose(func, letter)
-                k = index.get(nxt)
-                if k is None:
-                    k = len(funcs)
-                    if k >= cap:
-                        raise CapExceededError(k + 1, "monoid element count")
-                    index[nxt] = k
+                if nxt not in index:
+                    j = len(funcs)
+                    if j >= cap:
+                        raise CapExceededError(j + 1, "monoid element count")
+                    index[nxt] = j
                     funcs.append(nxt)
-                    parents.append((len(rows), len(row)))
-                row.append(k)
-            rows.append(row)
+                    parents.append((k, c))
 
     def _prepare(self):
-        """The nonzero domain masks of all elements, and the letter tables.
+        """The nonzero domain masks of all elements, and the range automaton.
 
         The domains are the subsets reached from the full vertex set
         under preimages, since ``dom(c;w)`` is the preimage of ``dom(w)``
-        under the letter c; so they do not depend on how much of the
-        monoid is enumerated.
+        under the letter c, and the nonzero ranges those reached under
+        images; so neither depends on how much of the monoid is
+        enumerated.  The automaton maps each nonzero range, and 0, to its
+        image under each label.  Both closures are bounded by
+        ``caps.subsets``, the domain closure first.
         """
         if self._analysis is None:
             gens = self._generators.values()
-            n = len(self.graph.vertices)
-            tables = _packed_tables(gens, n, preimages=True)
-            doms = _subset_closure(tables, n, len(gens), (1 << n) - 1, self._caps.subsets)
-            self._analysis = (doms, [_image_tables(t) for t in gens])
+            n, count = len(self.graph.vertices), len(gens)
+            full, cap = (1 << n) - 1, self._caps.subsets
+            doms = _subset_closure(_packed_tables(gens, n, preimages=True), n, count, full, cap)
+            tables = _packed_tables(gens, n)
+            steps = {0: (0,) * count}
+            for ran in _subset_closure(tables, n, count, full, cap):
+                packed = _image(ran, tables)
+                steps[ran] = tuple(packed >> c * n & full for c in range(count))
+            self._analysis = (doms, steps)
         return self._analysis
 
     def _ranges(self):
-        """Per element id, for every element enumerated so far, its range mask.
-
-        The range of an element is the range of its parent imaged under
-        the label it was reached by, imaged once per distinct (range,
-        label) pair.
-        """
+        """Per element id, for every element enumerated so far, its range mask:
+        the range of its parent imaged under the label it was reached by."""
         rans = self._rans
         if len(rans) < len(self._parents):
-            tables = self._prepare()[1]
-            known = self._known
-            for p, c in self._parents[len(rans):]:
-                ran = rans[p]
-                image = known[c].get(ran)
-                if image is None:
-                    image = known[c][ran] = _image(ran, tables[c])
-                rans.append(image)
+            steps = self._prepare()[1]
+            rans.extend(steps[rans[p]][c] for p, c in self._parents[len(rans):])
         return rans
 
     def _is_intrinsic(self, k):
@@ -401,14 +395,12 @@ class ActionMonoid:
         When ``_parents[k] == (p, c)``, L(k) is L(p) imaged under the
         letter c, less 0.  Ids are worked out down the witness chain from
         the nearest element already known, with one image per distinct
-        (L-set, label) pair.
+        (L-set, label) pair.  L(identity) is the set of nonzero ranges.
         """
-        tables = self._prepare()[1]
+        steps = self._prepare()[1]
         left = self._left
         if not left:
-            # L(identity) is the set of nonzero ranges; a search that
-            # enumerates only part of the monoid sets it beforehand
-            left[0] = self._intern(frozenset(self._ranges()) - {0})
+            left[0] = self._intern(frozenset(steps) - {0})
         chain = []
         while k not in left:
             chain.append(k)
@@ -416,12 +408,12 @@ class ActionMonoid:
         lid = left[k]
         for j in reversed(chain):
             c = self._parents[j][1]
-            steps = self._left_steps[lid]
-            if steps[c] is None:
-                image = {_image(x, tables[c]) for x in self._left_sets[lid]}
+            known = self._left_steps[lid]
+            if known[c] is None:
+                image = {steps[x][c] for x in self._left_sets[lid]}
                 image.discard(0)
-                steps[c] = self._intern(frozenset(image))
-            lid = left[j] = steps[c]
+                known[c] = self._intern(frozenset(image))
+            lid = left[j] = known[c]
         return lid
 
     def _intern(self, left):
@@ -517,11 +509,7 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     n = len(g.vertices)
     succ = g._compiled().succ
     m = ActionMonoid(g, caps)
-    doms = m._prepare()[0]
-    gens = g._compiled().targets.values()
-    ranges = _subset_closure(_packed_tables(gens, n), n, len(gens), (1 << n) - 1, caps.subsets)
-    m._left[0] = m._intern(frozenset(ranges))
-    uncovered = list(doms)
+    uncovered = list(m._prepare()[0])
     covered = 0
 
     def expand(k):
@@ -561,33 +549,57 @@ def decide_sft(g, caps=DEFAULT_CAPS):
 
     The idempotents other than the identity are the elements k with
     ``k;k == k``; the identity is in S+ exactly when some letter acts as
-    a total permutation.  The whole monoid is enumerated first, so
-    ``caps.relations`` bounds it as in :func:`action_monoid`.
+    a total permutation.
+
+    The monoid is enumerated breadth-first, but an element is expanded
+    only when it is nonempty and not intrinsically synchronizing.  The
+    search answers False at the first nonempty idempotent of S+ that is
+    not intrinsically synchronizing, and True when the queue drains.
+    That is sound: take a nonempty element x that is never enumerated,
+    and the longest prefix u of a word of x whose action e is
+    enumerated.  The empty prefix acts as the identity, which is
+    enumerated, so u exists; u is a proper prefix, and the action of the
+    next longer one, e composed with a letter, is not enumerated, so e
+    was not expanded.  Since ``x = e;v`` for the rest v of the word, e is
+    nonempty, so e is intrinsically synchronizing, and so is its
+    nonempty extension x.  Hence every nonempty idempotent that is not
+    intrinsically synchronizing is enumerated, and judged when it is
+    dequeued.
 
     Parameters
     ----------
     g : deterministic essential LabeledGraph
+    caps : Caps
+        ``caps.relations`` bounds the elements enumerated, not the whole
+        monoid, and ``caps.subsets`` each of the two subset closures that
+        give the domains and the ranges of all elements up front, as in
+        :func:`decide_sdp_exists`.
 
     Raises
     ------
     CapExceededError
     """
     _require(g)
-    m = action_monoid(g, caps.relations)
+    m = ActionMonoid(g, caps)
     n = len(g.vertices)
-    gens = m._generators.values()
-    # the nonzero ranges are the subsets reached from the full set, no
-    # more of them than elements, so this closure stays under the cap
-    ranges = _subset_closure(_packed_tables(gens, n), n, len(gens), (1 << n) - 1, m._caps.subsets)
-    m._left[0] = m._intern(frozenset(ranges))
     funcs, compose, pad = m._funcs, m._compose, m._pad
-    idempotents = [
-        k for k in range(1, len(funcs)) if compose(funcs[k], funcs[k] + pad) == funcs[k]
-    ]
-    if any(-1 not in t and len(set(t)) == n for t in gens):
-        idempotents.append(0)
     zero = m._pack([n] * n)
-    return all(m._is_intrinsic(k) for k in idempotents if funcs[k] != zero)
+    # element 0, the identity, is in S+ only through a total permutation
+    identity_in_s_plus = any(-1 not in t and len(set(t)) == n for t in m._generators.values())
+    failed = False
+
+    def expand(k):
+        nonlocal failed
+        f = funcs[k]
+        if failed or f == zero or m._is_intrinsic(k):
+            return False
+        if (k or identity_in_s_plus) and compose(f, f + pad) == f:
+            failed = True
+            return False
+        return True
+
+    m._close(expand)
+    return not failed
 
 
 def _mask_tables(bits):
@@ -635,16 +647,6 @@ def _packed_bits(target_lists, n, width, at=0, preimages=False):
                 src, dst = (t, v) if preimages else (v, t)
                 bits[src] |= 1 << base + dst
     return bits
-
-
-def _image_tables(targets):
-    """Subset-image tables of one label, -1 for undefined."""
-    return _packed_tables([targets], len(targets))
-
-
-def _preimage_tables(targets):
-    """Subset-preimage tables of one label."""
-    return _packed_tables([targets], len(targets), preimages=True)
 
 
 def _image(mask, tables):

@@ -1,11 +1,13 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last three
+the package is meaningful.  The exceptions are the last five
 functions, which import the package inside their bodies: two keep the
 routes of the exact deciders that build derived graphs (a follower
-quotient, an induced subgraph, named candidates), and the last keeps the
-two-mask subset-pair search that the one-mask search replaced.
+quotient, an induced subgraph, named candidates), one keeps the
+two-mask subset-pair search that the one-mask search replaced, and the
+last two build the one-label subset-image tables that the packed table
+is checked against.
 """
 
 import itertools
@@ -366,3 +368,18 @@ def two_mask_witness(g, h, cap=2**18):
         cap, "subset-pair count",
     )
     return witness is None, witness
+
+
+def image_tables(targets):
+    """The subset-image tables of one label, -1 for undefined: the packed
+    tables of that label alone."""
+    from sofic.exact import _packed_tables
+
+    return _packed_tables([targets], len(targets))
+
+
+def preimage_tables(targets):
+    """The subset-preimage tables of one label."""
+    from sofic.exact import _packed_tables
+
+    return _packed_tables([targets], len(targets), preimages=True)

@@ -1,16 +1,25 @@
 """Cap behaviour of the subset and subset-pair searches, pinned to recorded values.
 
 Each row runs ``shortest_sync_word``, ``synchronizing_vertices``,
-``subshift_witness``, ``decide_equality`` or ``decide_irreducibility``
-under ``Caps(subsets=k)`` on ``padded_family_gn`` members, on the graphs
-of ``tests/fixtures`` or on ``irred_mik1``, the first graph of
-``reduction_irred`` on an instance whose union is universal (so its
-irreducibility test reaches the subset-pair search).  The expected
-counts, messages and answers of the first three were recorded from the
-bit-walking subset image that the table-driven one replaced, those of
-the two deciders from the two-mask pair search that the one-mask search
-over the disjoint union replaced; any change to the breadth-first
-order, to the cap test or to the message shows up here.
+``subshift_witness``, ``decide_equality``, ``decide_irreducibility``,
+``decide_sft`` or ``decide_sdp_exists`` under ``Caps(subsets=k)`` on
+``padded_family_gn`` members, on the graphs of ``tests/fixtures`` or on
+``irred_mik1``, the first graph of ``reduction_irred`` on an instance
+whose union is universal (so its irreducibility test reaches the
+subset-pair search).  The expected counts, messages and answers of the
+first three were recorded from the bit-walking subset image that the
+table-driven one replaced, those of the next two from the two-mask pair
+search that the one-mask search over the disjoint union replaced, and
+those of the monoid deciders from the ``decide_sft`` that closed the
+whole monoid before judging its idempotents; any change to the
+breadth-first order, to the cap test or to the message shows up here.
+
+That ``decide_sft`` built its monoid with ``Caps.relations`` bounding
+both subset closures, so ``Caps.subsets`` never stopped it; the pruned
+search bounds them by ``Caps.subsets``, as ``decide_sdp_exists`` does,
+and its rows that raise were answers then (marked below).  The rows
+under ``Caps(relations=k)`` pin the monoid element count; there the
+pruned search answers some inputs on which the whole closure raised.
 """
 
 from pathlib import Path
@@ -23,6 +32,8 @@ from sofic.exact import (
     Caps,
     decide_equality,
     decide_irreducibility,
+    decide_sdp_exists,
+    decide_sft,
     shortest_sync_word,
     subshift_witness,
     synchronizing_vertices,
@@ -36,6 +47,8 @@ SEARCHES = {
     "subshift_witness": subshift_witness,
     "decide_equality": decide_equality,
     "decide_irreducibility": decide_irreducibility,
+    "decide_sft": decide_sft,
+    "decide_sdp_exists": decide_sdp_exists,
 }
 
 # (search, graph names, k, CapExceededError.count, message)
@@ -107,6 +120,31 @@ CAP_EXCEEDED = [
     ('decide_irreducibility', ('irred_mik1',), 45, 46, 'subset count 46 exceeds the configured cap'),
     ('decide_irreducibility', ('irred_mik1',), 46, 47, 'subset-pair count 47 exceeds the configured cap'),
     ('decide_irreducibility', ('irred_mik1',), 52, 53, 'subset-pair count 53 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 3, 4, 'subset count 4 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 50, 51, 'subset count 51 exceeds the configured cap'),
+    ('decide_sdp_exists', ('ev',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('ev',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('fig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('fig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('gm',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('gm',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('hfig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('hfig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    # the whole-monoid decide_sft answered these: False, except True on gm
+    ('decide_sft', ('padded21',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sft', ('padded21',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sft', ('padded21',), 3, 4, 'subset count 4 exceeds the configured cap'),
+    ('decide_sft', ('padded21',), 50, 51, 'subset count 51 exceeds the configured cap'),
+    ('decide_sft', ('ev',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sft', ('ev',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sft', ('fig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sft', ('fig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sft', ('gm',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sft', ('gm',), 2, 3, 'subset count 3 exceeds the configured cap'),
+    ('decide_sft', ('hfig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
+    ('decide_sft', ('hfig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
 ]
 
 # (search, graph names, k, answer); vertex sets as sorted tuples
@@ -170,6 +208,51 @@ ANSWERS = [
     ('decide_irreducibility', ('hfig1',), 3, True),
     ('decide_irreducibility', ('full1',), 1, True),
     ('decide_irreducibility', ('irred_mik1',), 53, True),
+    ('decide_sdp_exists', ('ev',), 3, True),
+    ('decide_sdp_exists', ('ev',), 50, True),
+    ('decide_sdp_exists', ('fig1',), 3, True),
+    ('decide_sdp_exists', ('fig1',), 50, True),
+    ('decide_sdp_exists', ('gm',), 3, True),
+    ('decide_sdp_exists', ('gm',), 50, True),
+    ('decide_sdp_exists', ('hfig1',), 3, True),
+    ('decide_sdp_exists', ('hfig1',), 50, True),
+    ('decide_sdp_exists', ('full1',), 1, True),
+    ('decide_sdp_exists', ('full1',), 2, True),
+    ('decide_sdp_exists', ('full1',), 3, True),
+    ('decide_sdp_exists', ('full1',), 50, True),
+    ('decide_sft', ('ev',), 3, False),
+    ('decide_sft', ('ev',), 50, False),
+    ('decide_sft', ('fig1',), 3, False),
+    ('decide_sft', ('fig1',), 50, False),
+    ('decide_sft', ('gm',), 3, True),
+    ('decide_sft', ('gm',), 50, True),
+    ('decide_sft', ('hfig1',), 3, False),
+    ('decide_sft', ('hfig1',), 50, False),
+    ('decide_sft', ('full1',), 1, True),
+    ('decide_sft', ('full1',), 2, True),
+    ('decide_sft', ('full1',), 3, True),
+    ('decide_sft', ('full1',), 50, True),
+]
+
+# (search, graph names, k, CapExceededError.count, message) under Caps(relations=k)
+RELATIONS_EXCEEDED = [
+    ('decide_sft', ('padded21',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
+    ('decide_sft', ('padded21',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
+]
+
+# (search, graph names, k, answer) under Caps(relations=k)
+RELATIONS_ANSWERS = [
+    ('decide_sft', ('full1',), 1, True),
+    ('decide_sdp_exists', ('full1',), 1, True),
+    ('decide_sdp_exists', ('gm',), 3, True),
+    # the whole-monoid decide_sft raised on these; a letter of ev, fig1
+    # and hfig1 is a permutation, so the identity is judged first
+    ('decide_sft', ('ev',), 1, False),
+    ('decide_sft', ('fig1',), 1, False),
+    ('decide_sft', ('hfig1',), 1, False),
+    ('decide_sft', ('gm',), 3, True),
 ]
 
 
@@ -201,3 +284,16 @@ def test_answer_within_cap(search, names, k, answer):
     if isinstance(result, frozenset):
         result = tuple(sorted(result))
     assert result == answer
+
+
+@pytest.mark.parametrize("search,names,k,count,message", RELATIONS_EXCEEDED)
+def test_relations_cap_exceeded_count_and_message(search, names, k, count, message):
+    with pytest.raises(CapExceededError) as info:
+        SEARCHES[search](*(GRAPHS[n] for n in names), Caps(relations=k))
+    assert info.value.count == count
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("search,names,k,answer", RELATIONS_ANSWERS)
+def test_answer_within_relations_cap(search, names, k, answer):
+    assert SEARCHES[search](*(GRAPHS[n] for n in names), Caps(relations=k)) == answer

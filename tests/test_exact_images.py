@@ -13,7 +13,6 @@ import pytest
 
 from sofic.exact import (
     _image,
-    _image_tables,
     shortest_sync_word,
     subshift_witness,
     synchronizing_vertices,
@@ -24,6 +23,7 @@ from .oracles import (
     brute_shortest_sync_length,
     graph_labels,
     image,
+    image_tables as _image_tables,
     random_deterministic_graph,
     reachable_subsets,
 )

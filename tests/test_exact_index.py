@@ -1,11 +1,13 @@
 """The SFT, irreducibility and minimality deciders against oracles.
 
-``decide_sft`` scans the nonempty idempotents of the actions of nonempty
-words; it must agree with the cycle-reachability criterion of
-``tests.oracles.naive_sft`` on seeded ``reduction_sft`` and
+``decide_sft`` judges the nonempty idempotents of the actions of nonempty
+words in a breadth-first search that never expands an intrinsically
+synchronizing element; it must agree with the cycle-reachability
+criterion of ``tests.oracles.naive_sft`` on seeded ``reduction_sft`` and
 ``reduction_irred`` graphs, on random essential graphs (some with a
 letter acting as a total permutation, which puts the identity among
-those actions), and above 255 vertices, where actions are tuples.
+those actions), on the empty graph and above 255 vertices, where
+actions are tuples, and it must stop short of the whole monoid.
 ``decide_irreducibility`` and ``decide_minimality`` must agree with the
 routes that build a follower quotient, an induced subgraph and named
 candidates.  None of the three deciders builds a graph.
@@ -15,16 +17,17 @@ import random
 
 import pytest
 
-from sofic.constructions import Dfa, reduction_irred, reduction_sft
+from sofic.constructions import Dfa, padded_family_gn, reduction_irred, reduction_sft
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
+    ActionMonoid,
     action_monoid,
     decide_equality,
     decide_irreducibility,
     decide_minimality,
     decide_sft,
 )
-from sofic.graphs import LabeledGraph, essentialize
+from sofic.graphs import EMPTY, LabeledGraph, essentialize
 
 from .oracles import (
     named_minimality,
@@ -156,6 +159,64 @@ def test_big_graph_matches_its_two_vertex_collapse():
     assert decide_equality(big, collapse)
     assert naive_sft(collapse) is False
     assert decide_sft(big) is False
+
+
+def enumerated(monkeypatch):
+    """The element counts of the monoids enumerated from now on, one per
+    ``ActionMonoid._close`` call."""
+    sizes = []
+    close = ActionMonoid._close
+
+    def counted(self, expand=None):
+        close(self, expand)
+        sizes.append(self.size)
+
+    monkeypatch.setattr(ActionMonoid, "_close", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        random_graphs(92, 200, max_vertices=8),
+        random_graphs(93, 100, permutations=True),
+    ],
+    ids=["random", "permutation"],
+)
+def test_pruned_sft_matches_cycle_reachability(graphs, monkeypatch):
+    whole = [action_monoid(g).size for g in graphs]
+    sizes = enumerated(monkeypatch)
+    answers = [naive_sft(g) for g in graphs]
+    assert [decide_sft(g) for g in graphs] == answers
+    assert any(answers) and not all(answers)
+    assert all(k <= n for k, n in zip(sizes, whole))
+    # both answers come out of searches that stop short of the whole monoid
+    for answer in (True, False):
+        assert any(k < n for k, n, a in zip(sizes, whole, answers) if a is answer)
+
+
+def test_pruned_sft_on_the_empty_graph_and_above_255_vertices(monkeypatch):
+    assert naive_sft(EMPTY) is True
+    assert decide_sft(EMPTY) is True
+    graphs = random_graphs(94, 8) + random_graphs(95, 4, permutations=True)
+    answers = [naive_sft(g) for g in graphs]
+    bigs = [copies(g, 256 // len(g.vertices) + 1) for g in graphs]
+    whole = [action_monoid(big).size for big in bigs]
+    sizes = enumerated(monkeypatch)
+    for big, answer in zip(bigs, answers):
+        assert len(big.vertices) > 255
+        assert decide_sft(big) == answer
+    assert any(answers) and not all(answers)
+    for answer in (True, False):
+        assert any(k < n for k, n, a in zip(sizes, whole, answers) if a is answer)
+
+
+def test_pruned_sft_enumerates_part_of_the_monoid(monkeypatch):
+    g = padded_family_gn(36)
+    whole = action_monoid(g).size
+    sizes = enumerated(monkeypatch)
+    assert decide_sft(g) is False
+    assert sizes[0] < whole
 
 
 # -------------------------------------------------------- irreducibility

@@ -17,9 +17,7 @@ from sofic import exact
 from sofic.constructions import padded_family_gn
 from sofic.exact import (
     _image,
-    _image_tables,
     _packed_tables,
-    _preimage_tables,
     decide_equality,
     decide_sdp_exists,
     decide_sft,
@@ -29,7 +27,12 @@ from sofic.exact import (
 )
 from sofic.graphs import EMPTY, LabeledGraph, essentialize
 
-from .oracles import image, random_deterministic_graph
+from .oracles import (
+    image,
+    image_tables as _image_tables,
+    preimage_tables as _preimage_tables,
+    random_deterministic_graph,
+)
 from .test_exact_images import brute_kill_length
 
 ONE = LabeledGraph(vertices=["v"], edges=[("v", "a", "v")])
