@@ -1,13 +1,13 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last five
+the package is meaningful.  The exceptions are the last six
 functions, which import the package inside their bodies: two keep the
 routes of the exact deciders that build derived graphs (a follower
 quotient, an induced subgraph, named candidates), one keeps the
-two-mask subset-pair search that the one-mask search replaced, and the
-last two build the one-label subset-image tables that the packed table
-is checked against.
+two-mask subset-pair search that the one-mask search replaced, the next
+two build the one-label subset-image tables that the packed table is
+checked against, and the last closes subsets through those tables.
 """
 
 import itertools
@@ -383,3 +383,42 @@ def preimage_tables(targets):
     from sofic.exact import _packed_tables
 
     return _packed_tables([targets], len(targets), preimages=True)
+
+
+def table_closure(g, preimages=False):
+    """The nonzero subsets reached from g's full vertex set under images
+    (under preimages with `preimages`), each mapped to its tuple of
+    images per label in sorted label order, 0 where a label kills it.
+
+    A plain breadth-first set closure in label order, over the one-label
+    tables of ``image_tables`` or ``preimage_tables`` built from target
+    lists read off the edge list; insertion order is discovery order.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    build = preimage_tables if preimages else image_tables
+    per_label = []
+    for a in graph_labels(g):
+        targets = [-1] * len(index)
+        for src, label, dst in g.edges:
+            if label == a:
+                targets[index[src]] = index[dst]
+        per_label.append(build(targets))
+
+    def image_of(mask, tables):
+        out = 0
+        for i, table in enumerate(tables):
+            out |= table[mask >> 4 * i & 15]
+        return out
+
+    start = (1 << len(index)) - 1
+    rows = {}
+    seen = {start} if start else set()
+    queue = deque(seen)
+    while queue:
+        mask = queue.popleft()
+        rows[mask] = tuple(image_of(mask, tables) for tables in per_label)
+        for nxt in rows[mask]:
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return rows
