@@ -12,7 +12,9 @@ shift equality for synchronizing presentations (isomorphism of the
 quotients), the hat-graph test for shifts of finite type, and the
 universality and irreducibility shortcuts valid for synchronizing
 presentations.  Isomorphism and equality refine the disjoint union of
-their inputs once, building neither the union nor a quotient.
+their inputs once, building neither the union nor a quotient; the
+finite-type test (and exact irreducibility) reads the quotient as target
+lists over class ids.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,8 @@ from .errors import NotFollowerSeparatedError, NotSftError, NotSynchronizingErro
 from .graphs import (
     LabeledGraph,
     alphabet,
-    cycle_vertices,
     irreducible_components,
+    strong_components,
     _require_deterministic,
     _require_essential,
 )
@@ -80,6 +82,25 @@ def _blocks(*graphs):
             break
         block, count = new, len(renumber)
     return block
+
+
+def _quotient(g):
+    """The follower quotient of deterministic `g` as target lists over class ids.
+
+    Returns the class count n and, per label in sorted order, the target
+    of each class or -1; class ids come in first-member order.
+    """
+    block = _blocks(g)
+    # the sink's class id, the last one given, is the class count
+    n = block[-1]
+    quotient = []
+    for targets in g._compiled().targets.values():
+        moved = [-1] * n
+        for v, t in enumerate(targets):
+            if t >= 0:
+                moved[block[v]] = block[t]
+        quotient.append(moved)
+    return n, quotient
 
 
 def follower_partition(g):
@@ -195,28 +216,30 @@ def equal_sync(g, h):
 def is_sft_sync(g):
     """Returns True iff the shift of the synchronizing presentation `g` has finite type.
 
-    Follower-separates `g` and tests the hat graph for acyclicity: a
-    cycle yields arbitrarily long nonsynchronizing words, which for
-    synchronizing presentations are exactly the non-intrinsically-
-    synchronizing ones.
+    Reads the follower quotient from :func:`_quotient` and tests its hat
+    graph (pairs of distinct classes, stepped together by each label)
+    for acyclicity: a cycle yields arbitrarily long nonsynchronizing
+    words, which for synchronizing presentations are exactly the
+    non-intrinsically-synchronizing ones.
 
     Raises
     ------
     NotSynchronizingError
+    NotEssentialError
     """
     if not is_synchronizing(g):
         raise NotSynchronizingError("input is not a synchronizing presentation")
-    gfs = follower_separation(g)
-    n = len(gfs.vertices)
+    _require_essential(g)
+    n, quotient = _quotient(g)
     # hat-graph vertex (i, j), i != j, is index i * n + j
     succ = [[] for _ in range(n * n)]
-    for t in gfs._compiled().targets.values():
+    for t in quotient:
         defined = [(i, ti) for i, ti in enumerate(t) if ti >= 0]
         for i, ti in defined:
             for j, tj in defined:
                 if i != j and ti != tj:
                     succ[i * n + j].append(ti * n + tj)
-    return not cycle_vertices(succ)
+    return all(len(c) == 1 and c[0] not in succ[c[0]] for c in strong_components(succ))
 
 
 def m_step_bound(g):
@@ -246,9 +269,11 @@ def is_irreducible_shift_sync(g):
     Raises
     ------
     NotSynchronizingError
+    NotEssentialError
     """
     if not is_synchronizing(g):
         raise NotSynchronizingError("input is not a synchronizing presentation")
+    _require_essential(g)
     return len(irreducible_components(g)) <= 1
 
 

@@ -81,7 +81,7 @@ when an instance grows past desk scale.
 from dataclasses import dataclass
 from itertools import product
 
-from .classify import _blocks, is_universal
+from .classify import _quotient, is_universal
 from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
     alphabet,
@@ -831,10 +831,11 @@ def decide_equality(g, h, caps=DEFAULT_CAPS):
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
     """Whether the shift presented by `g` is irreducible.
 
-    Works on the follower quotient of `g`, kept as target lists over the
-    follower classes: the shift is irreducible exactly when the
-    synchronizing classes form a terminal irreducible component whose
-    restriction presents the whole shift.  A successor of a
+    Reads the follower quotient of `g` from
+    :func:`~sofic.classify._quotient`, as ``is_sft_sync`` does: target
+    lists over the follower classes.  The shift is irreducible exactly
+    when the synchronizing classes form a terminal irreducible component
+    whose restriction presents the whole shift.  A successor of a
     synchronizing class is synchronizing too, so they form a terminal
     component as soon as they form a component, and the restriction's
     images are the quotient's own: one table of the quotient joined with
@@ -851,16 +852,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     _require(g)
     if not g.vertices:
         return True
-    block = _blocks(g)
-    # class ids come in first-member order and the sink's is the class count
-    n = block[-1]
-    quotient = []
-    for targets in g._compiled().targets.values():
-        moved = [-1] * n
-        for v, t in enumerate(targets):
-            if t >= 0:
-                moved[block[v]] = block[t]
-        quotient.append(moved)
+    n, quotient = _quotient(g)
     tables = _mask_tables(_packed_bits(quotient, n, 2 * n) + _packed_bits(quotient, n, 2 * n, n))
     full = (1 << n) - 1
     reached = _subset_closure(tables, 2 * n, full, caps.subsets)

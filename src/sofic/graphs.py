@@ -1,4 +1,4 @@
-"""Edge-labeled directed multigraphs and the transition action.
+"""Edge-labeled directed multigraphs and the transition action on vertex sets.
 
 The carrier type for everything in this package is :class:`LabeledGraph`,
 an immutable edge-labeled directed multigraph.  Vertices are named by
@@ -225,38 +225,6 @@ def _require_essential(g):
         raise NotEssentialError("graph has stranded vertices")
 
 
-def step(g, q, w):
-    """The transition action q . w, or None when no path labeled `w` starts at q.
-
-    In a deterministic graph a path is determined by its start vertex and
-    its label word, so the endpoint is well defined.  The empty word acts
-    as the identity.
-
-    Parameters
-    ----------
-    g : deterministic LabeledGraph
-    q : vertex of `g`
-    w : word (sequence of label tokens)
-
-    Examples
-    --------
-    >>> gm = LabeledGraph(edges=[("A", "0", "A"), ("A", "1", "B"), ("B", "0", "A")])
-    >>> step(gm, "A", ("1", "0"))
-    'A'
-    >>> step(gm, "B", ("1",)) is None
-    True
-    """
-    _require_deterministic(g)
-    view = g._compiled()
-    i = g._require_vertex(q)
-    for a in w:
-        targets = view.targets.get(a)
-        if targets is None or targets[i] < 0:
-            return None
-        i = targets[i]
-    return g.vertices[i]
-
-
 def subset_step(g, s, w):
     """The transition action S . w on a set of vertices, as a frozenset.
 
@@ -269,9 +237,20 @@ def subset_step(g, s, w):
     g : deterministic LabeledGraph
     s : iterable of vertices of `g`
     w : word
+
+    Examples
+    --------
+    >>> gm = LabeledGraph(edges=[("A", "0", "A"), ("A", "1", "B"), ("B", "0", "A")])
+    >>> subset_step(gm, {"A", "B"}, ("1", "0"))
+    frozenset({'A'})
     """
     _require_deterministic(g)
-    return frozenset(step(g, q, w) for q in s) - {None}
+    targets = g._compiled().targets
+    current = {g._require_vertex(q) for q in s}
+    for a in w:
+        t = targets.get(a)
+        current = {t[i] for i in current if t[i] >= 0} if t else ()
+    return frozenset(g.vertices[i] for i in current)
 
 
 class Component(tuple):
@@ -388,15 +367,6 @@ def strong_components(succ):
     return comps
 
 
-def cycle_vertices(succ):
-    """The indices on a cycle: in a component of two or more, or on a self loop."""
-    on_cycle = set()
-    for comp in strong_components(succ):
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            on_cycle.update(comp)
-    return on_cycle
-
-
 def paired_targets(g, h):
     """Each label of `g` or `h`, in sorted order, mapped to its targets in both.
 
@@ -480,39 +450,6 @@ def induced_subgraph(g, p):
         vertices=p,
         edges=[e for e in g.edges if e[0] in p and e[2] in p],
     )
-
-
-def disjoint_union(g, h):
-    """The disjoint union of `g` and `h`, plus a provenance map.
-
-    Vertices keep their names unless the two graphs collide, in which
-    case the right-hand vertex gets a fresh ``~2``-suffixed name.  The
-    provenance map sends each vertex of the union to ``(side, original)``
-    with side 0 for `g` and 1 for `h`.
-
-    Returns
-    -------
-    (LabeledGraph, dict)
-    """
-    taken = set(g.vertices)
-    rename = {}
-    for v in h.vertices:
-        if v not in taken:
-            rename[v] = v
-        else:
-            fresh = v + "~2"
-            while fresh in taken or fresh in rename.values():
-                fresh += "~2"
-            rename[v] = fresh
-        taken.add(rename[v])
-    provenance = {v: (0, v) for v in g.vertices}
-    provenance.update({rename[v]: (1, v) for v in h.vertices})
-    union = LabeledGraph(
-        vertices=list(g.vertices) + [rename[v] for v in h.vertices],
-        edges=list(g.edges)
-        + [(rename[s], a, rename[d]) for s, a, d in h.edges],
-    )
-    return union, provenance
 
 
 def reachable_indices(succ, sources):

@@ -1,13 +1,12 @@
 """Auxiliary graph constructions behind the polynomial-time algorithms.
 
-Three constructions appear again and again: the *sink vertex graph*,
+Two constructions appear again and again: the *sink vertex graph*,
 which completes a graph so that leaving the language is visible as
-reaching a sink; the *label product*, which tracks two graphs reading the
-same word in lockstep; and the *hat graph*, the label product of a graph
-with itself minus the diagonal, whose labeled paths are exactly the
-nonsynchronizing words.
+reaching a sink, and the *hat graph*, which tracks two distinct vertices
+of a graph reading the same word in lockstep, so that its labeled paths
+are exactly the nonsynchronizing words.
 
-Product vertices are named ``(left|right)``, with ``\\`` and ``|`` in
+Hat-graph vertices are named ``(left|right)``, with ``\\`` and ``|`` in
 each coordinate escaped as ``\\\\`` and ``\\|``, so distinct pairs get
 distinct names that stay legal tokens of the text format.  The deciders
 search pairs of indices in the integer view of :mod:`sofic.graphs`
@@ -20,7 +19,6 @@ from .errors import AlphabetMismatchError
 from .graphs import (
     LabeledGraph,
     alphabet,
-    induced_subgraph,
     shortest_word,
     _require_deterministic,
 )
@@ -74,39 +72,19 @@ def sink_vertex_graph(g, gamma):
     return LabeledGraph(vertices=list(g.vertices) + [sink], edges=edges)
 
 
-def _escape(name):
-    return name.replace("\\", "\\\\").replace("|", "\\|")
-
-
 def product_vertex(p, q):
     """The name of the product vertex for (p, q); distinct pairs get distinct names."""
-    return f"({_escape(p)}|{_escape(q)})"
-
-
-def label_product(g, h):
-    """The label product of `g` and `h`.
-
-    Vertices are all pairs; there is an ``l``-edge from (p1, p2) to
-    (q1, q2) exactly when both coordinates have one.  A word labels a
-    path in the product iff it labels paths in both factors between the
-    corresponding endpoints.
-    """
-    by_label_g = {}
-    for src, a, dst in g.edges:
-        by_label_g.setdefault(a, []).append((src, dst))
-    edges = []
-    for src2, a, dst2 in h.edges:
-        for src1, dst1 in by_label_g.get(a, ()):
-            edges.append((product_vertex(src1, src2), a, product_vertex(dst1, dst2)))
-    vertices = [product_vertex(p, q) for p in g.vertices for q in h.vertices]
-    return LabeledGraph(vertices=vertices, edges=edges)
+    p, q = (v.replace("\\", "\\\\").replace("|", "\\|") for v in (p, q))
+    return f"({p}|{q})"
 
 
 def hat_graph(g):
     """The label product of `g` with itself, diagonal vertices removed.
 
-    Labeled paths of the result are exactly the words failing to
-    synchronize two distinct vertices of `g`; for a follower-separated
+    Vertices are the pairs of distinct vertices; there is an ``l``-edge
+    from (p1, p2) to (q1, q2) exactly when both coordinates have one and
+    q1 != q2.  Labeled paths of the result are exactly the words failing
+    to synchronize two distinct vertices of `g`; for a follower-separated
     synchronizing presentation, acyclicity of this graph characterizes
     the finite-type property.
 
@@ -115,9 +93,14 @@ def hat_graph(g):
     g : deterministic LabeledGraph
     """
     _require_deterministic(g)
-    product = label_product(g, g)
-    diagonal = {product_vertex(v, v) for v in g.vertices}
-    return induced_subgraph(product, set(product.vertices) - diagonal)
+    edges = [
+        (product_vertex(p1, p2), a, product_vertex(q1, q2))
+        for p1, a, q1 in g.edges
+        for p2, b, q2 in g.edges
+        if a == b and p1 != p2 and q1 != q2
+    ]
+    vertices = [product_vertex(p, q) for p in g.vertices for q in g.vertices if p != q]
+    return LabeledGraph(vertices=vertices, edges=edges)
 
 
 def find_word_to(g, sources, target_pred):

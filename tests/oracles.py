@@ -198,6 +198,15 @@ def random_deterministic_graph(rng, max_vertices, labels):
     return LabeledGraph(vertices=names, edges=edges)
 
 
+def disjoint_union(g, h):
+    """The disjoint union of g and h, their vertices prefixed ``0`` and ``1``."""
+    return LabeledGraph(
+        vertices=["0" + v for v in g.vertices] + ["1" + v for v in h.vertices],
+        edges=[("0" + s, a, "0" + d) for s, a, d in g.edges]
+        + [("1" + s, a, "1" + d) for s, a, d in h.edges],
+    )
+
+
 def brute_monoid(g):
     """Every action of a word on g, as pair sets.
 

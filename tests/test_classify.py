@@ -19,10 +19,16 @@ from sofic.errors import (
     NotSftError,
     NotSynchronizingError,
 )
-from sofic.graphs import LabeledGraph, disjoint_union, essentialize
+from sofic.graphs import LabeledGraph, essentialize
 from sofic.syncwords import is_synchronizing
 
-from .oracles import brute_language, random_deterministic_graph, walk, words_upto
+from .oracles import (
+    brute_language,
+    disjoint_union,
+    random_deterministic_graph,
+    walk,
+    words_upto,
+)
 
 
 def test_follower_partition_examples(fig1, dup_gm, full1):
@@ -141,9 +147,47 @@ def test_is_irreducible_shift_sync(hfig1, gm):
 
 
 def test_is_irreducible_shift_sync_rejects_nonsynchronizing(gm):
-    two_copies, _ = disjoint_union(gm, gm)
+    two_copies = disjoint_union(gm, gm)
     with pytest.raises(NotSynchronizingError):
         is_irreducible_shift_sync(two_copies)
+
+
+# synchronizing, but b has no outgoing edge; the shift is the full shift on x
+STRANDED = LabeledGraph(edges=[("a", "x", "a"), ("a", "y", "b")])
+
+
+@pytest.mark.parametrize("decider", [is_sft_sync, m_step_bound, is_irreducible_shift_sync])
+def test_sync_deciders_require_essential(decider):
+    assert is_synchronizing(STRANDED)
+    with pytest.raises(NotEssentialError):
+        decider(STRANDED)
+
+
+def test_sync_deciders_build_no_graph(monkeypatch):
+    rng = random.Random(47)
+    graphs = []
+    while len(graphs) < 30:
+        g = essentialize(random_deterministic_graph(rng, 6, ["0", "1"]))
+        if g.vertices and is_synchronizing(g):
+            graphs.append(g)
+    built = []
+    init = LabeledGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", counted)
+    sft = []
+    for g, h in zip(graphs, graphs[1:] + graphs[:1]):
+        sft.append(is_sft_sync(g))
+        if sft[-1]:
+            m_step_bound(g)
+        equal_sync(g, h)
+        equal_sync(g, g)
+        is_irreducible_shift_sync(g)
+    assert built == []
+    assert any(sft) and not all(sft)
 
 
 def test_is_universal(full1, gm):

@@ -100,6 +100,15 @@ def test_is_sft(capsys):
     assert run(capsys, "is-sft", fixture("ev.sg"), "--exact")[0] == 1
 
 
+def test_sync_commands_reject_nonessential(tmp_path, capsys):
+    # synchronizing, with a stranded vertex b
+    path = tmp_path / "stranded.sg"
+    path.write_text("graph G\nvertex a\nvertex b\nedge a x a\nedge a y b\n")
+    for command in ("is-sft", "is-irreducible"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and "stranded" in err
+
+
 def test_has_sdp_universal_minimal(capsys):
     assert run(capsys, "has-sdp", fixture("fig1.sg"))[0] == 0
     assert run(capsys, "universal", fixture("full1.sg"))[0] == 0

@@ -31,6 +31,7 @@ from .oracles import (
     brute_language,
     brute_shortest_sync_length,
     compose_pairs,
+    disjoint_union,
     naive_intrinsic,
     random_deterministic_graph,
     singleton_reachable,
@@ -438,7 +439,6 @@ def test_shift_level_deciders_are_presentation_invariant():
     # graph drastically but not the shift, so every shift-level verdict
     # must survive both transformations
     from sofic.classify import follower_separation
-    from sofic.graphs import disjoint_union
 
     rng = random.Random(60)
     checked = 0
@@ -447,7 +447,7 @@ def test_shift_level_deciders_are_presentation_invariant():
         if not g.vertices:
             continue
         checked += 1
-        doubled, _ = disjoint_union(g, g)
+        doubled = disjoint_union(g, g)
         separated = follower_separation(g)
         for h in (doubled, separated):
             assert decide_equality(g, h)

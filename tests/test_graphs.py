@@ -9,13 +9,11 @@ from sofic.graphs import (
     LabeledGraph,
     _check_token,
     alphabet,
-    disjoint_union,
     essentialize,
     induced_subgraph,
     irreducible_components,
     is_deterministic,
     is_essential,
-    step,
     subset_step,
 )
 
@@ -110,23 +108,22 @@ def test_alphabet(full1, fig1):
 
 
 def test_step(fig1):
-    assert step(fig1, "q1", ("1",)) == "q2"
-    assert step(fig1, "q3", ("1",)) is None
+    # the action of one vertex is the action on its singleton
+    assert subset_step(fig1, {"q1"}, ("1",)) == {"q2"}
+    assert subset_step(fig1, {"q3"}, ("1",)) == frozenset()
     for v in fig1.vertices:
-        assert step(fig1, v, ()) == v
+        assert subset_step(fig1, {v}, ()) == {v}
 
 
 def test_step_rejects_nondeterministic():
     g = LabeledGraph(edges=[("v", "0", "v"), ("v", "0", "w"), ("w", "0", "v")])
-    with pytest.raises(NotDeterministicError):
-        step(g, "v", ("0",))
     with pytest.raises(NotDeterministicError):
         subset_step(g, g.vertices, ("0",))
 
 
 def test_step_rejects_unknown_vertex(fig1):
     with pytest.raises(UnknownVertexError):
-        step(fig1, "nope", ())
+        subset_step(fig1, {"q1", "nope"}, ())
 
 
 def test_subset_step(fig1):
@@ -184,20 +181,6 @@ def test_induced_subgraph(fig1, hfig1):
         induced_subgraph(fig1, {"q1", "zz"})
 
 
-def test_disjoint_union(full1, fig1, hfig1):
-    both, provenance = disjoint_union(full1, full1)
-    assert len(both.vertices) == 2
-    assert len(irreducible_components(both)) == 2
-    assert sorted(provenance.values()) == [(0, "v"), (1, "v")]
-
-    five, _ = disjoint_union(fig1, hfig1)
-    assert len(five.vertices) == 5
-
-    same, provenance = disjoint_union(fig1, LabeledGraph())
-    assert same == fig1
-    assert provenance == {v: (0, v) for v in fig1.vertices}
-
-
 graph_strategy = st.builds(
     random_deterministic_graph,
     st.randoms(use_true_random=False),
@@ -211,9 +194,8 @@ word_strategy = st.lists(st.sampled_from(["0", "1", "2"]), max_size=6).map(tuple
 @given(g=graph_strategy, u=word_strategy, v=word_strategy)
 def test_transition_action_composes(g, u, v):
     for q in g.vertices:
-        mid = step(g, q, u)
-        expected = None if mid is None else step(g, mid, v)
-        assert step(g, q, u + v) == expected
+        assert subset_step(g, {q}, u + v) == subset_step(g, subset_step(g, {q}, u), v)
+        assert len(subset_step(g, {q}, u + v)) <= 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from sofic.errors import AlphabetMismatchError, NotDeterministicError
-from sofic.graphs import LabeledGraph, alphabet, step
+from sofic.graphs import LabeledGraph, alphabet
 from sofic.products import (
     find_word_to,
     hat_graph,
-    label_product,
     product_vertex,
     sink_vertex_graph,
     sink_vertex_name,
@@ -69,41 +68,37 @@ def test_sink_graph_tracks_undefined_steps():
         sink = sink_vertex_name(g)
         for q in g.vertices:
             for w in words_upto(gamma, 4):
-                there = step(g0, q, w)
+                there = walk(g0, q, w)
                 assert there is not None
-                assert (there == sink) == (step(g, q, w) is None)
+                assert (there == sink) == (walk(g, q, w) is None)
 
 
-def test_label_product_examples(full1, gm):
-    p = label_product(full1, full1)
-    assert p.vertices == (product_vertex("v", "v"),)
-    assert len(p.edges) == 2
-
-    p = label_product(gm, gm)
-    assert len(p.vertices) == 4
-    ab = product_vertex("A", "B")
-    out = list(p.out_edges(ab))
-    assert out == [("0", product_vertex("A", "A"))]
-
-    assert label_product(gm, LabeledGraph()) == LabeledGraph()
+def kept_apart(g, p, q, w):
+    """Whether every nonempty prefix of `w` leads p and q to two distinct vertices."""
+    for i in range(1, len(w) + 1):
+        ends = walk(g, p, w[:i]), walk(g, q, w[:i])
+        if None in ends or ends[0] == ends[1]:
+            return False
+    return True
 
 
-def test_label_product_path_correspondence(gm, ev):
+def test_hat_graph_path_correspondence():
+    # a word labels a path from (p, q) exactly when it keeps p and q
+    # distinct and alive at every step; the path ends at the pair reached
     rng = random.Random(8)
     for _ in range(15):
-        g = random_deterministic_graph(rng, 3, ["0", "1"])
-        h = random_deterministic_graph(rng, 3, ["0", "1"])
-        p = label_product(g, h)
+        g = random_deterministic_graph(rng, 4, ["0", "1"])
+        hat = hat_graph(g)
         for w in words_upto(("0", "1"), 4):
-            for qg in g.vertices:
-                for qh in h.vertices:
-                    end_g = walk(g, qg, w)
-                    end_h = walk(h, qh, w)
-                    end_p = walk(p, product_vertex(qg, qh), w)
-                    if end_g is None or end_h is None:
-                        assert end_p is None
+            for p in g.vertices:
+                for q in g.vertices:
+                    if p == q:
+                        continue
+                    end = walk(hat, product_vertex(p, q), w)
+                    if kept_apart(g, p, q, w):
+                        assert end == product_vertex(walk(g, p, w), walk(g, q, w))
                     else:
-                        assert end_p == product_vertex(end_g, end_h)
+                        assert end is None
 
 
 def test_hat_graph(gm, ev, full1):

@@ -7,7 +7,6 @@ from sofic.graphs import (
     LabeledGraph,
     essentialize,
     is_irreducible,
-    step,
     subset_step,
 )
 from sofic.syncwords import (
@@ -173,7 +172,7 @@ def test_separating_word_accepts_empty_and_nonessential_second(gm):
     w = separating_word(gm, nonessential)
     assert w is not None
     assert subset_step(nonessential, nonessential.vertices, w) == frozenset()
-    assert step(gm, "A", w) is not None
+    assert subset_step(gm, {"A"}, w)
 
 
 def test_separating_word_requires_irreducible_first(fig1, gm):
