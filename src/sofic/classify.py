@@ -14,7 +14,8 @@ universality and irreducibility shortcuts valid for synchronizing
 presentations.  Isomorphism and equality refine the disjoint union of
 their inputs once, building neither the union nor a quotient; the
 finite-type test (and exact irreducibility) reads the quotient as target
-lists over class ids.
+lists over class ids, and universality separates the target lists of the
+one-vertex full shift from the input's.  No decider here builds a graph.
 """
 
 from dataclasses import dataclass
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 from .errors import NotFollowerSeparatedError, NotSftError, NotSynchronizingError
 from .graphs import (
     LabeledGraph,
-    alphabet,
-    irreducible_components,
+    is_irreducible,
     strong_components,
     _require_deterministic,
     _require_essential,
 )
-from .syncwords import is_synchronizing, separating_word
+from .syncwords import is_synchronizing, _separating
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class FollowerPartition:
                 return block
         raise KeyError(v)
 
-    @property
-    def is_separated(self):
-        return all(len(block) == 1 for block in self.classes)
-
 
 def _blocks(*graphs):
     """Follower-class ids of the disjoint union of deterministic `graphs`.
@@ -54,7 +50,8 @@ def _blocks(*graphs):
     Vertex i of a graph is index i plus the sizes of the graphs before
     it; the sink is the last index.  Refines {sink} / rest by successor
     signatures until stable, so two indices share an id exactly when
-    every word is readable from both or from neither.
+    every word is readable from both or from neither.  Ids come in
+    first-member order, so the sink's, the last, is the class count.
     """
     views = [g._compiled() for g in graphs]
     n = sum(len(view.index) for view in views)
@@ -91,7 +88,6 @@ def _quotient(g):
     of each class or -1; class ids come in first-member order.
     """
     block = _blocks(g)
-    # the sink's class id, the last one given, is the class count
     n = block[-1]
     quotient = []
     for targets in g._compiled().targets.values():
@@ -124,7 +120,8 @@ def follower_partition(g):
 
 def is_follower_separated(g):
     """Returns True iff distinct vertices of `g` have distinct follower sets."""
-    return follower_partition(g).is_separated
+    _require_deterministic(g)
+    return _blocks(g)[-1] == len(g.vertices)
 
 
 def follower_separation(g):
@@ -185,6 +182,15 @@ def are_isomorphic(g, h):
     return {v: partner[b] for v, b in zip(g.vertices, block)}
 
 
+def _require_sync(*graphs):
+    """Raises unless every graph is synchronizing, then unless every one is essential."""
+    for g in graphs:
+        if not is_synchronizing(g):
+            raise NotSynchronizingError("input is not a synchronizing presentation")
+    for g in graphs:
+        _require_essential(g)
+
+
 def equal_sync(g, h):
     """Returns True iff two synchronizing presentations present the same shift.
 
@@ -204,11 +210,7 @@ def equal_sync(g, h):
     NotSynchronizingError
     NotEssentialError
     """
-    for side in (g, h):
-        if not is_synchronizing(side):
-            raise NotSynchronizingError("input is not a synchronizing presentation")
-    _require_essential(g)
-    _require_essential(h)
+    _require_sync(g, h)
     block, n = _blocks(g, h), len(g.vertices)
     return set(block[:n]) == set(block[n:-1])
 
@@ -227,9 +229,7 @@ def is_sft_sync(g):
     NotSynchronizingError
     NotEssentialError
     """
-    if not is_synchronizing(g):
-        raise NotSynchronizingError("input is not a synchronizing presentation")
-    _require_essential(g)
+    _require_sync(g)
     n, quotient = _quotient(g)
     # hat-graph vertex (i, j), i != j, is index i * n + j
     succ = [[] for _ in range(n * n)]
@@ -271,18 +271,16 @@ def is_irreducible_shift_sync(g):
     NotSynchronizingError
     NotEssentialError
     """
-    if not is_synchronizing(g):
-        raise NotSynchronizingError("input is not a synchronizing presentation")
-    _require_essential(g)
-    return len(irreducible_components(g)) <= 1
+    _require_sync(g)
+    return is_irreducible(g)
 
 
 def is_universal(g):
     """Returns True iff `g` presents the full shift over its own alphabet.
 
-    Builds the one-vertex presentation of the full shift and asks for a
-    word separating it from `g`; no separating word means every word is
-    in the language of `g`.
+    Searches for a word separating the one-vertex presentation of the
+    full shift, which reads every label of `g` in place, from `g`; no
+    separating word means every word is in the language of `g`.
 
     Parameters
     ----------
@@ -297,5 +295,5 @@ def is_universal(g):
     _require_essential(g)
     if not g.vertices:
         return True
-    full = LabeledGraph(edges=[("full", a, "full") for a in alphabet(g)])
-    return separating_word(full, g) is None
+    tables = {a: ((0,), t) for a, t in g._compiled().targets.items()}
+    return _separating(tables, 0, set(range(len(g.vertices)))) is None

@@ -70,9 +70,8 @@ shared 2-core VM); a chunk width chosen by size would be one more knob.
 
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists
-of each candidate.  The one exception is minimality for k = 1, which asks
-:func:`~sofic.classify.is_universal` and so builds the one-vertex full
-shift.
+of each candidate, or for k = 1 on those of the one-vertex full shift
+(see :func:`~sofic.classify.is_universal`).
 
 Every search is guarded by a cap and raises :class:`CapExceededError`
 when an instance grows past desk scale.

@@ -149,8 +149,21 @@ def parse_one(text, expect=None):
     return docs[0]
 
 
+def _check_tokens(tokens):
+    """Raises ValueError unless each of `tokens` reads back as one token."""
+    tokens = list(map(str, tokens))
+    joined = "".join(tokens)
+    if all(tokens) and "#" not in joined and joined.split() == [joined]:
+        return
+    bad = next(t for t in tokens if not t or "#" in t or t.split() != [t])
+    raise ValueError(f"cannot render {bad!r}: empty, or holds whitespace or '#'")
+
+
 def render(docs):
-    """Renders one document or an iterable of documents in canonical form."""
+    """Renders one document or an iterable of documents in canonical form.
+
+    Raises ValueError on a name that would not read back as itself.
+    """
     if isinstance(docs, GraphDocument):
         docs = (docs,)
     chunks = []
@@ -162,6 +175,7 @@ def render(docs):
         else:
             vertices = value.states
             edges = sorted((q, a, t) for (q, a), t in value.delta.items())
+        _check_tokens([doc.name, *vertices, *sorted({a for _, a, _ in edges})])
         lines.extend(f"vertex {v}" for v in vertices)
         if doc.kind == "dfa":
             lines.append(f"start {value.start}")

@@ -15,9 +15,11 @@ A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use.  The name accessors
 (membership, ``out_edges``, ``successors``, ``out_labels``) read that
 view, and searches never run over names: every search shares the view,
-through the one SCC routine :func:`strong_components` and the
-parent-pointer search :func:`shortest_word` (the exact deciders' subset
-searches run their own over packed masks, see :mod:`sofic.exact`).  A
+through the one SCC routine :func:`strong_components` (flagged as initial
+or terminal index sets by :func:`_components`) and the parent-pointer
+search :func:`shortest_word` (the exact deciders' subset searches run
+their own over packed masks, see :mod:`sofic.exact`).  Names come back
+only at the name-level API, such as :func:`irreducible_components`.  A
 search that completes a graph with an absorbing sink gives the sink
 index n, which a list of n + 1 entries also answers at the undefined
 target -1; no sink graph is built.
@@ -25,6 +27,7 @@ target -1; no sink graph is built.
 
 from collections import deque
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -253,25 +256,12 @@ def subset_step(g, s, w):
     return frozenset(g.vertices[i] for i in current)
 
 
-class Component(tuple):
+class Component(NamedTuple):
     """One irreducible component: a frozenset of vertices plus side flags."""
 
-    __slots__ = ()
-
-    def __new__(cls, vertices, initial, terminal):
-        return super().__new__(cls, (frozenset(vertices), initial, terminal))
-
-    @property
-    def vertices(self):
-        return self[0]
-
-    @property
-    def initial(self):
-        return self[1]
-
-    @property
-    def terminal(self):
-        return self[2]
+    vertices: frozenset
+    initial: bool
+    terminal: bool
 
     def __repr__(self):
         return (
@@ -285,7 +275,7 @@ def irreducible_components(g):
 
     A component is initial when no edge enters it from another component,
     and terminal when no edge leaves it.  Components are returned sorted
-    by their smallest vertex.
+    by their smallest vertex: :func:`_components`, named.
 
     Examples
     --------
@@ -293,26 +283,22 @@ def irreducible_components(g):
     >>> irreducible_components(g)
     (Component(['a'], initial=True, terminal=False), Component(['b'], initial=False, terminal=True))
     """
-    view = g._compiled()
-    comps = strong_components(view.succ)
-    comp_of = [0] * len(g.vertices)
-    for cid, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = cid
-    initial = [True] * len(comps)
-    terminal = [True] * len(comps)
-    for i, succ in enumerate(view.succ):
-        for j in succ:
-            a, b = comp_of[i], comp_of[j]
-            if a != b:
-                initial[b] = False
-                terminal[a] = False
-    result = [
-        Component((g.vertices[i] for i in comp), initial[cid], terminal[cid])
-        for cid, comp in enumerate(comps)
-    ]
-    result.sort(key=lambda c: min(c.vertices))
-    return tuple(result)
+    return tuple(
+        Component(frozenset([g.vertices[i] for i in comp]), initial, terminal)
+        for comp, initial, terminal in _components(g._compiled().succ)
+    )
+
+
+def _components(succ):
+    """The strong components of ``succ`` as (index set, initial, terminal)
+    triples, sorted by smallest index; see :func:`irreducible_components`."""
+    comps = strong_components(succ)
+    comp_of = {i: cid for cid, comp in enumerate(comps) for i in comp}
+    crossing = {(comp_of[i], comp_of[j]) for i, js in enumerate(succ) for j in js}
+    left = {a for a, b in crossing if a != b}
+    entered = {b for a, b in crossing if a != b}
+    flagged = [(set(c), cid not in entered, cid not in left) for cid, c in enumerate(comps)]
+    return sorted(flagged, key=lambda c: min(c[0]))
 
 
 def strong_components(succ):
@@ -367,19 +353,6 @@ def strong_components(succ):
     return comps
 
 
-def paired_targets(g, h):
-    """Each label of `g` or `h`, in sorted order, mapped to its targets in both.
-
-    A label missing from one graph is undefined (-1) on all its vertices.
-    """
-    gv, hv = g._compiled(), h._compiled()
-    none_g, none_h = (-1,) * len(g.vertices), (-1,) * len(h.vertices)
-    return {
-        a: (gv.targets.get(a, none_g), hv.targets.get(a, none_h))
-        for a in sorted(set(gv.labels) | set(hv.labels))
-    }
-
-
 def shortest_word(starts, labels, successors, goal, cap=None, what=None):
     """A shortest word leading from one of `starts` to a state meeting `goal`.
 
@@ -429,7 +402,7 @@ def shortest_word(starts, labels, successors, goal, cap=None, what=None):
 
 def is_irreducible(g):
     """Returns True iff `g` is strongly connected (at most one component)."""
-    return len(irreducible_components(g)) <= 1
+    return len(strong_components(g._compiled().succ)) <= 1
 
 
 def induced_subgraph(g, p):

@@ -8,9 +8,10 @@ containment when the first graph is irreducible.  The third combines the
 two to recognize synchronizing presentations: every initial irreducible
 component must synchronize internally and be separable from the rest of
 the graph.  A constructive variant produces, for a synchronizing
-presentation, a word synchronizing to any requested vertex.  Each search
-runs on index sets of a compiled view, a component's through targets
-masked to it, so none builds a subgraph.
+presentation, a word synchronizing to any requested vertex.  Every
+search, components included, runs on index sets of a compiled view from
+input to answer, a component's through targets masked to it; names are
+read only to find the arguments' indices.
 
 All "choose any" points are resolved by the sorted order on vertex names
 and labels, and all witness searches are breadth-first, so outputs are
@@ -19,13 +20,12 @@ shortest-per-stage and reproducible.
 
 from .errors import NotIrreducibleError, NotSynchronizingError, SameVertexError
 from .graphs import (
-    irreducible_components,
-    paired_targets,
+    is_irreducible,
     reachable_indices,
     shortest_word,
+    _components,
     _require_deterministic,
 )
-from .products import find_word_to
 
 
 def _pair_word(targets, p, q):
@@ -78,6 +78,16 @@ def _separating(tables, p, live):
     return word, p
 
 
+def _path(targets, p, q):
+    """A shortest word leading from index p to index q along `targets`."""
+    rows = targets.values()
+
+    def successors(v):
+        return [t[v] if t[v] >= 0 else None for t in rows]
+
+    return shortest_word([p], tuple(targets), successors, lambda v: v == q)
+
+
 def pair_synchronizing_word(g, p, q):
     """A shortest word w with ``|{p, q} . w| == 1``, or None.
 
@@ -123,7 +133,7 @@ def synchronizing_word_irreducible(g):
     _require_deterministic(g)
     if not g.vertices:
         raise NotIrreducibleError("the empty graph has no synchronizing-word search")
-    if len(irreducible_components(g)) != 1:
+    if not is_irreducible(g):
         raise NotIrreducibleError("graph is not strongly connected")
     found = _sync_word(g._compiled().targets, set(range(len(g.vertices))))
     return None if found is None else found[0]
@@ -156,25 +166,38 @@ def separating_word(g, h):
     _require_deterministic(h)
     if not g.vertices:
         raise NotIrreducibleError("the first argument must be nonempty")
-    if len(irreducible_components(g)) != 1:
+    if not is_irreducible(g):
         raise NotIrreducibleError("the first argument must be strongly connected")
-    found = _separating(paired_targets(g, h), 0, set(range(len(h.vertices))))
+    # a label of h alone kills g at once, so g's labels are all the search needs
+    hv, none = h._compiled(), (-1,) * len(h.vertices)
+    tables = {a: (t, hv.targets.get(a, none)) for a, t in g._compiled().targets.items()}
+    found = _separating(tables, 0, set(range(len(h.vertices))))
     return None if found is None else found[0]
 
 
-def _initial_components(g):
-    """Yields each initial component's index set, g's targets masked to it
-    (-1 outside), and those paired with g's own: no edge enters it."""
+def _component_words(g):
+    """Each initial component's index set, synchronizing word and
+    separating word, each word with the index it ends on; None when a
+    component lacks either.  Both searches read g's targets masked to
+    the component, which no edge enters.
+    """
     view = g._compiled()
-    for comp in irreducible_components(g):
-        if comp.initial:
-            inside = {view.index[v] for v in comp.vertices}
-            targets = {
-                a: tuple([j if j in inside else -1 for j in t])
-                for a, t in view.targets.items()
-            }
-            tables = {a: (targets[a], t) for a, t in view.targets.items()}
-            yield inside, targets, tables
+    everything = set(range(len(view.succ)))
+    found = []
+    for inside, initial, _ in _components(view.succ):
+        if not initial:
+            continue
+        targets = {
+            a: tuple([j if j in inside else -1 for j in t])
+            for a, t in view.targets.items()
+        }
+        sync = _sync_word(targets, inside)
+        tables = {a: (targets[a], t) for a, t in view.targets.items()}
+        separation = sync and _separating(tables, min(inside), everything - inside)
+        if not separation:
+            return None
+        found.append((inside, sync, separation))
+    return found
 
 
 def is_synchronizing(g):
@@ -190,13 +213,7 @@ def is_synchronizing(g):
     NotDeterministicError
     """
     _require_deterministic(g)
-    everything = set(range(len(g.vertices)))
-    for inside, targets, tables in _initial_components(g):
-        if _sync_word(targets, inside) is None:
-            return False
-        if _separating(tables, min(inside), everything - inside) is None:
-            return False
-    return True
+    return _component_words(g) is not None
 
 
 def sync_word_to_vertex(g, r):
@@ -214,22 +231,18 @@ def sync_word_to_vertex(g, r):
     Raises
     ------
     UnknownVertexError
+    NotDeterministicError
     NotSynchronizingError
     """
-    g._require_vertex(r)
-    if not is_synchronizing(g):
+    r = g._require_vertex(r)
+    _require_deterministic(g)
+    found = _component_words(g)
+    if found is None:
         raise NotSynchronizingError("graph is not a synchronizing presentation")
     view = g._compiled()
-    inside, targets, tables = next(
-        comp
-        for comp in _initial_components(g)
-        if view.index[r] in reachable_indices(view.succ, comp[0])
+    inside, (sync, focused), (separator, landing) = next(
+        words for words in found if r in reachable_indices(view.succ, words[0])
     )
-    names = g.vertices
-    sync, focused = _sync_word(targets, inside)
-    start = min(inside)
-    separator, landing = _separating(tables, start, set(range(len(names))) - inside)
     # a shortest path between two vertices of a component stays in it
-    connector = find_word_to(g, {names[focused]}, lambda v: v == names[start])
-    tail = find_word_to(g, {names[landing]}, lambda v: v == r)
-    return sync + connector + separator + tail
+    connector = _path(view.targets, focused, min(inside))
+    return sync + connector + separator + _path(view.targets, landing, r)

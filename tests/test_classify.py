@@ -19,7 +19,8 @@ from sofic.errors import (
     NotSftError,
     NotSynchronizingError,
 )
-from sofic.graphs import LabeledGraph, essentialize
+from sofic.exact import decide_minimality
+from sofic.graphs import EMPTY, LabeledGraph, essentialize
 from sofic.syncwords import is_synchronizing
 
 from .oracles import (
@@ -186,6 +187,8 @@ def test_sync_deciders_build_no_graph(monkeypatch):
         equal_sync(g, h)
         equal_sync(g, g)
         is_irreducible_shift_sync(g)
+        is_universal(g)
+        decide_minimality(g, 1)
     assert built == []
     assert any(sft) and not all(sft)
 
@@ -193,6 +196,7 @@ def test_sync_deciders_build_no_graph(monkeypatch):
 def test_is_universal(full1, gm):
     assert is_universal(full1)
     assert not is_universal(gm)
+    assert is_universal(EMPTY) is True
     from sofic.constructions import Dfa, reduction_sft
 
     all_accepting = Dfa(["s"], ["a"], {("s", "a"): "s"}, "s", ["s"])

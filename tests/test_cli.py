@@ -109,10 +109,13 @@ def test_sync_commands_reject_nonessential(tmp_path, capsys):
         assert code == 2 and "stranded" in err
 
 
-def test_has_sdp_universal_minimal(capsys):
+def test_has_sdp_universal_minimal(tmp_path, capsys):
     assert run(capsys, "has-sdp", fixture("fig1.sg"))[0] == 0
     assert run(capsys, "universal", fixture("full1.sg"))[0] == 0
     assert run(capsys, "universal", fixture("gm.sg"))[0] == 1
+    empty = tmp_path / "empty.sg"
+    empty.write_text("graph E\n")
+    assert run(capsys, "universal", str(empty))[0] == 0
     assert run(capsys, "minimal", fixture("gm.sg"), "--k", "1")[0] == 1
     assert run(capsys, "minimal", fixture("gm.sg"), "--k", "2")[0] == 0
 

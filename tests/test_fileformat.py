@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from sofic.constructions import MultiEntryDfa, family_mik
+from sofic.constructions import Dfa, MultiEntryDfa, family_mik
 from sofic.errors import DuplicateVertexError, ParseError
 from sofic.fileformat import (
     dfa_document,
@@ -106,3 +106,42 @@ def test_empty_graph_document():
     doc = parse_one("graph EMPTY\n")
     assert doc.value == LabeledGraph()
     assert parse(render(doc)) == (doc,)
+
+
+def _two_state_dfa(p, q):
+    return Dfa([p, q], ["x"], {(p, "x"): q, (q, "x"): p}, p, [q])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        graph_document("G", LabeledGraph(edges=[("a#b", "x", "a#b")])),
+        graph_document("G", LabeledGraph(edges=[("a", "x#", "a")])),
+        graph_document("G#1", LabeledGraph(edges=[("a", "x", "a")])),
+        graph_document("two words", LabeledGraph(edges=[("a", "x", "a")])),
+        graph_document("", LabeledGraph(edges=[("a", "x", "a")])),
+        dfa_document("D", _two_state_dfa("p q", "r")),
+        dfa_document("D", _two_state_dfa("p", "")),
+        dfa_document("D", _two_state_dfa("p", "#r")),
+        medfa_document(
+            "N",
+            MultiEntryDfa(
+                ["p", "q\tr"], ["x"], {("p", "x"): "p", ("q\tr", "x"): "p"}, ["q\tr"], []
+            ),
+        ),
+    ],
+)
+def test_render_rejects_names_that_do_not_read_back(doc):
+    with pytest.raises(ValueError, match="cannot render"):
+        render(doc)
+
+
+def test_render_round_trips_punctuated_names():
+    docs = (
+        graph_document(
+            "G-1",
+            LabeledGraph(edges=[("(a|b)", "x.y", "a\\b"), ("a\\b", "x.y", "(a|b)")]),
+        ),
+        dfa_document("D_2", _two_state_dfa("m0_q0", "m0_q1")),
+    )
+    assert parse(render(docs)) == docs
