@@ -3,8 +3,8 @@
 The package splits along what is feasible where:
 
 * :mod:`sofic.graphs` -- the labeled-multigraph carrier, the transition
-  action on vertex sets, and the compiled integer view, SCC routine and
-  BFS every search uses;
+  action on vertex sets, the compiled integer view, the SCC routine and
+  a BFS (the exact subset searches use ``exact._word_search`` instead);
 * :mod:`sofic.products` -- sink-completion and the hat graph (named
   graphs for display and tests);
 * :mod:`sofic.syncwords` -- polynomial algorithms for irreducible and

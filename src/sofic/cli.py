@@ -33,6 +33,8 @@ from .graphs import (
 )
 
 SCHEMA_VERSION = "1"
+# family_mik(k) takes O(k**2) time; padded_family_gn(n) builds family_mik((n - 6) // 5)
+MAX_FAMILY_K = 64
 
 
 def _read(path):
@@ -224,6 +226,8 @@ def cmd_gen(args):
     if kind == "mik":
         if args.k is None:
             raise SoficError("gen mik needs --k")
+        if args.k > MAX_FAMILY_K:
+            raise SoficError(f"gen mik --k must be at most {MAX_FAMILY_K}")
         docs = [
             fileformat.dfa_document(f"M{i}", dfa)
             for i, dfa in enumerate(family_mik(args.k))
@@ -231,6 +235,8 @@ def cmd_gen(args):
     elif kind == "padded":
         if args.n is None:
             raise SoficError("gen padded needs --n")
+        if (args.n - 6) // 5 > MAX_FAMILY_K:
+            raise SoficError(f"gen padded --n must be at most {6 + 5 * MAX_FAMILY_K + 4}")
         docs = [fileformat.graph_document(f"G{args.n}", padded_family_gn(args.n))]
     elif kind == "red-irred":
         g, h = reduction_irred(_dfas(args))

@@ -39,8 +39,8 @@ seed-1 DFA-battery benchmark pass from 110 to 156 ms.)  Whether an
 element r is intrinsically synchronizing depends only on its left-image
 set L(r), the set of nonzero ranges ``ran(S;r)`` over all elements S.
 L(identity) is the set of nonzero ranges, and L(p;c) is L(p) imaged
-under the letter c, less 0.  So the L-sets are interned per monoid and
-worked out lazily down the witness chains of the elements tested: each
+under the letter c, less 0.  So the L-sets are kept like the ranges, one
+per element id, worked out in id order up to the element tested; each
 distinct set is imaged once per label, by lookups in the automaton, and
 judged once, however many elements share it.
 
@@ -237,13 +237,10 @@ class ActionMonoid:
         self._full = (1 << n) - 1
         # per element id its range mask
         self._rans = [self._full]  # the identity reaches every vertex
-        # left-image sets, interned: element -> set id, and per set id
-        # the set, its step per label and its verdict (None until asked)
-        self._left = {}
-        self._left_ids = {}
-        self._left_sets = []
-        self._left_steps = []
-        self._verdicts = []
+        # per element id its L-set, per (L-set, label) its image, per L-set its verdict
+        self._lefts = []
+        self._images = {}
+        self._verdicts = {}
 
     @property
     def size(self):
@@ -370,52 +367,32 @@ class ActionMonoid:
         ``dom T & ran r``, where ``ran r`` is the largest member (S the
         identity).  It is worked out once per distinct L-set.
         """
-        lid = self._left_set(k)
-        verdict = self._verdicts[lid]
+        left = self._left_sets(k)[k]
+        verdict = self._verdicts.get(left)
         if verdict is None:
-            left = self._left_sets[lid]
             ran_r = max(left, default=0)
-            values = {right & ran_r for right in self._prepare()[0]}
-            values.discard(0)
-            verdict = all(x & v for x in left for v in values)
-            self._verdicts[lid] = verdict
+            values = {right & ran_r for right in self._prepare()[0]} - {0}
+            verdict = self._verdicts[left] = all(x & v for x in left for v in values)
         return verdict
 
-    def _left_set(self, k):
-        """The id of the interned L-set of element k.
+    def _left_sets(self, k):
+        """Per element id, up to element k at least, its L-set.
 
-        When ``_parents[k] == (p, c)``, L(k) is L(p) imaged under the
-        letter c, less 0.  Ids are worked out down the witness chain from
-        the nearest element already known, with one image per distinct
-        (L-set, label) pair.  L(identity) is the set of nonzero ranges.
+        L(identity) is the set of nonzero ranges, and when ``_parents[j]
+        == (p, c)``, L(j) is L(p) imaged under the letter c, less 0; each
+        distinct (L-set, label) pair is imaged once.
         """
-        steps, n, full = self._prepare()[1], len(self.graph.vertices), self._full
-        left = self._left
-        if not left:
-            left[0] = self._intern(frozenset(steps) - {0})
-        chain = []
-        while k not in left:
-            chain.append(k)
-            k = self._parents[k][0]
-        lid = left[k]
-        for j in reversed(chain):
-            c = self._parents[j][1]
-            known = self._left_steps[lid]
-            if known[c] is None:
-                image = {steps[x] >> c * n & full for x in self._left_sets[lid]}
-                image.discard(0)
-                known[c] = self._intern(frozenset(image))
-            lid = left[j] = known[c]
-        return lid
-
-    def _intern(self, left):
-        """The id of the L-set `left`, a frozenset of masks, given on first sight."""
-        lid = self._left_ids.setdefault(left, len(self._left_sets))
-        if lid == len(self._left_sets):
-            self._left_sets.append(left)
-            self._left_steps.append([None] * len(self._generators))
-            self._verdicts.append(None)
-        return lid
+        lefts, images = self._lefts, self._images
+        if len(lefts) <= k:
+            steps, n, full = self._prepare()[1], len(self.graph.vertices), self._full
+            if not lefts:
+                lefts.append(frozenset(steps) - {0})
+            for p, c in self._parents[len(lefts):k + 1]:
+                key = lefts[p], c
+                if key not in images:
+                    images[key] = frozenset(steps[x] >> c * n & full for x in key[0]) - {0}
+                lefts.append(images[key])
+        return lefts
 
 
 def action_monoid(g, cap=None):
@@ -865,18 +842,21 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):
-    """Whether the shift presented by `g` has a k-vertex deterministic presentation.
+    """Whether `g`'s shift has a deterministic presentation on at most k vertices.
 
-    For ``k >= |Q|`` the answer is yes (superfluous vertices can always
-    be added); ``k == 1`` asks whether the shift is full.  In between,
-    all essential deterministic candidates with exactly k vertices over
-    the alphabet of `g` are searched, pruned by the candidate's one- and
-    two-letter language, and survivors are checked with the exact
-    equality decider.  A candidate is one target list per label, each
-    with its domain and range masks: the pruning tests whether a range
-    meets a domain, essentiality whether the domains and the ranges each
-    cover every vertex, and equality reads one packed table of the union
-    of `g` and the candidate, g's part laid out once per call.
+    For ``k >= |Q|`` `g` itself is one; ``k == 1`` asks whether the shift
+    is full.  In between, for j = 2 .. k, all essential deterministic
+    candidates with exactly j vertices over the alphabet of `g` are
+    searched, pruned by the candidate's one- and two-letter language, and
+    survivors are checked with the exact equality decider.  (A j-cycle on
+    one label with loops on the rest presents the full shift.  Exactly j
+    vertices is not monotone in j: the 4-cycle labeled abab has essential
+    presentations on 2 and 4 vertices but none on 3.)  A candidate is one
+    target list per label, each with its domain and range masks: the
+    pruning tests whether a range meets a domain, essentiality whether
+    the domains and the ranges each cover every vertex, and equality
+    reads one packed table of the union of `g` and the candidate, g's
+    part laid out once per j.
 
     Parameters
     ----------
@@ -892,15 +872,20 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     _require(g)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    n = len(g.vertices)
-    if k >= n:
+    if k >= len(g.vertices):
         return True
     if k == 1:
         return is_universal(g)
-    sigma = alphabet(g)
-    count = (k + 1) ** (k * len(sigma))
+    count = (k + 1) ** (k * len(alphabet(g)))
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
+    return any(_presented_on(g, j, caps) for j in range(2, k + 1))
+
+
+def _presented_on(g, k, caps):
+    """Whether an essential candidate on exactly k vertices presents g's shift."""
+    n = len(g.vertices)
+    sigma = alphabet(g)
 
     # a label's options are the partial functions on k vertices with at
     # least one edge (every alphabet letter must occur), with their domain

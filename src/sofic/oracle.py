@@ -7,7 +7,10 @@ the modules it checks; speed is explicitly not a goal.
 
 from collections import deque
 
+from .errors import CapExceededError
+
 MAX_LANGUAGE_DEPTH = 14
+MAX_LANGUAGE_WORDS = 2**17
 
 
 def _edge_map(g):
@@ -22,7 +25,8 @@ def language_upto(g, depth):
 
     A word is in the language when the whole-vertex-set image under it
     is nonempty.  Includes the empty word whenever the graph is
-    nonempty.  `depth` is capped at 14 to bound the stored word set.
+    nonempty.  `depth` is capped at 14, and the stored word set at
+    ``MAX_LANGUAGE_WORDS`` words, past which CapExceededError is raised.
 
     Parameters
     ----------
@@ -45,6 +49,8 @@ def language_upto(g, depth):
     while stack:
         subset, word = stack.pop()
         words.add(word)
+        if len(words) > MAX_LANGUAGE_WORDS:
+            raise CapExceededError(len(words), "language word count")
         if len(word) == depth:
             continue
         for a in labels:

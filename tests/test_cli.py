@@ -1,5 +1,8 @@
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from sofic.cli import main
 from sofic.fileformat import parse
@@ -219,3 +222,29 @@ def test_missing_file_exit_code(capsys):
 def test_bad_k_exit_code(capsys):
     code, _, err = run(capsys, "minimal", fixture("gm.sg"), "--k", "0")
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "lang", "FULL4", "--max-len", "14"], "language word count"),
+        (["gen", "mik", "--k", "1000000"], "at most 64"),
+        (["gen", "mik", "--k", "65"], "at most 64"),
+        (["gen", "padded", "--n", "10000000"], "at most 330"),
+        (["gen", "padded", "--n", "331"], "at most 330"),
+    ],
+    ids=["lang-full4", "mik-huge", "mik-65", "padded-huge", "padded-331"],
+)
+def test_oversized_requests_exit_2_quickly(tmp_path, capsys, argv, message):
+    full4 = tmp_path / "full4.sg"
+    full4.write_text("graph FULL4\nvertex v\n" + "".join(f"edge v {a} v\n" for a in "abcd"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[str(full4) if a == "FULL4" else a for a in argv])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and message in err
+
+
+def test_gen_largest_padded_member(capsys):
+    code, out, _ = run(capsys, "gen", "padded", "--n", "330")
+    assert code == 0
+    assert len(parse(out)[0].value.vertices) == 330

@@ -20,14 +20,16 @@ import pytest
 from sofic.constructions import Dfa, padded_family_gn, reduction_irred, reduction_sft
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
+    DEFAULT_CAPS,
     ActionMonoid,
+    _presented_on,
     action_monoid,
     decide_equality,
     decide_irreducibility,
     decide_minimality,
     decide_sft,
 )
-from sofic.graphs import EMPTY, LabeledGraph, essentialize
+from sofic.graphs import EMPTY, LabeledGraph, alphabet, essentialize
 
 from .oracles import (
     named_minimality,
@@ -265,12 +267,37 @@ def minimality_inputs():
 
 
 def test_minimality_matches_named_candidates():
+    # decide_minimality asks for at most k vertices, the oracle for exactly k
     answers = []
     for g in minimality_inputs():
+        named = False
         for k in minimality_ks(g):
-            answers.append(named_minimality(g, k))
-            assert decide_minimality(g, k) == answers[-1], (g, k)
+            named = named or named_minimality(g, k)
+            answers.append(named)
+            assert decide_minimality(g, k) == named, (g, k)
     assert any(answers) and not all(answers)
+    # no essential 3-vertex candidate presents TWO_CYCLES' shift
+    assert not named_minimality(TWO_CYCLES, 3)
+    assert not _presented_on(TWO_CYCLES, 3, DEFAULT_CAPS)
+    assert decide_minimality(TWO_CYCLES, 3)
+
+
+# the orbit of (ab)^inf on 4 vertices: essential presentations of it
+# have an even number of vertices
+AB_FOUR_CYCLE = LabeledGraph(
+    edges=[("p", "a", "q"), ("q", "b", "r"), ("r", "a", "s"), ("s", "b", "p")]
+)
+
+
+def test_minimality_is_monotone_in_k():
+    assert [decide_minimality(AB_FOUR_CYCLE, k) for k in range(1, 7)] == [
+        False, True, True, True, True, True
+    ]
+    assert [_presented_on(AB_FOUR_CYCLE, k, DEFAULT_CAPS) for k in (2, 3)] == [True, False]
+    for g in minimality_inputs():
+        if len(g.vertices) <= 4 and len(alphabet(g)) <= 2:
+            answers = [decide_minimality(g, k) for k in range(1, len(g.vertices) + 1)]
+            assert answers == sorted(answers), g
 
 
 # ----------------------------------------------------------- no graphs

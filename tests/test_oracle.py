@@ -3,8 +3,10 @@ import random
 import pytest
 
 from sofic.constructions import Dfa, family_mik
+from sofic.errors import CapExceededError
 from sofic.graphs import LabeledGraph, essentialize
 from sofic.oracle import (
+    MAX_LANGUAGE_WORDS,
     dfa_intersection_shortest,
     dfa_union_universal,
     is_word_synchronizing,
@@ -31,6 +33,18 @@ def test_language_upto_depth_cap(gm):
         language_upto(gm, 15)
     with pytest.raises(ValueError):
         language_upto(gm, -1)
+
+
+def test_language_upto_word_cap():
+    def full(labels):
+        return LabeledGraph(edges=[("v", a, "v") for a in labels])
+
+    # 9841 words, as many as any caller in this package stores
+    assert len(language_upto(full("abc"), 8)) == 9841
+    # 349525 words up to length 9
+    with pytest.raises(CapExceededError) as info:
+        language_upto(full("abcd"), 9)
+    assert info.value.count == MAX_LANGUAGE_WORDS + 1
 
 
 def test_language_upto_matches_naive_enumeration():
