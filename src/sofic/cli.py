@@ -72,10 +72,10 @@ def _two_graphs(args):
     return docs[0].value, docs[1].value
 
 
-def _dfas(args):
+def _dfas(args, reader="generator"):
     docs = _load_docs(args.files)
     if any(doc.kind != "dfa" for doc in docs):
-        raise SoficError("this generator expects dfa documents only")
+        raise SoficError(f"this {reader} expects dfa documents only")
     return [doc.value for doc in docs]
 
 
@@ -238,12 +238,12 @@ def cmd_gen(args):
         if (args.n - 6) // 5 > MAX_FAMILY_K:
             raise SoficError(f"gen padded --n must be at most {6 + 5 * MAX_FAMILY_K + 4}")
         docs = [fileformat.graph_document(f"G{args.n}", padded_family_gn(args.n))]
-    elif kind == "red-irred":
-        g, h = reduction_irred(_dfas(args))
-        docs = [fileformat.graph_document("G", g), fileformat.graph_document("H", h)]
-    elif kind == "red-sft":
-        g, h = reduction_sft(_dfas(args))
-        docs = [fileformat.graph_document("G", g), fileformat.graph_document("H", h)]
+    elif kind in ("red-irred", "red-sft"):
+        reduction = reduction_irred if kind == "red-irred" else reduction_sft
+        docs = [
+            fileformat.graph_document(name, graph)
+            for name, graph in zip("GH", reduction(_dfas(args)))
+        ]
     elif kind == "red-sync":
         docs = [fileformat.graph_document("G", reduction_sync(_dfas(args)))]
     else:  # sdp-blowup
@@ -263,10 +263,7 @@ def cmd_oracle(args):
         for w in words:
             print(_word(w))
         return 0
-    docs = _load_docs(args.files)
-    if any(doc.kind != "dfa" for doc in docs):
-        raise SoficError("this oracle expects dfa documents only")
-    dfas = [doc.value for doc in docs]
+    dfas = _dfas(args, "oracle")
     if args.oracle == "dfa-int":
         word = oracle.dfa_intersection_shortest(dfas)
         details = None if word is None else {"length": len(word)}
@@ -284,9 +281,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, files="*", exact=False):
+    def add(name, handler, exact=False):
         p = sub.add_parser(name)
-        p.add_argument("files", nargs=files, help="input files ('-' for stdin)")
+        p.add_argument("files", nargs="*", help="input files ('-' for stdin)")
         p.add_argument("--json", action="store_true")
         if exact:
             p.add_argument("--exact", action="store_true")
@@ -334,11 +331,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    if args.command in ("gen", "oracle"):
-        # argparse fills the selector and the file list from the words
-        # before the first option, so files after an option end up here
-        args.files += [a for a in extra if a == "-" or not a.startswith("-")]
-        extra = [a for a in extra if a != "-" and a.startswith("-")]
+    # argparse fills the file list (after the selector of gen and oracle)
+    # from the words before the first option, so files after one end up here
+    args.files += [a for a in extra if a == "-" or not a.startswith("-")]
+    extra = [a for a in extra if a != "-" and a.startswith("-")]
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

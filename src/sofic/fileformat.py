@@ -37,8 +37,6 @@ class GraphDocument:
 
 def _finish(kind, name, line, vertices, edges, starts, accepting):
     if kind == "graph":
-        if starts or accepting:
-            raise ParseError(line, "graph documents take no start/accept lines")
         return GraphDocument(kind, name, LabeledGraph(vertices=vertices, edges=edges))
     if not starts:
         raise ParseError(line, f"{kind} document {name!r} has no start state")
@@ -52,8 +50,6 @@ def _finish(kind, name, line, vertices, edges, starts, accepting):
         delta[(src, a)] = dst
     try:
         if kind == "dfa":
-            if len(starts) > 1:
-                raise ParseError(line, "dfa documents take a single start state")
             value = Dfa(vertices, sigma, delta, starts[0], accepting)
         else:
             value = MultiEntryDfa(vertices, sigma, delta, starts, accepting)

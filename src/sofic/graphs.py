@@ -18,14 +18,14 @@ view, and searches never run over names: every search shares the view,
 through the one SCC routine :func:`strong_components` (flagged as initial
 or terminal index sets by :func:`_components`) and the parent-pointer
 search :func:`shortest_word` (the exact deciders' subset searches run
-their own over packed masks, see :mod:`sofic.exact`).  Names come back
+their own over packed masks, see :mod:`sofic.exact`, and rebuild words
+with the same :func:`_word_to`).  Names come back
 only at the name-level API, such as :func:`irreducible_components`.  A
 search that completes a graph with an absorbing sink gives the sink
 index n, which a list of n + 1 entries also answers at the undefined
 target -1; no sink graph is built.
 """
 
-from collections import deque
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -373,31 +373,37 @@ def shortest_word(starts, labels, successors, goal, cap=None, what=None):
     >>> shortest_word([0], "a", lambda s: [None if s == 2 else s + 1], lambda s: s == 4)
     """
     parent = {}
-    queue = deque()
+    order = []  # the breadth-first queue
     for state in starts:
         if goal(state):
             return ()
         if state not in parent:
             parent[state] = None
-            queue.append(state)
-    while queue:
-        state = queue.popleft()
-        for a, nxt in zip(labels, successors(state)):
+            order.append(state)
+    for state in order:
+        for c, nxt in enumerate(successors(state)):
             if nxt is None or nxt in parent:
                 continue
             if goal(nxt):
-                word = [a]
-                link = parent[state]
-                while link is not None:
-                    state, label = link
-                    word.append(label)
-                    link = parent[state]
-                return tuple(reversed(word))
+                return _word_to(parent, state, labels) + (labels[c],)
             if cap is not None and len(parent) >= cap:
                 raise CapExceededError(len(parent) + 1, what)
-            parent[nxt] = (state, a)
-            queue.append(nxt)
+            parent[nxt] = (state, c)
+            order.append(nxt)
     return None
+
+
+def _word_to(parent, state, labels):
+    """The word a parent-pointer search spelled to `state`.
+
+    ``parent[s]`` is None for a start and otherwise the (state, label
+    index) pair s was first reached from; `labels` names the indices.
+    """
+    word = []
+    while (link := parent[state]) is not None:
+        state, c = link
+        word.append(labels[c])
+    return tuple(reversed(word))
 
 
 def is_irreducible(g):

@@ -5,12 +5,11 @@ breadth-first or exhaustive search, sharing no traversal machinery with
 the modules it checks; speed is explicitly not a goal.
 """
 
-from collections import deque
-
 from .errors import CapExceededError
 
 MAX_LANGUAGE_DEPTH = 14
 MAX_LANGUAGE_WORDS = 2**17
+MAX_PRODUCT_STATES = 2**18
 
 
 def _edge_map(g):
@@ -62,21 +61,12 @@ def language_upto(g, depth):
     return words
 
 
-def lang_subset_upto(g, h, depth):
-    """Whether every word of `g` up to `depth` is also a word of `h`."""
-    return language_upto(g, depth) <= language_upto(h, depth)
-
-
-def lang_equal_upto(g, h, depth):
-    """Whether `g` and `h` have the same words up to `depth`."""
-    return language_upto(g, depth) == language_upto(h, depth)
-
-
 def dfa_intersection_shortest(dfas):
     """A shortest word accepted by every automaton, or None.
 
-    Breadth-first search on the product state space, expanding labels in
-    sorted order.
+    Breadth-first search with parent pointers on the product state
+    space, expanding labels in sorted order.  Storing more than
+    ``MAX_PRODUCT_STATES`` product states raises CapExceededError.
     """
     if not dfas:
         raise ValueError("need at least one automaton")
@@ -86,19 +76,23 @@ def dfa_intersection_shortest(dfas):
     start = tuple(d.start for d in dfas)
     if all(q in d.accepting for q, d in zip(start, dfas)):
         return ()
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        state, word = queue.popleft()
+    parent = {start: None}
+    queue = [start]
+    for state in queue:
         for a in sigma:
             nxt = tuple(d.delta[(q, a)] for q, d in zip(state, dfas))
-            if nxt in seen:
+            if nxt in parent:
                 continue
-            extended = word + (a,)
+            if len(parent) >= MAX_PRODUCT_STATES:
+                raise CapExceededError(len(parent) + 1, "product state count")
+            parent[nxt] = (state, a)
             if all(q in d.accepting for q, d in zip(nxt, dfas)):
-                return extended
-            seen.add(nxt)
-            queue.append((nxt, extended))
+                word = []
+                while parent[nxt] is not None:
+                    nxt, a = parent[nxt]
+                    word.append(a)
+                return tuple(reversed(word))
+            queue.append(nxt)
     return None
 
 

@@ -45,6 +45,12 @@ def test_follower_partition_examples(fig1, dup_gm, full1):
     assert follower_partition(full1).classes == (frozenset({"v"}),)
 
 
+
+def test_block_of_rejects_a_non_member(fig1):
+    with pytest.raises(KeyError):
+        follower_partition(fig1).block_of("zz")
+
+
 def test_follower_partition_matches_bounded_followers():
     rng = random.Random(41)
     for _ in range(60):

@@ -248,3 +248,48 @@ def test_gen_largest_padded_member(capsys):
     code, out, _ = run(capsys, "gen", "padded", "--n", "330")
     assert code == 0
     assert len(parse(out)[0].value.vertices) == 330
+
+
+def counters(tmp_path, cycles, complemented=False):
+    """A file of one-counter DFAs: `a` advances a cycle of each length, `b`
+    loops, and the last residue accepts (or, complemented, every other).
+
+    Among words in `a` alone, all accept a^k exactly when k + 1 is a
+    multiple of every cycle length, so the shortest common word is a^(L-1)
+    for L the product of the (coprime) lengths, and the product search
+    reaches all its L states before it.
+    """
+    docs = []
+    for m in cycles:
+        accept = [f"r{i}" for i in range(m - 1)] if complemented else [f"r{m - 1}"]
+        lines = [f"dfa C{m}", *(f"vertex r{i}" for i in range(m)), "start r0"]
+        lines.append("accept " + " ".join(accept))
+        for i in range(m):
+            lines += [f"edge r{i} a r{(i + 1) % m}", f"edge r{i} b r{i}"]
+        docs.append("\n".join(lines))
+    path = tmp_path / "counters.sg"
+    path.write_text("\n\n".join(docs) + "\n")
+    return str(path)
+
+
+def test_oracle_product_search_returns_long_witness(tmp_path, capsys):
+    path = counters(tmp_path, (2, 3, 5, 7, 11, 13))
+    code, payload = run_json(capsys, "oracle", "dfa-int", path)
+    assert code == 0
+    assert payload["details"]["length"] == 30029
+    assert payload["witness"] == ["a"] * 30029
+    complemented = counters(tmp_path, (2, 3, 5, 7, 11, 13), complemented=True)
+    code, payload = run_json(capsys, "oracle", "dfa-union", complemented)
+    assert code == 1 and payload["witness"] == ["a"] * 30029
+
+
+@pytest.mark.parametrize(
+    "oracle, complemented", [("dfa-int", False), ("dfa-union", True)]
+)
+def test_oracle_product_search_stops_at_its_bound(tmp_path, capsys, oracle, complemented):
+    path = counters(tmp_path, (2, 3, 5, 7, 11, 13, 17), complemented)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", oracle, path)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert "product state count 262145 exceeds" in err

@@ -1,4 +1,4 @@
-"""`gen` and `oracle` accept their file list before or after the options."""
+"""Every command accepts its files before, between or after the options."""
 
 import io
 import sys
@@ -41,13 +41,36 @@ SAME = [
         ["oracle", "dfa-union", fixture("allacc.sg"), "--json", fixture("allacc.sg")],
         "",
     ),
+    (
+        ["equal", fixture("gm.sg"), fixture("hfig1.sg"), "--exact"],
+        ["equal", fixture("gm.sg"), "--exact", fixture("hfig1.sg")],
+        "",
+    ),
+    (
+        ["subshift", fixture("hfig1.sg"), fixture("fig1.sg"), "--exact", "--json"],
+        ["subshift", "--exact", fixture("hfig1.sg"), "--json", fixture("fig1.sg")],
+        "",
+    ),
+    (
+        ["separate", fixture("full1.sg"), fixture("gm.sg"), "--json"],
+        ["separate", fixture("full1.sg"), "--json", fixture("gm.sg")],
+        "",
+    ),
+    (
+        ["iso", "-", fixture("ev.sg"), "--json"],
+        ["iso", "--json", "-", fixture("ev.sg")],
+        (FIXTURES / "ev.sg").read_text(encoding="utf-8"),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "files_first,options_first,stdin",
     SAME,
-    ids=["lang-dfa", "lang-gm", "lang-json", "padded", "red-sync", "dfa-union"],
+    ids=[
+        "lang-dfa", "lang-gm", "lang-json", "padded", "red-sync", "dfa-union",
+        "equal", "subshift", "separate", "iso",
+    ],
 )
 def test_files_after_options(capsys, monkeypatch, files_first, options_first, stdin):
     expected = run(capsys, monkeypatch, files_first, stdin)

@@ -205,6 +205,12 @@ def test_word_wk():
         assert all(d.accepts(w) for d in family_mik(k))
 
 
+@pytest.mark.parametrize("build", [family_mik, word_wk])
+def test_negative_k_is_rejected(build):
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        build(-1)
+
+
 def test_family_mik_lower_bound():
     for k in range(5):
         assert len(dfa_intersection_shortest(family_mik(k))) == 2**k

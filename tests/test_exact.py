@@ -279,6 +279,10 @@ def test_synchronizing_vertices(fig1, gm, p2):
     assert synchronizing_vertices(p2) == frozenset()
 
 
+def test_empty_shift_is_irreducible():
+    assert decide_irreducibility(LabeledGraph())
+
+
 def test_decide_irreducibility(fig1, gm, p2):
     assert decide_irreducibility(fig1)
     assert decide_irreducibility(gm)

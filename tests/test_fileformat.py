@@ -64,6 +64,38 @@ def test_parse_errors():
         parse("dfa D\nvertex a\nvertex b\nstart a\nedge a x b\n")
 
 
+def parse_as_dfa(text):
+    return parse_one(text, expect="dfa")
+
+
+@pytest.mark.parametrize(
+    "read, text, line, message",
+    [
+        (parse, "graph\n", 1, "graph header needs exactly one name"),
+        (parse, "graph G\ndfa D E\n", 2, "dfa header needs exactly one name"),
+        (parse, "graph G\nvertex a\nstart a\n", 3, "start is only valid in dfa/medfa documents"),
+        (parse, "dfa D\nvertex a\nstart\n", 3, "start takes exactly one name"),
+        (parse, "medfa N\nvertex a\nstart a a\n", 3, "start takes exactly one name"),
+        (parse, "dfa D\nvertex a\nstart b\n", 3, "unknown start vertex 'b'"),
+        (parse, "graph G\nvertex a\naccept a\n", 3, "accept is only valid in dfa/medfa documents"),
+        (parse, "dfa D\nvertex a\nstart a\naccept a b\n", 4, "unknown accepting vertex 'b'"),
+        (parse_one, "# nothing\n", 0, "expected exactly one document, found 0"),
+        (parse_one, "graph G\ngraph H\n", 0, "expected exactly one document, found 2"),
+        (parse_as_dfa, "graph G\nvertex a\n", 0, "expected a dfa document, found graph"),
+    ],
+    ids=[
+        "header-no-name", "header-two-names", "start-in-graph", "start-no-name",
+        "start-two-names", "unknown-start", "accept-in-graph", "unknown-accepting",
+        "no-document", "two-documents", "wrong-kind",
+    ],
+)
+def test_parse_error_messages_and_lines(read, text, line, message):
+    with pytest.raises(ParseError) as err:
+        read(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_comments_and_blank_lines():
     text = "# leading comment\n\ngraph G  # trailing\nvertex a\nedge a x a\n"
     doc = parse_one(text)

@@ -10,8 +10,6 @@ from sofic.oracle import (
     dfa_intersection_shortest,
     dfa_union_universal,
     is_word_synchronizing,
-    lang_equal_upto,
-    lang_subset_upto,
     language_upto,
 )
 
@@ -70,10 +68,10 @@ def test_language_factorial_and_prolongable():
 
 
 def test_lang_subset_and_equal(gm, full1, fig1, hfig1):
-    assert lang_subset_upto(gm, full1, 12)
-    assert not lang_subset_upto(full1, gm, 12)
-    assert lang_equal_upto(fig1, hfig1, 12)
-    assert not lang_equal_upto(gm, full1, 12)
+    assert language_upto(gm, 12) <= language_upto(full1, 12)
+    assert not language_upto(full1, 12) <= language_upto(gm, 12)
+    assert language_upto(fig1, 12) == language_upto(hfig1, 12)
+    assert language_upto(gm, 12) != language_upto(full1, 12)
 
 
 def test_dfa_intersection_shortest():

@@ -186,7 +186,7 @@ def test_separating_word_absence_is_bounded_containment():
     # no separating word <=> bounded-language containment holds AND the
     # exact decider confirms full containment
     from sofic.exact import decide_subshift
-    from sofic.oracle import lang_subset_upto
+    from sofic.oracle import language_upto
 
     rng = random.Random(27)
     checked = 0
@@ -197,7 +197,9 @@ def test_separating_word_absence_is_bounded_containment():
             continue
         checked += 1
         absent = separating_word(g, h) is None
-        assert absent == (lang_subset_upto(g, h, 12) and decide_subshift(g, h))
+        assert absent == (
+            language_upto(g, 12) <= language_upto(h, 12) and decide_subshift(g, h)
+        )
 
 
 def test_is_synchronizing_examples(fig1, hfig1, gm):
