@@ -27,6 +27,7 @@ from .graphs import (
     strong_components,
     _require_deterministic,
     _require_essential,
+    _require_presentation,
 )
 from .syncwords import is_synchronizing, _separating
 
@@ -141,8 +142,7 @@ def follower_separation(g):
     NotDeterministicError
     NotEssentialError
     """
-    _require_deterministic(g)
-    _require_essential(g)
+    _require_presentation(g)
     # vertices come in sorted order, so a class's first is its smallest
     first = {}
     rep = {v: first.setdefault(b, v) for v, b in zip(g.vertices, _blocks(g))}
@@ -291,8 +291,7 @@ def is_universal(g):
     NotDeterministicError
     NotEssentialError
     """
-    _require_deterministic(g)
-    _require_essential(g)
+    _require_presentation(g)
     if not g.vertices:
         return True
     tables = {a: ((0,), t) for a, t in g._compiled().targets.items()}

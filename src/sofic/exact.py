@@ -94,7 +94,7 @@ from .graphs import (
     reachable_indices,
     strong_components,
     _require_deterministic,
-    _require_essential,
+    _require_presentation,
     _word_to,
 )
 
@@ -109,11 +109,6 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-
-
-def _require(g):
-    _require_deterministic(g)
-    _require_essential(g)
 
 
 @dataclass(frozen=True)
@@ -477,7 +472,7 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
+    _require_presentation(g)
     n = len(g.vertices)
     succ = g._compiled().succ
     m = ActionMonoid(g, caps)
@@ -548,7 +543,7 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
+    _require_presentation(g)
     m = ActionMonoid(g, caps)
     n = len(g.vertices)
     funcs, compose, pad = m._funcs, m._compose, m._pad
@@ -700,7 +695,7 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
+    _require_presentation(g)
     gens = g._compiled().targets.values()
     n = len(g.vertices)
     reached = _subset_closure(_packed_tables(gens, n), n, (1 << n) - 1, caps.subsets)
@@ -721,7 +716,7 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
+    _require_presentation(g)
     if not g.vertices:
         return None
     view, n = g._compiled(), len(g.vertices)
@@ -749,8 +744,8 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
-    _require(h)
+    _require_presentation(g)
+    _require_presentation(h)
     # labels of h alone kill g at once, so only g's labels are tried
     labels = g._compiled().labels
     tables, width = _union_tables(g, h, labels)
@@ -796,8 +791,8 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift (containment both ways)."""
-    _require(g)
-    _require(h)
+    _require_presentation(g)
+    _require_presentation(h)
     labels = tuple(sorted(set(g._compiled().labels) | set(h._compiled().labels)))
     tables, width = _union_tables(g, h, labels)
     return _equal(tables, width, labels, len(g.vertices), caps)
@@ -824,7 +819,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require(g)
+    _require_presentation(g)
     if not g.vertices:
         return True
     n, quotient = _quotient(g)
@@ -868,7 +863,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
         When the candidate count ``(k+1)**(k*|alphabet|)`` exceeds
         ``caps.enumeration``.
     """
-    _require(g)
+    _require_presentation(g)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k >= len(g.vertices):

@@ -29,12 +29,7 @@ target -1; no sink graph is built.
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import (
-    CapExceededError,
-    NotDeterministicError,
-    NotEssentialError,
-    UnknownVertexError,
-)
+from .errors import NotDeterministicError, NotEssentialError, UnknownVertexError
 
 
 def _check_token(token, what):
@@ -65,7 +60,7 @@ class LabeledGraph:
     (('a', 'x', 'b'), ('b', 'x', 'a'))
     """
 
-    __slots__ = ("vertices", "edges", "_deterministic", "_view")
+    __slots__ = ("vertices", "edges", "_view")
 
     def __init__(self, vertices=(), edges=()):
         vertex_set = {_check_token(v, "vertex") for v in vertices}
@@ -79,7 +74,6 @@ class LabeledGraph:
             edge_set.add((src, label, dst))
         self.vertices = tuple(sorted(vertex_set))
         self.edges = tuple(sorted(edge_set))
-        self._deterministic = len({e[:2] for e in self.edges}) == len(self.edges)
         self._view = None
 
     def _compiled(self):
@@ -155,15 +149,20 @@ class _Compiled:
         succ = [set() for _ in range(n)]
         first = [0] * (n + 1)
         targets = {a: [-1] * n for a in self.labels}
+        deterministic = True
         for src, label, dst in g.edges:
             i, j = index[src], index[dst]
             succ[i].add(j)
             first[i + 1] += 1
-            targets[label][i] = j
+            t = targets[label]
+            # edges are distinct, so a target already set is a second one
+            if t[i] >= 0:
+                deterministic = False
+            t[i] = j
         self.succ = [sorted(s) for s in succ]
         self.first = list(accumulate(first))
         self.targets = (
-            {a: tuple(t) for a, t in targets.items()} if g._deterministic else None
+            {a: tuple(t) for a, t in targets.items()} if deterministic else None
         )
 
 
@@ -180,11 +179,11 @@ def is_deterministic(g):
     >>> is_deterministic(LabeledGraph(edges=[("v", "0", "v"), ("v", "0", "w"), ("w", "0", "v")]))
     False
     """
-    return g._deterministic
+    return g._compiled().targets is not None
 
 
 def _require_deterministic(g):
-    if not g._deterministic:
+    if not is_deterministic(g):
         raise NotDeterministicError("graph is not deterministic")
 
 
@@ -226,6 +225,12 @@ def is_essential(g):
 def _require_essential(g):
     if not is_essential(g):
         raise NotEssentialError("graph has stranded vertices")
+
+
+def _require_presentation(g):
+    """Raises unless `g` is deterministic, then unless it is essential."""
+    _require_deterministic(g)
+    _require_essential(g)
 
 
 def subset_step(g, s, w):
@@ -353,7 +358,7 @@ def strong_components(succ):
     return comps
 
 
-def shortest_word(starts, labels, successors, goal, cap=None, what=None):
+def shortest_word(starts, labels, successors, goal):
     """A shortest word leading from one of `starts` to a state meeting `goal`.
 
     Breadth-first search with parent pointers over hashable states;
@@ -361,8 +366,7 @@ def shortest_word(starts, labels, successors, goal, cap=None, what=None):
     `labels`, in order, with None where the search dies.  Labels are
     tried in the order of `labels`, so among shortest words the least in
     that order wins.  Returns None when no reachable state meets `goal`.
-    Storing more than `cap` states raises ``CapExceededError(count,
-    what)``.
+    The search is unbounded: its callers search polynomial state spaces.
 
     Examples
     --------
@@ -386,8 +390,6 @@ def shortest_word(starts, labels, successors, goal, cap=None, what=None):
                 continue
             if goal(nxt):
                 return _word_to(parent, state, labels) + (labels[c],)
-            if cap is not None and len(parent) >= cap:
-                raise CapExceededError(len(parent) + 1, what)
             parent[nxt] = (state, c)
             order.append(nxt)
     return None

@@ -185,6 +185,20 @@ def minimal_dfa_of_union(medfa):
     return Dfa(reps.keys(), sigma, delta, names[start], accepting)
 
 
+def random_dfa(rng, max_states=3):
+    """A random total DFA over {a, b} with 1 to `max_states` states.
+
+    Draws the state count, then each transition target in (state, label)
+    order, then whether each state accepts.
+    """
+    from sofic.constructions import Dfa
+
+    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
+    delta = {(q, a): rng.choice(states) for q in states for a in "ab"}
+    accepting = [q for q in states if rng.random() < 0.5]
+    return Dfa(states, "ab", delta, states[0], accepting)
+
+
 def random_deterministic_graph(rng, max_vertices, labels):
     """A random deterministic graph from per-label partial functions."""
     n = rng.randint(1, max_vertices)
@@ -345,13 +359,13 @@ def two_mask_witness(g, h, cap=2**18):
 
     A state is the tuple (mask of g, mask of h); each graph has its own
     packed image table over g's labels (a label h lacks is a zero
-    block), and the search is ``graphs.shortest_word`` from the pair of
-    full sets, stopping where h's mask is empty.  Its witness, answer and
-    cap count are what the one-mask search over the disjoint union must
-    reproduce.
+    block), and the search is a breadth-first search with its own parent
+    pointers from the pair of full sets, stopping where h's mask is
+    empty.  Its witness, answer and cap count are what the one-mask
+    search over the disjoint union must reproduce.
     """
+    from sofic.errors import CapExceededError
     from sofic.exact import _image, _packed_tables
-    from sofic.graphs import shortest_word
 
     labels = g._compiled().labels
     n_g, n_h = len(g.vertices), len(h.vertices)
@@ -364,19 +378,27 @@ def two_mask_witness(g, h, cap=2**18):
     tables_h = _packed_tables([lists_h.get(a, ()) for a in labels], n_h)
     full_g, full_h = (1 << n_g) - 1, (1 << n_h) - 1
 
-    def successors(masks):
-        packed_g = _image(masks[0], tables_g)
-        packed_h = _image(masks[1], tables_h)
-        return [
-            (x, packed_h >> c * n_h & full_h) if (x := packed_g >> c * n_g & full_g) else None
-            for c in range(len(labels))
-        ]
-
-    witness = shortest_word(
-        [(full_g, full_h)], labels, successors, lambda masks: masks[1] == 0,
-        cap, "subset-pair count",
-    )
-    return witness is None, witness
+    start = (full_g, full_h)
+    parent = {start: None}
+    order = [start]  # the breadth-first queue
+    for state in order:
+        packed_g = _image(state[0], tables_g)
+        packed_h = _image(state[1], tables_h)
+        for c in range(len(labels)):
+            nxt = (packed_g >> c * n_g & full_g, packed_h >> c * n_h & full_h)
+            if not nxt[0] or nxt in parent:
+                continue
+            if not nxt[1]:
+                word = [labels[c]]
+                while parent[state] is not None:
+                    state, c = parent[state]
+                    word.append(labels[c])
+                return False, tuple(reversed(word))
+            if len(parent) >= cap:
+                raise CapExceededError(len(parent) + 1, "subset-pair count")
+            parent[nxt] = (state, c)
+            order.append(nxt)
+    return True, None
 
 
 def image_tables(targets):

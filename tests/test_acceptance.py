@@ -27,6 +27,7 @@ from sofic.graphs import LabeledGraph, essentialize, is_irreducible, subset_step
 from .oracles import (
     brute_actions,
     random_deterministic_graph,
+    random_dfa,
     reachable_subsets,
     singleton_reachable,
     words_upto,
@@ -70,13 +71,6 @@ def named_fixtures():
         edges=[("q2", "1", "q2"), ("q2", "0", "q3"), ("q3", "0", "q2")]
     )
     return gm, ev, full1, p2, fig1, hfig1
-
-
-def random_dfa(rng, max_states=3, sigma=("a", "b")):
-    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
-    delta = {(q, a): rng.choice(states) for q in states for a in sigma}
-    accepting = [q for q in states if rng.random() < 0.5]
-    return Dfa(states, sigma, delta, states[0], accepting)
 
 
 def test_criterion_1_figure_example():

@@ -28,6 +28,16 @@ def test_a_dfa_never_equals_a_multi_entry_dfa():
     assert medfa != MultiEntryDfa(STATES, "ab", DELTA, ["p"], ["s"])
 
 
+def test_equality_with_other_types_and_repr():
+    dfa = Dfa(STATES, "ba", DELTA, "p", ["s", "q"])
+    assert dfa != STATES
+    assert dfa.__eq__(STATES) is NotImplemented
+    assert repr(dfa) == (
+        "Dfa(states=('p', 'q', 'r', 's'), alphabet=('a', 'b'), "
+        "start='p', accepting=['q', 's'])"
+    )
+
+
 def test_reachable_from_several_entries():
     assert Dfa(STATES, "ab", DELTA, "p", []).reachable() == {"p", "q"}
     assert Dfa(STATES, "ab", DELTA, "s", []).reachable() == {"s"}

@@ -20,7 +20,7 @@ from sofic.errors import (
     NotSynchronizingError,
 )
 from sofic.exact import decide_minimality
-from sofic.graphs import EMPTY, LabeledGraph, essentialize
+from sofic.graphs import EMPTY, LabeledGraph, essentialize, is_deterministic
 from sofic.syncwords import is_synchronizing
 
 from .oracles import (
@@ -86,7 +86,7 @@ def test_follower_separation_preserves_everything():
         if not g.vertices:
             continue
         q = follower_separation(g)
-        assert q._deterministic
+        assert is_deterministic(q)
         assert is_follower_separated(q)
         assert brute_language(g, 6) == brute_language(q, 6)
         if is_synchronizing(g):

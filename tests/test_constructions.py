@@ -34,6 +34,8 @@ from sofic.graphs import (
 from sofic.oracle import dfa_intersection_shortest
 from sofic.syncwords import is_synchronizing
 
+from .oracles import random_dfa
+
 
 def all_accepting():
     return Dfa(["s"], ["a"], {("s", "a"): "s"}, "s", ["s"])
@@ -41,13 +43,6 @@ def all_accepting():
 
 def eps_language():
     return Dfa(["s", "d"], ["a"], {("s", "a"): "d", ("d", "a"): "d"}, "s", ["s"])
-
-
-def random_dfa(rng, max_states=3, sigma=("a", "b")):
-    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
-    delta = {(q, a): rng.choice(states) for q in states for a in sigma}
-    accepting = [q for q in states if rng.random() < 0.5]
-    return Dfa(states, sigma, delta, states[0], accepting)
 
 
 def test_dfa_validation():

@@ -92,6 +92,12 @@ def test_action_monoid_examples(gm, full1, p2):
     }
 
 
+def test_action_monoid_iterates_its_elements(gm):
+    m = action_monoid(gm)
+    assert tuple(m) == m.elements
+    assert all(e in m for e in m)
+
+
 def test_action_monoid_completeness_on_random_graphs():
     rng = random.Random(51)
     for _ in range(30):

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from sofic.constructions import Dfa, padded_family_gn, reduction_irred, reduction_sft
+from sofic.constructions import padded_family_gn, reduction_irred, reduction_sft
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
     DEFAULT_CAPS,
@@ -36,6 +36,7 @@ from .oracles import (
     naive_sft,
     quotient_irreducibility,
     random_deterministic_graph,
+    random_dfa,
 )
 from .test_exact_monoid import big_graph
 
@@ -58,13 +59,7 @@ def small_monoid(g):
 
 
 def random_dfas(rng, max_states):
-    dfas = []
-    for _ in range(rng.randint(1, 2)):
-        states = [f"s{i}" for i in range(rng.randint(1, max_states))]
-        delta = {(q, a): rng.choice(states) for q in states for a in ("a", "b")}
-        accepting = [q for q in states if rng.random() < 0.5]
-        dfas.append(Dfa(states, ("a", "b"), delta, states[0], accepting))
-    return dfas
+    return [random_dfa(rng, max_states) for _ in range(rng.randint(1, 2))]
 
 
 def reduction_graphs(seed, count, max_states=2, small=True):

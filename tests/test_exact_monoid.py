@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from sofic.constructions import Dfa, reduction_irred, reduction_sft
+from sofic.constructions import reduction_irred, reduction_sft
 from sofic.errors import (
     AllLanguagesEmptyError,
     CapExceededError,
@@ -44,19 +44,14 @@ from sofic.exact import (
 from sofic.fileformat import parse
 from sofic.graphs import LabeledGraph
 
+from .oracles import random_dfa
+
 ROOT = Path(__file__).resolve().parent
 RECORD = ROOT / "golden" / "monoid.json"
 BATTERY_TUPLES = 15
 # tuples whose monoid on either graph exceeds this are skipped, which
 # keeps the battery at about a second
 BATTERY_SIZE_LIMIT = 2000
-
-
-def random_dfa(rng):
-    states = [f"s{i}" for i in range(rng.randint(1, 5))]
-    delta = {(q, a): rng.choice(states) for q in states for a in ("a", "b")}
-    accepting = [q for q in states if rng.random() < 0.5]
-    return Dfa(states, ("a", "b"), delta, states[0], accepting)
 
 
 def graphs():
@@ -69,7 +64,7 @@ def graphs():
     rng = random.Random(4)
     tuples = 0
     while tuples < BATTERY_TUPLES:
-        dfas = [random_dfa(rng) for _ in range(rng.randint(2, 3))]
+        dfas = [random_dfa(rng, 5) for _ in range(rng.randint(2, 3))]
         try:
             g1, _ = reduction_irred(dfas)
         except AllLanguagesEmptyError:

@@ -63,6 +63,29 @@ def test_is_deterministic(full1, fig1):
     assert not is_deterministic(two_zero_loops_needs_multi)
 
 
+def test_is_deterministic_matches_source_label_pairs():
+    rng = random.Random(57)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        edges = [
+            (f"v{rng.randrange(n)}", rng.choice("01"), f"v{rng.randrange(n)}")
+            for _ in range(rng.randint(0, 6))
+        ]
+        g = LabeledGraph(vertices=[f"v{i}" for i in range(n)], edges=edges)
+        assert is_deterministic(g) == (len({e[:2] for e in g.edges}) == len(g.edges))
+
+
+def test_length_repr_and_equality_with_other_types():
+    g = LabeledGraph(vertices=["c"], edges=[("a", "x", "b")])
+    assert len(g) == 3
+    assert repr(g) == (
+        "LabeledGraph(vertices=('a', 'b', 'c'), edges=(('a', 'x', 'b'),))"
+    )
+    assert eval(repr(g)) == g
+    assert g != g.edges
+    assert g.__eq__(g.edges) is NotImplemented
+
+
 def test_essentialize(full1, fig1):
     assert essentialize(full1) == full1
     assert essentialize(fig1) == fig1

@@ -108,6 +108,15 @@ def test_dfa_intersection_shortest():
     assert dfa_intersection_shortest([all_accepting]) == ()
 
 
+def test_dfa_intersection_shortest_rejects_bad_input():
+    with pytest.raises(ValueError, match="need at least one automaton"):
+        dfa_intersection_shortest([])
+    a_only = Dfa(["s"], ["a"], {("s", "a"): "s"}, "s", ["s"])
+    ab = Dfa(["s"], ["a", "b"], {("s", "a"): "s", ("s", "b"): "s"}, "s", ["s"])
+    with pytest.raises(ValueError, match="all automata must share one alphabet"):
+        dfa_intersection_shortest([a_only, ab])
+
+
 def test_dfa_union_universal():
     all_accepting = Dfa(["s"], ["a"], {("s", "a"): "s"}, "s", ["s"])
     assert dfa_union_universal([all_accepting]) == (True, None)
