@@ -22,7 +22,7 @@ from .constructions import (
     reduction_sync,
     sdp_blowup,
 )
-from .errors import SoficError
+from .errors import NotSynchronizingError, SoficError
 from .graphs import (
     alphabet,
     essentialize,
@@ -124,11 +124,12 @@ def cmd_check(args):
     return _emit(args, 0, True, details=details)
 
 
+def _print_graph(args, name, g):
+    return _emit(args, 0, True, text=fileformat.render(fileformat.graph_document(name, g)))
+
+
 def cmd_essential(args):
-    g = essentialize(_one_graph(args))
-    return _emit(
-        args, 0, True, text=fileformat.render(fileformat.graph_document("essential", g))
-    )
+    return _print_graph(args, "essential", essentialize(_one_graph(args)))
 
 
 def cmd_components(args):
@@ -167,25 +168,30 @@ def cmd_subshift(args):
     return _bool_result(args, holds, witness=witness)
 
 
+def _decide(args, polynomial, exhaustive, *graphs):
+    """Answers by the polynomial decider, or by the exact one if the input is not synchronizing.
+
+    The two agree wherever the polynomial one applies.
+    """
+    try:
+        value = polynomial(*graphs)
+    except NotSynchronizingError:
+        value = exhaustive(*graphs)
+    return _bool_result(args, value)
+
+
 def cmd_equal(args):
-    g, h = _two_graphs(args)
-    if args.exact:
-        return _bool_result(args, exact.decide_equality(g, h))
-    return _bool_result(args, classify.equal_sync(g, h))
+    return _decide(args, classify.equal_sync, exact.decide_equality, *_two_graphs(args))
 
 
 def cmd_is_sft(args):
-    g = _one_graph(args)
-    if args.exact:
-        return _bool_result(args, exact.decide_sft(g))
-    return _bool_result(args, classify.is_sft_sync(g))
+    return _decide(args, classify.is_sft_sync, exact.decide_sft, _one_graph(args))
 
 
 def cmd_is_irreducible(args):
-    g = _one_graph(args)
-    if args.exact:
-        return _bool_result(args, exact.decide_irreducibility(g))
-    return _bool_result(args, classify.is_irreducible_shift_sync(g))
+    return _decide(
+        args, classify.is_irreducible_shift_sync, exact.decide_irreducibility, _one_graph(args)
+    )
 
 
 def cmd_has_sdp(args):
@@ -206,10 +212,7 @@ def cmd_sync_to(args):
 
 
 def cmd_follower_sep(args):
-    g = classify.follower_separation(_one_graph(args))
-    return _emit(
-        args, 0, True, text=fileformat.render(fileformat.graph_document("separated", g))
-    )
+    return _print_graph(args, "separated", classify.follower_separation(_one_graph(args)))
 
 
 def cmd_iso(args):
@@ -281,8 +284,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, exact=False):
+    def add(name, handler, exact=False, selector=None, choices=None):
         p = sub.add_parser(name)
+        if selector:
+            p.add_argument(selector, choices=choices)
         p.add_argument("files", nargs="*", help="input files ('-' for stdin)")
         p.add_argument("--json", action="store_true")
         if exact:
@@ -296,9 +301,9 @@ def build_parser():
     add("syncword", cmd_syncword, exact=True)
     add("separate", cmd_separate)
     add("subshift", cmd_subshift, exact=True)
-    add("equal", cmd_equal, exact=True)
-    add("is-sft", cmd_is_sft, exact=True)
-    add("is-irreducible", cmd_is_irreducible, exact=True)
+    add("equal", cmd_equal)
+    add("is-sft", cmd_is_sft)
+    add("is-irreducible", cmd_is_irreducible)
     add("has-sdp", cmd_has_sdp)
     add("universal", cmd_universal)
     minimal = add("minimal", cmd_minimal)
@@ -307,24 +312,16 @@ def build_parser():
     sync_to.add_argument("--vertex", required=True)
     add("follower-sep", cmd_follower_sep)
     add("iso", cmd_iso)
-
-    gen = sub.add_parser("gen")
-    gen.add_argument(
-        "generator",
+    gen = add(
+        "gen",
+        cmd_gen,
+        selector="generator",
         choices=["red-irred", "red-sft", "red-sync", "sdp-blowup", "mik", "padded"],
     )
-    gen.add_argument("files", nargs="*", help="input files ('-' for stdin)")
-    gen.add_argument("--json", action="store_true")
     gen.add_argument("--k", type=int)
     gen.add_argument("--n", type=int)
-    gen.set_defaults(handler=cmd_gen)
-
-    orc = sub.add_parser("oracle")
-    orc.add_argument("oracle", choices=["lang", "dfa-int", "dfa-union"])
-    orc.add_argument("files", nargs="*", help="input files ('-' for stdin)")
-    orc.add_argument("--json", action="store_true")
+    orc = add("oracle", cmd_oracle, selector="oracle", choices=["lang", "dfa-int", "dfa-union"])
     orc.add_argument("--max-len", type=int, default=8)
-    orc.set_defaults(handler=cmd_oracle)
     return parser
 
 

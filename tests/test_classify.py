@@ -170,6 +170,16 @@ def test_sync_deciders_require_essential(decider):
         decider(STRANDED)
 
 
+@pytest.mark.parametrize(
+    "decider", [is_sft_sync, m_step_bound, is_irreducible_shift_sync, equal_sync]
+)
+def test_sync_deciders_require_synchronizing(decider, fig1):
+    assert not is_synchronizing(fig1)
+    graphs = (fig1, fig1) if decider is equal_sync else (fig1,)
+    with pytest.raises(NotSynchronizingError):
+        decider(*graphs)
+
+
 def test_sync_deciders_build_no_graph(monkeypatch):
     rng = random.Random(47)
     graphs = []

@@ -1,11 +1,17 @@
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from sofic import classify, exact, fileformat
 from sofic.cli import main
 from sofic.fileformat import parse
+from sofic.graphs import LabeledGraph, essentialize
+from sofic.syncwords import is_synchronizing
+
+from .oracles import disjoint_union, random_deterministic_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,16 +39,17 @@ def test_check(capsys):
 
 
 def test_equal_exact(capsys):
-    code, payload = run_json(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"), "--exact")
+    code, payload = run_json(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"))
     assert code == 0 and payload["result"] is True
-    code, payload = run_json(capsys, "equal", fixture("gm.sg"), fixture("ev.sg"), "--exact")
+    code, payload = run_json(capsys, "equal", fixture("gm.sg"), fixture("ev.sg"))
     assert code == 1 and payload["result"] is False
 
 
 def test_equal_non_exact_requires_synchronizing(capsys):
+    # fig1 is not synchronizing: the exact decider answers
     code, _, err = run(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"))
-    assert code == 2
-    assert "synchronizing" in err
+    assert code == 0
+    assert err == ""
 
 
 def test_iso(capsys):
@@ -53,11 +60,9 @@ def test_iso(capsys):
 
 
 def test_is_irreducible_exact(capsys):
-    code, _, _ = run(capsys, "is-irreducible", fixture("fig1.sg"), "--exact")
-    assert code == 0
-    # non-exact needs a synchronizing presentation; fig1 is not one
+    # fig1 is not synchronizing: the exact decider answers
     code, _, err = run(capsys, "is-irreducible", fixture("fig1.sg"))
-    assert code == 2 and "synchronizing" in err
+    assert code == 0 and err == ""
     code, _, _ = run(capsys, "is-irreducible", fixture("hfig1.sg"))
     assert code == 0
 
@@ -93,14 +98,65 @@ def test_two_documents_one_file(tmp_path, capsys):
     combined.write_text(
         (FIXTURES / "fig1.sg").read_text() + "\n" + (FIXTURES / "hfig1.sg").read_text()
     )
-    code, _, _ = run(capsys, "equal", str(combined), "--exact")
+    code, _, _ = run(capsys, "equal", str(combined))
     assert code == 0
 
 
 def test_is_sft(capsys):
     assert run(capsys, "is-sft", fixture("gm.sg"))[0] == 0
     assert run(capsys, "is-sft", fixture("ev.sg"))[0] == 1
-    assert run(capsys, "is-sft", fixture("ev.sg"), "--exact")[0] == 1
+
+
+# the two-vertex full shift: irreducible, and no word synchronizes it
+FULL2 = LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p"), ("p", "b", "p"), ("q", "b", "q")])
+
+
+# each command's exact decider, and its polynomial decider for synchronizing input
+DECIDERS = {
+    "is-sft": (exact.decide_sft, classify.is_sft_sync),
+    "is-irreducible": (exact.decide_irreducibility, classify.is_irreducible_shift_sync),
+    "equal": (exact.decide_equality, classify.equal_sync),
+}
+
+
+def engine_cases():
+    """(command, graphs) pairs on FULL2 and seeded essential deterministic graphs.
+
+    Each graph g also meets the next one, and the disjoint union of g
+    with itself, which presents g's shift and is never synchronizing.
+    """
+    rng = random.Random(19)
+    graphs = [FULL2]
+    while len(graphs) < 30:
+        g = essentialize(random_deterministic_graph(rng, 4, ["0", "1"]))
+        if g.vertices:
+            graphs.append(g)
+    graphs += [disjoint_union(g, g) for g in graphs[1:11]]
+    cases = []
+    for g, h in zip(graphs, graphs[1:] + graphs[:1]):
+        cases += [
+            ("is-sft", (g,)),
+            ("is-irreducible", (g,)),
+            ("equal", (g, h)),
+            ("equal", (g, disjoint_union(g, g))),
+        ]
+    return cases
+
+
+def test_engine_choice_gives_the_exact_answers(tmp_path, capsys):
+    path = tmp_path / "input.sg"
+    synchronizing = []
+    for command, graphs in engine_cases():
+        docs = [fileformat.graph_document(f"G{i}", g) for i, g in enumerate(graphs)]
+        path.write_text(fileformat.render(docs))
+        code, payload = run_json(capsys, command, str(path))
+        decide_exactly, decide_sync = DECIDERS[command]
+        expected = decide_exactly(*graphs)
+        assert payload["result"] is expected and code == (0 if expected else 1)
+        synchronizing.append(all(is_synchronizing(g) for g in graphs))
+        if synchronizing[-1]:
+            assert decide_sync(*graphs) is expected
+    assert 0 < sum(synchronizing) < len(synchronizing) / 2
 
 
 def test_sync_commands_reject_nonessential(tmp_path, capsys):
@@ -168,7 +224,7 @@ def test_gen_reductions(tmp_path, capsys):
     assert [d.name for d in docs] == ["G", "H"]
     pair = tmp_path / "pair.sg"
     pair.write_text(out)
-    assert run(capsys, "equal", str(pair), "--exact")[0] == 0
+    assert run(capsys, "equal", str(pair))[0] == 0
 
     code, out, _ = run(capsys, "gen", "red-sync", fixture("allacc.sg"))
     assert code == 0

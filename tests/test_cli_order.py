@@ -42,8 +42,8 @@ SAME = [
         "",
     ),
     (
-        ["equal", fixture("gm.sg"), fixture("hfig1.sg"), "--exact"],
-        ["equal", fixture("gm.sg"), "--exact", fixture("hfig1.sg")],
+        ["equal", fixture("gm.sg"), fixture("hfig1.sg"), "--json"],
+        ["equal", fixture("gm.sg"), "--json", fixture("hfig1.sg")],
         "",
     ),
     (

@@ -25,7 +25,7 @@ COMMANDS = [
     (["check", "tests/fixtures/gm.sg"], ""),
     (["is-sft", "tests/fixtures/ev.sg", "--json"], ""),
     (["nope"], ""),
-    (["equal", "--exact", "tests/fixtures/fig1.sg", "tests/fixtures/hfig1.sg"], ""),
+    (["equal", "tests/fixtures/fig1.sg", "tests/fixtures/hfig1.sg"], ""),
     (["minimal", "tests/fixtures/gm.sg"], ""),
     (["sync-to", "tests/fixtures/gm.sg", "--vertex", "Z"], ""),
     (["check", "tests/fixtures/gm.sg", "--bogus"], ""),

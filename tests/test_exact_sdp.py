@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from sofic.constructions import Dfa, padded_family_gn, reduction_irred
+from sofic.constructions import padded_family_gn, reduction_irred
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
     Caps,
@@ -24,25 +24,9 @@ from sofic.exact import (
     decide_sft,
     is_intrinsically_sync_relation,
 )
-from sofic.graphs import essentialize
 
-from .oracles import naive_intrinsic, naive_sdp_exists, random_deterministic_graph
-
-# inputs whose monoid exceeds this are skipped, since the naive scan
-# is cubic in the monoid size
-NAIVE_SIZE_LIMIT = 40
-
-
-def random_graphs(seed, count):
-    """`count` nonempty essential random graphs with small monoids."""
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        labels = ["0", "1", "2"][: rng.choice((2, 2, 3))]
-        g = essentialize(random_deterministic_graph(rng, 4, labels))
-        if g.vertices and _small(g):
-            graphs.append(g)
-    return graphs
+from .oracles import naive_intrinsic, naive_sdp_exists
+from .test_exact_index import random_dfas, random_graphs, small_monoid
 
 
 def irred_graphs(seed, count):
@@ -50,32 +34,18 @@ def irred_graphs(seed, count):
     rng = random.Random(seed)
     graphs = []
     while len(graphs) < count:
-        dfas = []
-        for _ in range(rng.randint(1, 2)):
-            states = [f"s{i}" for i in range(rng.randint(1, 2))]
-            delta = {(q, a): rng.choice(states) for q in states for a in ("a", "b")}
-            accepting = [q for q in states if rng.random() < 0.5]
-            dfas.append(Dfa(states, ("a", "b"), delta, states[0], accepting))
         try:
-            g, _ = reduction_irred(dfas)
+            g, _ = reduction_irred(random_dfas(rng, 2))
         except AllLanguagesEmptyError:
             continue
-        if _small(g):
+        if small_monoid(g):
             graphs.append(g)
     return graphs
 
 
-def _small(g):
-    try:
-        action_monoid(g, cap=NAIVE_SIZE_LIMIT)
-    except CapExceededError:
-        return False
-    return True
-
-
 @pytest.mark.parametrize(
     "graphs",
-    [random_graphs(71, 300), irred_graphs(72, 12)],
+    [random_graphs(71, 300, max_vertices=4), irred_graphs(72, 12)],
     ids=["random", "reduction_irred"],
 )
 def test_matches_naive_scan_of_whole_monoid(graphs):
@@ -86,7 +56,7 @@ def test_matches_naive_scan_of_whole_monoid(graphs):
 
 def test_nonempty_extensions_of_intrinsic_elements_are_intrinsic():
     checked = 0
-    for g in random_graphs(73, 40) + irred_graphs(74, 3):
+    for g in random_graphs(73, 40, max_vertices=4) + irred_graphs(74, 3):
         m = action_monoid(g)
         elements = m.elements
         pair_sets = [e.pairs for e in elements]

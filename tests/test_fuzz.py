@@ -29,11 +29,8 @@ COMMANDS = [
     ["subshift"],
     ["subshift", "--exact"],
     ["equal"],
-    ["equal", "--exact"],
     ["is-sft"],
-    ["is-sft", "--exact"],
     ["is-irreducible"],
-    ["is-irreducible", "--exact"],
     ["has-sdp"],
     ["universal"],
     ["minimal", "-", "--k", "2"],

@@ -34,16 +34,13 @@ ONE_GRAPH = [
     ["syncword"],
     ["syncword", "--exact"],
     ["is-sft"],
-    ["is-sft", "--exact"],
     ["is-irreducible"],
-    ["is-irreducible", "--exact"],
     ["has-sdp"],
     ["universal"],
     ["follower-sep"],
 ]
 TWO_GRAPHS = [
     ["equal"],
-    ["equal", "--exact"],
     ["separate"],
     ["subshift"],
     ["subshift", "--exact"],

@@ -13,8 +13,6 @@ import io
 import random
 import sys
 
-import pytest
-
 from sofic import classify, exact, fileformat, syncwords
 from sofic.cli import main as cli_main
 from sofic.graphs import LabeledGraph, essentialize
@@ -68,14 +66,13 @@ def test_hat_graph_keeps_every_pair():
     assert len(hat_graph(PIPES).vertices) == 5 * 4
 
 
-@pytest.mark.parametrize("flags", [[], ["--exact"]])
-def test_cli_is_sft_on_pipe_names(flags):
+def test_cli_is_sft_on_pipe_names():
     text = fileformat.render(fileformat.graph_document("G", PIPES))
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli_main(["is-sft", "-"] + flags)
+            code = cli_main(["is-sft", "-"])
     finally:
         sys.stdin = saved
     assert code == 0
