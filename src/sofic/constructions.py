@@ -121,17 +121,6 @@ class Dfa(MultiEntryDfa):
         super().__init__(states, alphabet, delta, (start,), accepting)
         self.start = start
 
-    def restricted(self, keep):
-        """The same automaton on a closed subset of states containing the start."""
-        keep = set(keep)
-        return Dfa(
-            keep,
-            self.alphabet,
-            {(q, a): t for (q, a), t in self.delta.items() if q in keep},
-            self.start,
-            self.accepting & keep,
-        )
-
     def complemented(self):
         return Dfa(
             self.states,
@@ -166,8 +155,15 @@ def _check_shared_alphabet(dfas):
     return sigma
 
 
-def _machine_state(i, q):
-    return f"m{i}_{q}"
+def _machine(i, automaton, keep):
+    """The vertex name ``m{i}_{q}`` of each state q in `keep`, and the
+    transition edges among them; `keep` must be closed under the transitions."""
+    names = {q: f"m{i}_{q}" for q in keep}
+    edges = []
+    for (q, a), t in automaton.delta.items():
+        if q in names:
+            edges.append((names[q], a, names[t]))
+    return names, edges
 
 
 def reduction_irred(dfas):
@@ -202,23 +198,23 @@ def reduction_irred(dfas):
     for dfa in dfas:
         reach = dfa.reachable()
         if dfa.accepting & reach:
-            kept.append(dfa.restricted(reach))
+            kept.append((dfa, reach))
     if not kept:
         raise AllLanguagesEmptyError("every input automaton has empty language")
 
     edges = []
     n = len(kept)
-    for i, dfa in enumerate(kept, start=1):
+    for i, (dfa, reach) in enumerate(kept, start=1):
+        names, machine = _machine(i, dfa, reach)
         pre = f"p{i}"
-        start = _machine_state(i, dfa.start)
+        start = names[dfa.start]
         edges.append((pre, STAR, pre))
         edges.append((pre, LEFT, start))
-        for (q, a), t in dfa.delta.items():
-            edges.append((_machine_state(i, q), a, _machine_state(i, t)))
-        for q in dfa.accepting:
-            edges.append((_machine_state(i, q), RIGHT, "p1"))
-        for q in dfa.states:
-            edges.append((_machine_state(i, q), ELL, start))
+        edges.extend(machine)
+        for q, name in names.items():
+            edges.append((name, ELL, start))
+            if q in dfa.accepting:
+                edges.append((name, RIGHT, "p1"))
         edges.append((pre, ELL, f"p{i + 1}" if i < n else "sstar"))
     edges.append(("pstar", STAR, "pstar"))
     edges.append(("pstar", LEFT, "sstar"))
@@ -249,15 +245,14 @@ def reduction_sft(dfas):
     edges = [("t", TERM, "t"), ("sstar", RIGHT, "t"), ("sstar", ELL, "sstar")]
     edges.extend(("sstar", a, "sstar") for a in sigma)
     for i, dfa in enumerate(dfas, start=1):
-        start = _machine_state(i, dfa.start)
-        for (q, a), t in dfa.delta.items():
-            edges.append((_machine_state(i, q), a, _machine_state(i, t)))
-        for q in dfa.states:
-            name = _machine_state(i, q)
+        names, machine = _machine(i, dfa, dfa.states)
+        start = names[dfa.start]
+        edges.extend(machine)
+        for q, name in names.items():
             edges.append((name, LEFT, start))
             edges.append((name, ELL, name))
-        for q in dfa.accepting:
-            edges.append((_machine_state(i, q), RIGHT, "t"))
+            if q in dfa.accepting:
+                edges.append((name, RIGHT, "t"))
     g = LabeledGraph(edges=edges)
 
     h_edges = [("q1", LEFT, "q1"), ("q1", ELL, "q1"), ("q1", RIGHT, "q2"), ("q2", TERM, "q2")]
@@ -287,20 +282,18 @@ def reduction_sync(dfas):
     _check_shared_alphabet(dfas)
     if len(dfas) == 1:
         dfas = [dfas[0], dfas[0]]
-    kept = [dfa.restricted(dfa.reachable()) for dfa in dfas]
 
     edges = [("t", RIGHT, "t")]
-    for i, dfa in enumerate(kept, start=1):
+    for i, dfa in enumerate(dfas, start=1):
+        names, machine = _machine(i, dfa, dfa.reachable())
         pre, fail = f"p{i}", f"r{i}"
         edges.append((pre, RIGHT, pre))
         edges.extend((pre, a, pre) for a in dfa.alphabet)
-        edges.append((pre, LEFT, _machine_state(i, dfa.start)))
+        edges.append((pre, LEFT, names[dfa.start]))
         edges.append((fail, RIGHT, fail))
-        for (q, a), t in dfa.delta.items():
-            edges.append((_machine_state(i, q), a, _machine_state(i, t)))
-        for q in dfa.states:
-            target = "t" if q in dfa.accepting else fail
-            edges.append((_machine_state(i, q), RIGHT, target))
+        edges.extend(machine)
+        for q, name in names.items():
+            edges.append((name, RIGHT, "t" if q in dfa.accepting else fail))
     return LabeledGraph(edges=edges)
 
 
@@ -321,18 +314,15 @@ def sdp_blowup(medfa):
     LabeledGraph
     """
     _check_reserved(medfa.alphabet)
-    reach = medfa.reachable()
-
-    edges = [("t", TERM, "t")]
+    names, edges = _machine(1, medfa, medfa.reachable())
+    edges.append(("t", TERM, "t"))
     for i, s in enumerate(dict.fromkeys(medfa.starts), start=1):
         pre = f"p{i}"
         edges.append((pre, STAR, pre))
-        edges.append((pre, LEFT, _machine_state(1, s)))
-    for (q, a), t in medfa.delta.items():
-        if q in reach:
-            edges.append((_machine_state(1, q), a, _machine_state(1, t)))
-    for q in medfa.accepting & reach:
-        edges.append((_machine_state(1, q), RIGHT, "t"))
+        edges.append((pre, LEFT, names[s]))
+    for q, name in names.items():
+        if q in medfa.accepting:
+            edges.append((name, RIGHT, "t"))
     return LabeledGraph(edges=edges)
 
 

@@ -52,7 +52,8 @@ def _sync_word(targets, live):
         for t in map(targets.get, w):
             live = {t[v] for v in live if t[v] >= 0}
         word += w
-    return word, min(live)  # a pair word keeps one of its two indices
+    # a pair word keeps one of its two indices, so only an empty `live` ends empty
+    return (word, min(live)) if live else None
 
 
 def _separating(tables, p, live):
@@ -122,17 +123,15 @@ def synchronizing_word_irreducible(g):
     Maintains a live set X with ``Q . u == X``, shrinking it with a
     pair-synchronizing word for the two smallest members each round; when
     no such word exists the graph has no synchronizing word at all.  At
-    most ``|Q|`` rounds are needed.
+    most ``|Q|`` rounds are needed.  The empty graph counts as
+    irreducible; it has no vertex to synchronize to, so it gets None.
 
     Raises
     ------
     NotDeterministicError
     NotIrreducibleError
-        Also raised for the empty graph, which has no vertices to merge.
     """
     _require_deterministic(g)
-    if not g.vertices:
-        raise NotIrreducibleError("the empty graph has no synchronizing-word search")
     if not is_irreducible(g):
         raise NotIrreducibleError("graph is not strongly connected")
     found = _sync_word(g._compiled().targets, set(range(len(g.vertices))))
@@ -149,11 +148,13 @@ def separating_word(g, h):
     None means the shift of `g` is contained in the shift of `h`.
 
     The tracked vertex starts at the smallest vertex of `g`, and the
-    returned word is readable in `g` from that vertex.
+    returned word is readable in `g` from that vertex.  An empty `g`
+    counts as irreducible and gets None: the empty shift is contained in
+    every shift.
 
     Parameters
     ----------
-    g : deterministic irreducible LabeledGraph, nonempty
+    g : deterministic irreducible LabeledGraph; may be empty
     h : deterministic LabeledGraph; may be empty or nonessential
 
     Raises
@@ -165,7 +166,7 @@ def separating_word(g, h):
     _require_deterministic(g)
     _require_deterministic(h)
     if not g.vertices:
-        raise NotIrreducibleError("the first argument must be nonempty")
+        return None
     if not is_irreducible(g):
         raise NotIrreducibleError("the first argument must be strongly connected")
     # a label of h alone kills g at once, so g's labels are all the search needs

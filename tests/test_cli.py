@@ -45,7 +45,7 @@ def test_equal_exact(capsys):
     assert code == 1 and payload["result"] is False
 
 
-def test_equal_non_exact_requires_synchronizing(capsys):
+def test_equal_answers_non_synchronizing(capsys):
     # fig1 is not synchronizing: the exact decider answers
     code, _, err = run(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"))
     assert code == 0
@@ -59,7 +59,7 @@ def test_iso(capsys):
     assert code == 0 and payload["details"] == {"map A": "A", "map B": "B"}
 
 
-def test_is_irreducible_exact(capsys):
+def test_is_irreducible_answers_non_synchronizing(capsys):
     # fig1 is not synchronizing: the exact decider answers
     code, _, err = run(capsys, "is-irreducible", fixture("fig1.sg"))
     assert code == 0 and err == ""
@@ -91,6 +91,23 @@ def test_subshift_and_separate(capsys):
     assert code == 1 and payload["witness"] == ["1", "1"]
     code, payload = run_json(capsys, "separate", fixture("full1.sg"), fixture("gm.sg"))
     assert code == 0 and payload["witness"] == ["1", "1"]
+
+
+def test_empty_graph_gets_an_answer(tmp_path, capsys):
+    # the empty presentation counts as irreducible: the polynomial
+    # searches answer it as the exact ones do
+    empty = tmp_path / "empty.sg"
+    empty.write_text("graph E\n")
+    e = str(empty)
+    for argv, expected in [
+        (["syncword", e], 1),
+        (["syncword", e, "--exact"], 1),
+        (["separate", e, e], 1),
+        (["subshift", e, e], 0),
+        (["subshift", e, e, "--exact"], 0),
+    ]:
+        code, payload = run_json(capsys, *argv)
+        assert code == expected and payload == {"result": code == 0, "schema": "1"}
 
 
 def test_two_documents_one_file(tmp_path, capsys):
