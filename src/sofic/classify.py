@@ -207,6 +207,7 @@ def equal_sync(g, h):
 
     Raises
     ------
+    NotDeterministicError
     NotSynchronizingError
     NotEssentialError
     """
@@ -226,6 +227,7 @@ def is_sft_sync(g):
 
     Raises
     ------
+    NotDeterministicError
     NotSynchronizingError
     NotEssentialError
     """
@@ -268,6 +270,7 @@ def is_irreducible_shift_sync(g):
 
     Raises
     ------
+    NotDeterministicError
     NotSynchronizingError
     NotEssentialError
     """
@@ -291,8 +294,8 @@ def is_universal(g):
     NotDeterministicError
     NotEssentialError
     """
-    _require_presentation(g)
+    targets = _require_presentation(g).targets
     if not g.vertices:
         return True
-    tables = {a: ((0,), t) for a, t in g._compiled().targets.items()}
+    tables = {a: ((0,), t) for a, t in targets.items()}
     return _separating(tables, 0, set(range(len(g.vertices)))) is None

@@ -90,7 +90,6 @@ from itertools import product
 from .classify import _quotient, is_universal
 from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
-    alphabet,
     reachable_indices,
     strong_components,
     _require_deterministic,
@@ -151,8 +150,7 @@ def action_of_word(g, w):
     ------
     NotDeterministicError
     """
-    _require_deterministic(g)
-    gens = g._compiled().targets
+    gens = _require_deterministic(g).targets
     empty = (-1,) * len(g.vertices)
     func = tuple(range(len(g.vertices)))
     for a in w:
@@ -393,14 +391,18 @@ class ActionMonoid:
         return lefts
 
 
-def action_monoid(g, cap=None):
+def action_monoid(g, caps=DEFAULT_CAPS):
     """The monoid of all word actions on `g`, enumerated breadth-first.
 
     Parameters
     ----------
     g : deterministic LabeledGraph
-    cap : int, optional
-        Bound on the element count; defaults to ``DEFAULT_CAPS.relations``.
+    caps : Caps
+        ``caps.relations`` bounds the element count.  The monoid's later
+        analysis closes the domains and the ranges under ``caps.subsets``;
+        a closed monoid has no more nonzero domains or ranges than
+        elements, so those closures stay within ``caps.subsets`` whenever
+        it is at least ``caps.relations``.
 
     Raises
     ------
@@ -408,11 +410,7 @@ def action_monoid(g, cap=None):
     CapExceededError
     """
     _require_deterministic(g)
-    if cap is None:
-        cap = DEFAULT_CAPS.relations
-    # no monoid has more distinct domains than elements, so the domain
-    # closure never reaches the same cap
-    m = ActionMonoid(g, Caps(subsets=cap, relations=cap))
+    m = ActionMonoid(g, caps)
     m._close()
     return m
 
@@ -472,9 +470,8 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require_presentation(g)
+    succ = _require_presentation(g).succ
     n = len(g.vertices)
-    succ = g._compiled().succ
     m = ActionMonoid(g, caps)
     uncovered = list(m._prepare()[0])
     covered = 0
@@ -695,8 +692,7 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require_presentation(g)
-    gens = g._compiled().targets.values()
+    gens = _require_presentation(g).targets.values()
     n = len(g.vertices)
     reached = _subset_closure(_packed_tables(gens, n), n, (1 << n) - 1, caps.subsets)
     return frozenset(g.vertices[m.bit_length() - 1] for m in reached if m.bit_count() == 1)
@@ -716,10 +712,10 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require_presentation(g)
+    view = _require_presentation(g)
     if not g.vertices:
         return None
-    view, n = g._compiled(), len(g.vertices)
+    n = len(g.vertices)
     full, tables = (1 << n) - 1, _packed_tables(view.targets.values(), n)
     return _word_search(tables, n, view.labels, full, full, full, 1, caps.subsets, "subset count")
 
@@ -744,21 +740,21 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require_presentation(g)
-    _require_presentation(h)
+    g_view = _require_presentation(g)
+    h_view = _require_presentation(h)
     # labels of h alone kill g at once, so only g's labels are tried
-    labels = g._compiled().labels
-    tables, width = _union_tables(g, h, labels)
+    labels = g_view.labels
+    tables, width = _union_tables(g_view, h_view, labels)
     return _containment(tables, width, labels, (1 << width) - 1, (1 << len(g.vertices)) - 1, caps)
 
 
-def _union_tables(g, h, labels):
-    """The packed image tables over `labels` of the disjoint union of `g`
-    and `h`, g's vertices first, and their width; a label that a graph
-    lacks leaves its part of the label's block empty."""
-    n_g = len(g.vertices)
-    width = n_g + len(h.vertices)
-    lists_g, lists_h = ([x._compiled().targets.get(a, ()) for a in labels] for x in (g, h))
+def _union_tables(g_view, h_view, labels):
+    """The packed image tables over `labels` of the disjoint union of two
+    compiled views, g's vertices first, and their width; a label that a
+    graph lacks leaves its part of the label's block empty."""
+    n_g = len(g_view.index)
+    width = n_g + len(h_view.index)
+    lists_g, lists_h = ([v.targets.get(a, ()) for a in labels] for v in (g_view, h_view))
     bits = _packed_bits(lists_g, n_g, width) + _packed_bits(lists_h, width - n_g, width, n_g)
     return _mask_tables(bits), width
 
@@ -791,10 +787,10 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift (containment both ways)."""
-    _require_presentation(g)
-    _require_presentation(h)
-    labels = tuple(sorted(set(g._compiled().labels) | set(h._compiled().labels)))
-    tables, width = _union_tables(g, h, labels)
+    g_view = _require_presentation(g)
+    h_view = _require_presentation(h)
+    labels = tuple(sorted(set(g_view.labels) | set(h_view.labels)))
+    tables, width = _union_tables(g_view, h_view, labels)
     return _equal(tables, width, labels, len(g.vertices), caps)
 
 
@@ -819,7 +815,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    _require_presentation(g)
+    labels = _require_presentation(g).labels
     if not g.vertices:
         return True
     n, quotient = _quotient(g)
@@ -832,7 +828,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
         return False
     # the restriction presents a subshift of the quotient's, so one
     # containment is enough
-    return _containment(tables, 2 * n, g._compiled().labels, full | sync << n, full, caps)[0]
+    return _containment(tables, 2 * n, labels, full | sync << n, full, caps)[0]
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):
@@ -863,14 +859,14 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
         When the candidate count ``(k+1)**(k*|alphabet|)`` exceeds
         ``caps.enumeration``.
     """
-    _require_presentation(g)
+    labels = _require_presentation(g).labels
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k >= len(g.vertices):
         return True
     if k == 1:
         return is_universal(g)
-    count = (k + 1) ** (k * len(alphabet(g)))
+    count = (k + 1) ** (k * len(labels))
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
     return any(_presented_on(g, j, caps) for j in range(2, k + 1))
@@ -878,8 +874,8 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
 
 def _presented_on(g, k, caps):
     """Whether an essential candidate on exactly k vertices presents g's shift."""
-    n = len(g.vertices)
-    sigma = alphabet(g)
+    n, view = len(g.vertices), g._compiled()
+    sigma = view.labels
 
     # a label's options are the partial functions on k vertices with at
     # least one edge (every alphabet letter must occur), with their domain
@@ -890,7 +886,7 @@ def _presented_on(g, k, caps):
         for dom, ran in [_masks(f)]
         if dom
     ]
-    masks = {a: _masks(t) for a, t in g._compiled().targets.items()}
+    masks = {a: _masks(t) for a, t in view.targets.items()}
     two_letter = {(a, b) for a in sigma for b in sigma if masks[a][1] & masks[b][0]}
 
     # assign the most constrained labels first: sorted label order, with
@@ -904,7 +900,7 @@ def _presented_on(g, k, caps):
     order = sorted(sigma, key=lambda a: (len(domains[a]), a))
     full = (1 << k) - 1
     # g's part of the union with each candidate, whose vertices follow g's
-    g_bits = _packed_bits(g._compiled().targets.values(), n, n + k)
+    g_bits = _packed_bits(view.targets.values(), n, n + k)
 
     def equal_candidate(assignment):
         chosen = [assignment[a] for a in sigma]

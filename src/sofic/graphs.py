@@ -12,21 +12,23 @@ construction: for the deterministic graphs the algorithms care about they
 are indistinguishable at the language level.
 
 A graph is its sorted vertex and edge tuples plus one integer view
-(:class:`_Compiled`), compiled on first use.  The name accessors
-(membership, ``out_edges``, ``successors``, ``out_labels``) read that
-view, and searches never run over names: every search shares the view,
-through the one SCC routine :func:`strong_components` (flagged as initial
-or terminal index sets by :func:`_components`) and the parent-pointer
-search :func:`shortest_word` (the exact deciders' subset searches run
-their own over packed masks, see :mod:`sofic.exact`, and rebuild words
-with the same :func:`_word_to`).  Names come back
-only at the name-level API, such as :func:`irreducible_components`.  A
-search that completes a graph with an absorbing sink gives the sink
-index n, which a list of n + 1 entries also answers at the undefined
-target -1; no sink graph is built.
+(:class:`_Compiled`), compiled on first use.  Membership reads that
+view; the other name accessors (``out_edges``, ``successors``,
+``out_labels``) bisect the sorted edges for a vertex's run.  Searches
+never run over names: every search shares the view, which the
+precondition checks return, through the one SCC routine
+:func:`strong_components` (flagged as initial or terminal index sets by
+:func:`_components`) and the parent-pointer search :func:`shortest_word`
+(the exact deciders' subset searches run their own over packed masks,
+see :mod:`sofic.exact`, and rebuild words with the same
+:func:`_word_to`).  Names come back only at the name-level API, such as
+:func:`irreducible_components`.  A search that completes a graph with an
+absorbing sink gives the sink index n, which a list of n + 1 entries
+also answers at the undefined target -1; no sink graph is built.
 """
 
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NotDeterministicError, NotEssentialError, UnknownVertexError
@@ -84,9 +86,9 @@ class LabeledGraph:
 
     def _edges_from(self, q):
         """The edges starting at `q`: one contiguous run of the sorted edges."""
-        first = self._compiled().first
-        i = self._require_vertex(q)
-        return self.edges[first[i]:first[i + 1]]
+        self._require_vertex(q)
+        edges, source = self.edges, itemgetter(0)
+        return edges[bisect_left(edges, q, key=source):bisect_right(edges, q, key=source)]
 
     def out_edges(self, q):
         """Yields the (label, dst) pairs of edges starting at `q`, sorted."""
@@ -133,34 +135,29 @@ class _Compiled:
     """The integer view of a graph: vertex i is ``g.vertices[i]``.
 
     ``index`` maps names to indices, ``labels`` is the sorted label tuple
-    and ``succ[i]`` the sorted successor indices of i.  The edges starting
-    at vertex i are ``g.edges[first[i]:first[i + 1]]``, one run of the
-    sorted edge tuple.  ``targets`` maps each label to its action, entry
-    i the index reached from i or -1 (as in ``ActionRelation.targets``);
-    it is None for nondeterministic graphs.
+    and ``succ[i]`` the sorted successor indices of i.  ``targets`` maps
+    each label to its action, entry i the index reached from i or -1 (as
+    in ``ActionRelation.targets``); it is None for nondeterministic graphs.
     """
 
-    __slots__ = ("index", "labels", "succ", "first", "targets")
+    __slots__ = ("index", "labels", "succ", "targets")
 
     def __init__(self, g):
         n = len(g.vertices)
         self.index = index = {v: i for i, v in enumerate(g.vertices)}
         self.labels = tuple(sorted({label for _, label, _ in g.edges}))
         succ = [set() for _ in range(n)]
-        first = [0] * (n + 1)
         targets = {a: [-1] * n for a in self.labels}
         deterministic = True
         for src, label, dst in g.edges:
             i, j = index[src], index[dst]
             succ[i].add(j)
-            first[i + 1] += 1
             t = targets[label]
             # edges are distinct, so a target already set is a second one
             if t[i] >= 0:
                 deterministic = False
             t[i] = j
         self.succ = [sorted(s) for s in succ]
-        self.first = list(accumulate(first))
         self.targets = (
             {a: tuple(t) for a, t in targets.items()} if deterministic else None
         )
@@ -183,8 +180,10 @@ def is_deterministic(g):
 
 
 def _require_deterministic(g):
+    """The compiled view of `g`; raises unless `g` is deterministic."""
     if not is_deterministic(g):
         raise NotDeterministicError("graph is not deterministic")
+    return g._compiled()
 
 
 def alphabet(g):
@@ -228,9 +227,10 @@ def _require_essential(g):
 
 
 def _require_presentation(g):
-    """Raises unless `g` is deterministic, then unless it is essential."""
-    _require_deterministic(g)
+    """The compiled view of `g`; raises unless deterministic, then unless essential."""
+    view = _require_deterministic(g)
     _require_essential(g)
+    return view
 
 
 def subset_step(g, s, w):
@@ -252,8 +252,7 @@ def subset_step(g, s, w):
     >>> subset_step(gm, {"A", "B"}, ("1", "0"))
     frozenset({'A'})
     """
-    _require_deterministic(g)
-    targets = g._compiled().targets
+    targets = _require_deterministic(g).targets
     current = {g._require_vertex(q) for q in s}
     for a in w:
         t = targets.get(a)

@@ -108,13 +108,11 @@ def pair_synchronizing_word(g, p, q):
     NotDeterministicError
     SameVertexError
     """
-    _require_deterministic(g)
-    g._require_vertex(p)
-    g._require_vertex(q)
+    targets = _require_deterministic(g).targets
+    i, j = g._require_vertex(p), g._require_vertex(q)
     if p == q:
         raise SameVertexError(f"need two distinct vertices, got {p!r} twice")
-    view = g._compiled()
-    return _pair_word(view.targets, view.index[p], view.index[q])
+    return _pair_word(targets, i, j)
 
 
 def synchronizing_word_irreducible(g):
@@ -131,10 +129,10 @@ def synchronizing_word_irreducible(g):
     NotDeterministicError
     NotIrreducibleError
     """
-    _require_deterministic(g)
+    targets = _require_deterministic(g).targets
     if not is_irreducible(g):
         raise NotIrreducibleError("graph is not strongly connected")
-    found = _sync_word(g._compiled().targets, set(range(len(g.vertices))))
+    found = _sync_word(targets, set(range(len(g.vertices))))
     return None if found is None else found[0]
 
 
@@ -163,26 +161,26 @@ def separating_word(g, h):
     NotIrreducibleError
         For the first argument only.
     """
-    _require_deterministic(g)
-    _require_deterministic(h)
+    targets = _require_deterministic(g).targets
+    h_targets = _require_deterministic(h).targets
     if not g.vertices:
         return None
     if not is_irreducible(g):
         raise NotIrreducibleError("the first argument must be strongly connected")
     # a label of h alone kills g at once, so g's labels are all the search needs
-    hv, none = h._compiled(), (-1,) * len(h.vertices)
-    tables = {a: (t, hv.targets.get(a, none)) for a, t in g._compiled().targets.items()}
+    none = (-1,) * len(h.vertices)
+    tables = {a: (t, h_targets.get(a, none)) for a, t in targets.items()}
     found = _separating(tables, 0, set(range(len(h.vertices))))
     return None if found is None else found[0]
 
 
-def _component_words(g):
+def _component_words(view):
     """Each initial component's index set, synchronizing word and
-    separating word, each word with the index it ends on; None when a
-    component lacks either.  Both searches read g's targets masked to
-    the component, which no edge enters.
+    separating word, each word with the index it ends on, in the compiled
+    view of a deterministic graph; None when a component lacks either.
+    Both searches read the targets masked to the component, which no edge
+    enters.
     """
-    view = g._compiled()
     everything = set(range(len(view.succ)))
     found = []
     for inside, initial, _ in _components(view.succ):
@@ -213,8 +211,7 @@ def is_synchronizing(g):
     ------
     NotDeterministicError
     """
-    _require_deterministic(g)
-    return _component_words(g) is not None
+    return _component_words(_require_deterministic(g)) is not None
 
 
 def sync_word_to_vertex(g, r):
@@ -236,11 +233,10 @@ def sync_word_to_vertex(g, r):
     NotSynchronizingError
     """
     r = g._require_vertex(r)
-    _require_deterministic(g)
-    found = _component_words(g)
+    view = _require_deterministic(g)
+    found = _component_words(view)
     if found is None:
         raise NotSynchronizingError("graph is not a synchronizing presentation")
-    view = g._compiled()
     inside, (sync, focused), (separator, landing) = next(
         words for words in found if r in reachable_indices(view.succ, words[0])
     )

@@ -119,7 +119,7 @@ def test_action_monoid_witnesses(gm):
 
 def test_action_monoid_cap(gm):
     with pytest.raises(CapExceededError):
-        action_monoid(gm, cap=3)
+        action_monoid(gm, Caps(relations=3))
 
 
 def test_monoid_membership_errors(gm, ev):
@@ -193,7 +193,7 @@ def _small_monoid_graphs():
             continue
         for g in candidates:
             try:
-                action_monoid(g, cap=60)
+                action_monoid(g, Caps(relations=60))
             except CapExceededError:
                 continue
             graphs.append(g)

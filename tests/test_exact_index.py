@@ -22,6 +22,7 @@ from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
     DEFAULT_CAPS,
     ActionMonoid,
+    Caps,
     _presented_on,
     action_monoid,
     decide_equality,
@@ -52,7 +53,7 @@ SWAP_AND_LOOP = LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p"), ("p", "b",
 
 def small_monoid(g):
     try:
-        action_monoid(g, cap=NAIVE_SIZE_LIMIT)
+        action_monoid(g, Caps(relations=NAIVE_SIZE_LIMIT))
     except CapExceededError:
         return False
     return True

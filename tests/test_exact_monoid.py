@@ -6,10 +6,10 @@ with 1-5 states, as the benchmark's DFA battery builds them.  For each
 input the record holds the elements in breadth-first order, every word
 witness, the Cayley step of every element by every label, both flags of
 the analysis for every element, ``decide_sft``, ``decide_sdp_exists``
-and the ``CapExceededError`` of ``action_monoid(g, cap=k)`` for a few k
-up to the size minus one.  Bulky values are kept as SHA-256 digests of
-their JSON form, so any change to the element order, to a witness or to
-a step shows up as a different digest.
+and the ``CapExceededError`` of ``action_monoid(g, Caps(relations=k))``
+for a few k up to the size minus one.  Bulky values are kept as SHA-256
+digests of their JSON form, so any change to the element order, to a
+witness or to a step shows up as a different digest.
 
 The values were recorded from the tuple-keyed closure that the
 byte-string one replaced.  To record them again (only when a change of
@@ -34,6 +34,7 @@ from sofic.errors import (
 )
 from sofic.exact import (
     ActionRelation,
+    Caps,
     action_monoid,
     action_of_word,
     decide_sdp_exists,
@@ -72,7 +73,7 @@ def graphs():
         g2, _ = reduction_sft(dfas)
         try:
             for g in (g1, g2):
-                action_monoid(g, cap=BATTERY_SIZE_LIMIT)
+                action_monoid(g, Caps(relations=BATTERY_SIZE_LIMIT))
         except CapExceededError:
             continue
         out[f"irred{tuples}"] = g1
@@ -98,7 +99,7 @@ def cap_errors(g, size):
         if k >= size:
             continue
         with pytest.raises(CapExceededError) as info:
-            action_monoid(g, cap=k)
+            action_monoid(g, Caps(relations=k))
         rows.append([k, info.value.count, str(info.value)])
     return rows
 
@@ -156,7 +157,7 @@ def test_witnesses_and_steps_are_actions_of_words(name):
 def test_cap_equal_to_size_is_enough():
     for g in GRAPHS.values():
         size = action_monoid(g).size
-        assert action_monoid(g, cap=size).size == size
+        assert action_monoid(g, Caps(relations=size)).size == size
 
 
 # ------------------------------------------------- more than 255 vertices
@@ -184,7 +185,7 @@ def test_monoid_above_255_vertices():
         assert action_of_word(g, word) == e
         assert m.step(e, "1") == action_of_word(g, word + ("1",))
     with pytest.raises(CapExceededError) as info:
-        action_monoid(g, cap=900)
+        action_monoid(g, Caps(relations=900))
     assert info.value.count == 901
 
 

@@ -77,7 +77,7 @@ def test_relations_cap_bounds_the_elements_enumerated():
     caps = Caps(relations=1000)
     # the whole monoid is larger, but neither search enumerates all of it
     with pytest.raises(CapExceededError):
-        action_monoid(g, cap=1000)
+        action_monoid(g, Caps(relations=1000))
     assert decide_sft(g, caps) is False
     assert decide_sdp_exists(g, caps) is True
 
