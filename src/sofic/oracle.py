@@ -65,7 +65,8 @@ def dfa_intersection_shortest(dfas):
     """A shortest word accepted by every automaton, or None.
 
     Breadth-first search with parent pointers on the product state
-    space, expanding labels in sorted order.  Storing more than
+    space, expanding labels in sorted order; a label steps every
+    automaton through its own state-to-state dict.  Storing more than
     ``MAX_PRODUCT_STATES`` product states raises CapExceededError.
     """
     if not dfas:
@@ -76,11 +77,12 @@ def dfa_intersection_shortest(dfas):
     start = tuple(d.start for d in dfas)
     if all(q in d.accepting for q, d in zip(start, dfas)):
         return ()
+    moves = [(a, [{q: d.delta[(q, a)] for q in d.states} for d in dfas]) for a in sigma]
     parent = {start: None}
     queue = [start]
     for state in queue:
-        for a in sigma:
-            nxt = tuple(d.delta[(q, a)] for q, d in zip(state, dfas))
+        for a, move in moves:
+            nxt = tuple(map(dict.__getitem__, move, state))
             if nxt in parent:
                 continue
             if len(parent) >= MAX_PRODUCT_STATES:
