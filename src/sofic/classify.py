@@ -254,6 +254,9 @@ def m_step_bound(g):
 
     Raises
     ------
+    NotDeterministicError
+    NotSynchronizingError
+    NotEssentialError
     NotSftError
     """
     if not is_sft_sync(g):

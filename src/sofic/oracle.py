@@ -65,8 +65,7 @@ def dfa_intersection_shortest(dfas):
     """A shortest word accepted by every automaton, or None.
 
     Breadth-first search with parent pointers on the product state
-    space, expanding labels in sorted order; a label steps every
-    automaton through its own state-to-state dict.  Storing more than
+    space, expanding labels in sorted order.  Storing more than
     ``MAX_PRODUCT_STATES`` product states raises CapExceededError.
     """
     if not dfas:
