@@ -26,6 +26,32 @@ def walk(g, q, w):
     return q
 
 
+def per_token_graph(vertices=(), edges=()):
+    """The sorted vertex and edge tuples ``LabeledGraph(vertices, edges)``
+    holds, checking one token at a time: the vertices, then each edge's
+    source, label and target, in input order.  Raises the ValueError or
+    TypeError of the first bad token or malformed edge met that way.
+    """
+
+    def check(token, what):
+        if not isinstance(token, str) or not token:
+            raise ValueError(f"{what} must be a nonempty string, got {token!r}")
+        if token.split() != [token]:
+            raise ValueError(f"{what} {token!r} contains whitespace")
+
+    vertex_set, edge_set = set(), set()
+    for v in vertices:
+        check(v, "vertex")
+        vertex_set.add(v)
+    for src, label, dst in edges:
+        check(src, "vertex")
+        check(label, "label")
+        check(dst, "vertex")
+        vertex_set.update((src, dst))
+        edge_set.add((src, label, dst))
+    return tuple(sorted(vertex_set)), tuple(sorted(edge_set))
+
+
 def image(g, subset, w):
     return frozenset(
         r for q in subset for r in [walk(g, q, w)] if r is not None

@@ -82,11 +82,31 @@ def parse_as_dfa(text):
         (parse_one, "# nothing\n", 0, "expected exactly one document, found 0"),
         (parse_one, "graph G\ngraph H\n", 0, "expected exactly one document, found 2"),
         (parse_as_dfa, "graph G\nvertex a\n", 0, "expected a dfa document, found graph"),
+        (parse, "edge a x b\n", 1, "'edge' before any document header"),
+        (parse, "graph G\nvertex a\nedge a x b\n", 3, "edge references unknown vertex 'b'"),
+        (parse, "graph G\nvertex a\nedge b x c\n", 3, "edge references unknown vertex 'b'"),
+        (parse, "graph G\nvertex a\nedge a x b\nvertex b\n", 3,
+         "edge references unknown vertex 'b'"),
+        (parse, "graph G\nvertex a\nedge a x\n", 3, "edge takes SRC LABEL DST"),
+        (parse, "graph G\nvertex a\nedge a x a y\n", 3, "edge takes SRC LABEL DST"),
+        (parse, "graph G\nvertex a\nedge a x#y a\n", 3, "edge takes SRC LABEL DST"),
+        (parse, "graph G\nvertex a\nedge a x b#a\n", 3, "edge references unknown vertex 'b'"),
+        (parse, "graph G\nvertex a\ngraph H\nvertex b\nedge a x b\n", 5,
+         "edge references unknown vertex 'a'"),
+        (parse, "dfa D\nvertex a\nstart a\nedge a x b\n", 4, "edge references unknown vertex 'b'"),
+        (parse, "dfa D\nvertex a\nstart a\nedge a x a\nedge a x a\n", 1,
+         "dfa document 'D' has two 'x'-edges from 'a'"),
+        (parse, "graph G\nmedfa N\nvertex a\nstart a\nedge a x a\nedge a x a\n", 2,
+         "medfa document 'N' has two 'x'-edges from 'a'"),
     ],
     ids=[
         "header-no-name", "header-two-names", "start-in-graph", "start-no-name",
         "start-two-names", "unknown-start", "accept-in-graph", "unknown-accepting",
-        "no-document", "two-documents", "wrong-kind",
+        "no-document", "two-documents", "wrong-kind", "edge-before-header",
+        "edge-to-undeclared", "edge-from-undeclared", "vertex-after-edge", "edge-3-tokens",
+        "edge-5-tokens", "edge-comment-cuts-label", "edge-comment-glued",
+        "edge-vertex-of-previous-document", "dfa-edge-to-undeclared", "dfa-two-edges",
+        "medfa-two-edges",
     ],
 )
 def test_parse_error_messages_and_lines(read, text, line, message):
@@ -100,6 +120,22 @@ def test_comments_and_blank_lines():
     text = "# leading comment\n\ngraph G  # trailing\nvertex a\nedge a x a\n"
     doc = parse_one(text)
     assert doc.value == LabeledGraph(edges=[("a", "x", "a")])
+
+
+def test_edge_lines_that_take_the_general_branches():
+    # a comment glued to a token, tabs, a blank comment line, and edges
+    # in dfa and medfa documents
+    text = (
+        "graph G\nvertex a\nvertex b\nedge a x b#c\n\tedge\tb x a # back\n#\n"
+        "dfa D\nvertex p\nvertex q\nstart p\nedge p x q\nedge q x p#\naccept q\n"
+        "medfa N\nvertex e\nvertex o\nstart o\nedge e a o\nedge o a e\n"
+    )
+    g, d, n = (doc.value for doc in parse(text))
+    assert g == LabeledGraph(edges=[("a", "x", "b"), ("b", "x", "a")])
+    assert d.delta == {("p", "x"): "q", ("q", "x"): "p"}
+    assert d.accepts(("x",)) and not d.accepts(("x", "x"))
+    assert n.delta == {("e", "a"): "o", ("o", "a"): "e"}
+    assert n.starts == ("o",)
 
 
 def test_multiple_documents():
