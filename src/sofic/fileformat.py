@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .constructions import Dfa, MultiEntryDfa
 from .errors import DuplicateVertexError, ParseError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _are_tokens
 
 KINDS = ("graph", "dfa", "medfa")
 
@@ -81,7 +81,17 @@ def parse(text):
             )
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        # a well-formed edge first; outside a document `vertices` is empty,
+        # so every other line keeps the general branches and their errors
+        if (
+            len(tokens) == 4
+            and tokens[0] == "edge"
+            and tokens[1] in vertices
+            and tokens[3] in vertices
+        ):
+            edges.append((tokens[1], tokens[2], tokens[3]))
+            continue
         if not tokens:
             continue
         directive, args = tokens[0], tokens[1:]
@@ -148,8 +158,7 @@ def parse_one(text, expect=None):
 def _check_tokens(tokens):
     """Raises ValueError unless each of `tokens` reads back as one token."""
     tokens = list(map(str, tokens))
-    joined = "".join(tokens)
-    if all(tokens) and "#" not in joined and joined.split() == [joined]:
+    if _are_tokens(tokens) and "#" not in "".join(tokens):
         return
     bad = next(t for t in tokens if not t or "#" in t or t.split() != [t])
     raise ValueError(f"cannot render {bad!r}: empty, or holds whitespace or '#'")

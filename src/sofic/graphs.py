@@ -9,7 +9,9 @@ operation in this package is reproducible run to run.
 
 Duplicate parallel edges carrying the same label are collapsed on
 construction: for the deterministic graphs the algorithms care about they
-are indistinguishable at the language level.
+are indistinguishable at the language level.  Construction checks each
+distinct name once, all names together; on a bad one it reports the first
+bad token in input order, as a check of one token at a time would.
 
 A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use.  Membership reads that
@@ -40,7 +42,17 @@ def _check_token(token, what):
     # str.split() breaks at exactly the characters str.isspace() accepts
     if token.split() != [token]:
         raise ValueError(f"{what} {token!r} contains whitespace")
-    return token
+
+
+def _are_tokens(names):
+    """Whether every one of `names` is a nonempty string without whitespace.
+
+    One join and one split over all names, in place of a check per name;
+    raises TypeError on a name that is not a string.  `names` is read
+    twice, so it must be a collection, not an iterator.
+    """
+    joined = "".join(names)
+    return "" not in names and (not joined or joined.split() == [joined])
 
 
 class LabeledGraph:
@@ -52,6 +64,14 @@ class LabeledGraph:
         Vertex names; endpoints of `edges` are included automatically,
         so this is only needed for isolated vertices.
     edges : iterable of (src, label, dst) triples, optional
+
+    Raises
+    ------
+    ValueError
+        If a name is not a nonempty string without whitespace, or an edge
+        is not a triple.  Each distinct name is checked once, but the
+        error names the first bad token in input order: the vertices,
+        then each edge's source, label and target.
 
     Examples
     --------
@@ -65,15 +85,27 @@ class LabeledGraph:
     __slots__ = ("vertices", "edges", "_view")
 
     def __init__(self, vertices=(), edges=()):
-        vertex_set = {_check_token(v, "vertex") for v in vertices}
-        edge_set = set()
-        for src, label, dst in edges:
-            _check_token(src, "vertex")
-            _check_token(label, "label")
-            _check_token(dst, "vertex")
-            vertex_set.add(src)
-            vertex_set.add(dst)
-            edge_set.add((src, label, dst))
+        vertex_list, edge_list = [], []
+        try:
+            # extend keeps what an iterator yielded before it raised
+            vertex_list.extend(vertices)
+            edge_list.extend(edges)
+            edge_set = {(src, label, dst) for src, label, dst in edge_list}
+            srcs, labels, dsts = zip(*edge_set) if edge_set else ((), (), ())
+            vertex_set = set(vertex_list).union(srcs, dsts)
+            error = None if _are_tokens(vertex_set) and _are_tokens(set(labels)) else ValueError
+        except (TypeError, ValueError) as exc:
+            error = exc
+        if error is not None:
+            # report the first bad token or malformed edge in input order,
+            # or else the error an argument's own iteration raised
+            for v in vertex_list:
+                _check_token(v, "vertex")
+            for src, label, dst in edge_list:
+                _check_token(src, "vertex")
+                _check_token(label, "label")
+                _check_token(dst, "vertex")
+            raise error
         self.vertices = tuple(sorted(vertex_set))
         self.edges = tuple(sorted(edge_set))
         self._view = None

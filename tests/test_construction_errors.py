@@ -103,3 +103,27 @@ def test_list_edges_and_generators_build_the_same_graph():
     edges = [("a", "x", "b"), ("b", "x", "a")]
     g = LabeledGraph(vertices=iter(["c"]), edges=(list(e) for e in edges))
     assert g == LabeledGraph(vertices=["c"], edges=edges)
+
+
+
+def yield_then_raise(items):
+    yield from items
+    raise ValueError("iteration failed")
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        (lambda: (yield_then_raise(["a"]), ()), "iteration failed"),
+        (lambda: (["a"], yield_then_raise([("a", "x", "a")])), "iteration failed"),
+        (lambda: (yield_then_raise(["a", ""]), ()), "vertex must be a nonempty string, got ''"),
+        (lambda: (["a"], yield_then_raise([("a", "x", "b c")])), "vertex 'b c' contains whitespace"),
+        (lambda: (["a b"], 5), "vertex 'a b' contains whitespace"),
+    ],
+    ids=["vertices-fail", "edges-fail", "bad-vertex-first", "bad-edge-first", "edges-not-iterable"],
+)
+def test_a_bad_token_before_a_failing_argument_wins(arguments, message):
+    vertices, edges = arguments()
+    with pytest.raises(ValueError) as info:
+        LabeledGraph(vertices=vertices, edges=edges)
+    assert str(info.value) == message
