@@ -69,9 +69,10 @@ class LabeledGraph:
     ------
     ValueError
         If a name is not a nonempty string without whitespace, or an edge
-        is not a triple.  Each distinct name is checked once, but the
-        error names the first bad token in input order: the vertices,
-        then each edge's source, label and target.
+        has other than three entries (TypeError if it is not iterable).
+        Each distinct name is checked once, but the error names the first
+        bad token or edge in input order: the vertices, then each edge's
+        source, label and target.
 
     Examples
     --------
@@ -93,7 +94,9 @@ class LabeledGraph:
             edge_set = {(src, label, dst) for src, label, dst in edge_list}
             srcs, labels, dsts = zip(*edge_set) if edge_set else ((), (), ())
             vertex_set = set(vertex_list).union(srcs, dsts)
-            error = None if _are_tokens(vertex_set) and _are_tokens(set(labels)) else ValueError
+            error = None
+            if not (_are_tokens(vertex_set) and _are_tokens(set(labels))):
+                error = ValueError  # the check below raises the precise one
         except (TypeError, ValueError) as exc:
             error = exc
         if error is not None:
