@@ -9,12 +9,17 @@ operation in this package is reproducible run to run.
 
 Duplicate parallel edges carrying the same label are collapsed on
 construction: for the deterministic graphs the algorithms care about they
-are indistinguishable at the language level.  Construction checks each
-distinct name once, all names together; on a bad one it reports the first
-bad token in input order, as a check of one token at a time would.
+are indistinguishable at the language level.  An edge given as a plain
+tuple is kept as that object, so a graph built from another graph's
+``edges`` shares their triples; other edges become plain tuples.
+Construction checks each distinct name once, all names together; on a
+bad one it reports the first bad token in input order, as a check of one
+token at a time would.
 
 A graph is its sorted vertex and edge tuples plus one integer view
-(:class:`_Compiled`), compiled on first use.  Membership reads that
+(:class:`_Compiled`), compiled on first use: one pass over the edges
+gives the label actions and essentiality, and the successor lists are
+built only when a search first reads them.  Membership reads that
 view; the other name accessors (``out_edges``, ``successors``,
 ``out_labels``) bisect the sorted edges for a vertex's run.  Searches
 never run over names: every search shares the view, which the
@@ -64,6 +69,9 @@ class LabeledGraph:
         Vertex names; endpoints of `edges` are included automatically,
         so this is only needed for isolated vertices.
     edges : iterable of (src, label, dst) triples, optional
+        A plain tuple triple is kept as is, shared with the caller; any
+        other triple (a list, a namedtuple, an iterator) becomes a plain
+        tuple.
 
     Raises
     ------
@@ -91,11 +99,18 @@ class LabeledGraph:
             # extend keeps what an iterator yielded before it raised
             vertex_list.extend(vertices)
             edge_list.extend(edges)
-            edge_set = {(src, label, dst) for src, label, dst in edge_list}
-            srcs, labels, dsts = zip(*edge_set) if edge_set else ((), (), ())
+            # tuple() returns a plain tuple edge itself, so the graph shares
+            # the caller's triples, and dict.fromkeys keeps input order, so
+            # sorting canonical input takes one linear pass
+            distinct = dict.fromkeys(map(tuple, edge_list))
+            srcs, labels, dsts = zip(*distinct) if distinct else ((), (), ())
             vertex_set = set(vertex_list).union(srcs, dsts)
             error = None
-            if not (_are_tokens(vertex_set) and _are_tokens(set(labels))):
+            if not (
+                set(map(len, distinct)) <= {3}
+                and _are_tokens(vertex_set)
+                and _are_tokens(set(labels))
+            ):
                 error = ValueError  # the check below raises the precise one
         except (TypeError, ValueError) as exc:
             error = exc
@@ -110,7 +125,7 @@ class LabeledGraph:
                 _check_token(dst, "vertex")
             raise error
         self.vertices = tuple(sorted(vertex_set))
-        self.edges = tuple(sorted(edge_set))
+        self.edges = tuple(sorted(distinct))
         self._view = None
 
     def _compiled(self):
@@ -169,33 +184,47 @@ class LabeledGraph:
 class _Compiled:
     """The integer view of a graph: vertex i is ``g.vertices[i]``.
 
-    ``index`` maps names to indices, ``labels`` is the sorted label tuple
-    and ``succ[i]`` the sorted successor indices of i.  ``targets`` maps
-    each label to its action, entry i the index reached from i or -1 (as
-    in ``ActionRelation.targets``); it is None for nondeterministic graphs.
+    ``index`` maps names to indices and ``labels`` is the sorted label
+    tuple.  ``targets`` maps each label to its action, entry i the index
+    reached from i or -1 (as in ``ActionRelation.targets``); it is None
+    for nondeterministic graphs.  ``essential`` says whether every vertex
+    has an out-edge and an in-edge.  ``succ[i]``, the sorted successor
+    indices of i, is built from the edges the first time a search reads
+    it: most deciders read only ``targets``.
     """
 
-    __slots__ = ("index", "labels", "succ", "targets")
+    __slots__ = ("index", "labels", "targets", "essential", "_edges", "_succ")
 
     def __init__(self, g):
         n = len(g.vertices)
         self.index = index = {v: i for i, v in enumerate(g.vertices)}
         self.labels = tuple(sorted({label for _, label, _ in g.edges}))
-        succ = [set() for _ in range(n)]
         targets = {a: [-1] * n for a in self.labels}
+        has_out, has_in = bytearray(n), bytearray(n)
         deterministic = True
         for src, label, dst in g.edges:
             i, j = index[src], index[dst]
-            succ[i].add(j)
+            has_out[i] = has_in[j] = 1
             t = targets[label]
             # edges are distinct, so a target already set is a second one
             if t[i] >= 0:
                 deterministic = False
             t[i] = j
-        self.succ = [sorted(s) for s in succ]
+        self.essential = all(has_out) and all(has_in)
         self.targets = (
             {a: tuple(t) for a, t in targets.items()} if deterministic else None
         )
+        self._edges, self._succ = g.edges, None
+
+    @property
+    def succ(self):
+        if self._succ is None:
+            index = self.index
+            succ = [set() for _ in index]
+            for src, _, dst in self._edges:
+                succ[index[src]].add(index[dst])
+            self._succ = [sorted(s) for s in succ]
+        return self._succ
 
 
 EMPTY = LabeledGraph()
@@ -252,8 +281,7 @@ def essentialize(g):
 
 def is_essential(g):
     """Returns True iff no vertex of `g` is stranded."""
-    succ = g._compiled().succ
-    return all(succ) and len({j for s in succ for j in s}) == len(succ)
+    return g._compiled().essential
 
 
 def _require_essential(g):

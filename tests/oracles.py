@@ -52,6 +52,22 @@ def per_token_graph(vertices=(), edges=()):
     return tuple(sorted(vertex_set)), tuple(sorted(edge_set))
 
 
+def successor_lists(g):
+    """The sorted successor indices of each vertex (vertex i is
+    ``g.vertices[i]``), built eagerly from the edge list."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    succ = [set() for _ in g.vertices]
+    for src, _, dst in g.edges:
+        succ[index[src]].add(index[dst])
+    return [sorted(s) for s in succ]
+
+
+def unstranded(g):
+    """Whether every vertex has a successor and is some vertex's successor."""
+    succ = successor_lists(g)
+    return all(succ) and len({j for s in succ for j in s}) == len(succ)
+
+
 def image(g, subset, w):
     return frozenset(
         r for q in subset for r in [walk(g, q, w)] if r is not None

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,80 @@ from sofic.graphs import (
     subset_step,
 )
 
-from .oracles import brute_language, random_deterministic_graph, walk
+from .oracles import (
+    brute_language,
+    per_token_graph,
+    random_deterministic_graph,
+    successor_lists,
+    unstranded,
+    walk,
+)
+from .test_small_scope import presentations
 
 
 def test_construction_collapses_duplicate_edges():
     g = LabeledGraph(edges=[("a", "x", "b"), ("a", "x", "b"), ("b", "x", "a")])
     assert g.edges == (("a", "x", "b"), ("b", "x", "a"))
+
+
+def test_construction_shares_tuple_edges():
+    g = LabeledGraph(edges=[("b", "x", "a"), ("a", "y", "b"), ("a", "x", "b")])
+    h = LabeledGraph(vertices=g.vertices, edges=g.edges)
+    assert h == g
+    assert all(e is f for e, f in zip(h.edges, g.edges))
+
+
+def test_construction_gives_plain_sorted_distinct_tuples():
+    Edge = namedtuple("Edge", "src label dst")
+    rng = random.Random(23)
+    for _ in range(200):
+        edges = [
+            (rng.choice("pqr"), rng.choice("xy"), rng.choice("pqr"))
+            for _ in range(rng.randint(0, 8))
+        ]
+        edges += rng.sample(edges, len(edges) // 2)  # duplicates
+        rng.shuffle(edges)
+        expected = per_token_graph(["s"], edges)
+        for given in (
+            [list(e) for e in edges],
+            [Edge(*e) for e in edges],
+            (iter(e) for e in edges),
+            [iter(e) for e in edges],
+        ):
+            g = LabeledGraph(vertices=["s"], edges=given)
+            assert (g.vertices, g.edges) == expected
+            assert all(type(e) is tuple for e in g.edges)
+
+
+def random_graphs(rng, count):
+    """Seeded graphs on up to 5 vertices over two labels, with repeated
+    (source, label) pairs and vertices without edges."""
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        names = [f"v{i}" for i in range(n)]
+        edges = [
+            (rng.choice(names), rng.choice("ab"), rng.choice(names))
+            for _ in range(rng.randint(0, 3 * n))
+        ] if n else []
+        yield LabeledGraph(vertices=names, edges=edges)
+
+
+def test_successors_and_essentiality_match_the_edge_list():
+    graphs = list(random_graphs(random.Random(88), 600)) + presentations(3)
+    kinds = Counter((is_deterministic(g), is_essential(g)) for g in graphs)
+    assert all(kinds[d, e] > 50 for d in (True, False) for e in (True, False))
+    for g in graphs:
+        assert is_essential(g) == unstranded(g)
+        assert g._compiled().succ == successor_lists(g)
+
+
+def test_successor_lists_are_built_on_first_read(fig1):
+    # a fresh graph, whose view no earlier search has read
+    g = LabeledGraph(vertices=fig1.vertices, edges=fig1.edges)
+    assert is_deterministic(g) and is_essential(g)
+    assert g._compiled()._succ is None
+    succ = g._compiled().succ
+    assert g._compiled().succ is succ
 
 
 def test_construction_rejects_bad_tokens():

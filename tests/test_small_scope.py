@@ -11,14 +11,20 @@ Each single graph with at most 3 vertices gets every check of
 vertices gets every check of ``PAIR_CHECKS``.  A check returns the
 mismatches it found, so a failing test lists all of them.
 
-The same single-graph checks run on larger n from the command line::
+The same checks run on larger n from the command line, the single-graph
+checks on the graphs of at most ``--n`` vertices and, with ``--pairs``,
+the pair checks on the graphs of at most ``--pairs`` vertices::
 
     PYTHONPATH=src python -m tests.test_small_scope --n 4
+    PYTHONPATH=src python -m tests.test_small_scope --pairs 3
 
 n = 4 gives 161,497 graphs, the empty one included, and took 70 s on a
 shared 2-core VM.  On graphs with more than ``FULL_MINIMALITY`` vertices
 minimality is checked only at k = 1 and k = |Q|, as its candidate
-search grows fastest.
+search grows fastest.  ``--pairs 3`` checks the 4,276,624 ordered pairs
+of the 2068 graphs of n <= 3 and took 9.4 minutes on the same kind of
+machine (``check_equal_sync`` 347 s of it), so it is left out of the
+test suite.
 """
 
 import argparse
@@ -42,6 +48,8 @@ from sofic.exact import (
 from sofic.graphs import LabeledGraph, essentialize, is_irreducible
 from sofic.oracle import is_word_synchronizing, language_upto
 from sofic.syncwords import is_synchronizing, separating_word, synchronizing_word_irreducible
+
+from .oracles import image
 
 LABELS = ("a", "b")
 FULL_MINIMALITY = 3
@@ -124,15 +132,19 @@ SINGLE_CHECKS = (check_sync_words, check_sync_deciders, check_sdp_exists, check_
 # -------------------------------------------------------------------- pairs
 
 
+def separates(w, g, h):
+    """Whether `w` is in g's language and not in h's, by direct walks."""
+    return bool(image(g, g.vertices, w)) and not image(h, h.vertices, w)
+
+
 def check_subshift_witness(g, h, languages):
     """A witness is in g's language and not in h's; "contained" means
     every word of g's up to ``DEPTH`` is one of h's."""
     holds, witness = subshift_witness(g, h)
-    lang_g, lang_h = languages[g], languages[h]
     if holds:
-        ok = witness is None and lang_g <= lang_h
+        ok = witness is None and languages[g] <= languages[h]
     else:
-        ok = witness in lang_g and witness not in lang_h
+        ok = separates(witness, g, h)
     return [] if ok else [f"subshift_witness {holds, witness} on {show(g)}, {show(h)}"]
 
 
@@ -145,7 +157,7 @@ def check_separating_word(g, h, languages):
     if word is None:
         ok = languages[g] <= languages[h]
     else:
-        ok = word in language_upto(g, len(word)) and word not in language_upto(h, len(word))
+        ok = separates(word, g, h)
     return [] if ok else [f"separating_word {word} on {show(g)}, {show(h)}"]
 
 
@@ -199,21 +211,35 @@ def test_pairs(check, pair_graphs, languages):
     assert [m for g in pair_graphs for h in pair_graphs for m in check(g, h, languages)] == []
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Run the single-graph checks on every graph up to n vertices.")
-    parser.add_argument("--n", type=int, default=3, help="largest vertex count (default 3)")
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
-    graphs = presentations(args.n)
-    print(f"{len(graphs)} graphs in {time.perf_counter() - start:.1f} s")
+def run_checks(checks, cases):
+    """Runs each check on every case ``cases()`` yields and prints its
+    mismatches; returns how many there were."""
     failed = 0
-    for check in SINGLE_CHECKS:
+    for check in checks:
         start = time.perf_counter()
-        mismatches = [m for g in graphs for m in check(g)]
+        mismatches = [m for case in cases() for m in check(*case)]
         print(f"{check.__name__}: {len(mismatches)} mismatches in {time.perf_counter() - start:.1f} s")
         for m in mismatches[:10]:
             print("  " + m)
         failed += len(mismatches)
+    return failed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Run the small-scope checks on every graph up to n vertices.")
+    parser.add_argument("--n", type=int, default=3, help="largest vertex count of the single-graph checks (default 3)")
+    parser.add_argument("--pairs", type=int, help="largest vertex count of the pair checks (default: no pair checks)")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    graphs = presentations(args.n)
+    print(f"{len(graphs)} graphs in {time.perf_counter() - start:.1f} s")
+    failed = run_checks(SINGLE_CHECKS, lambda: ((g,) for g in graphs))
+    if args.pairs is not None:
+        start = time.perf_counter()
+        graphs = presentations(args.pairs)
+        languages = {g: language_upto(g, DEPTH) for g in graphs}
+        print(f"{len(graphs) ** 2} ordered pairs of {len(graphs)} graphs in {time.perf_counter() - start:.1f} s")
+        failed += run_checks(PAIR_CHECKS, lambda: ((g, h, languages) for g in graphs for h in graphs))
     return 1 if failed else 0
 
 
