@@ -1,13 +1,15 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last six
-functions, which import the package inside their bodies: two keep the
+the package is meaningful.  The exceptions are the last seven
+functions, which use the package inside their bodies: two keep the
 routes of the exact deciders that build derived graphs (a follower
 quotient, an induced subgraph, named candidates), one keeps the
 two-mask subset-pair search that the one-mask search replaced, the next
 two build the one-label subset-image tables that the packed table is
-checked against, and the last closes subsets through those tables.
+checked against, one closes subsets through those tables, and the last
+keeps the per-vertex follower refinement that whole-column passes
+replaced.
 """
 
 import itertools
@@ -495,3 +497,38 @@ def table_closure(g, preimages=False):
                 seen.add(nxt)
                 queue.append(nxt)
     return rows
+
+
+def reference_blocks(*graphs):
+    """``classify._blocks(*graphs)`` by the per-vertex refinement loop.
+
+    Reads the compiled target lists of the deterministic `graphs`, joins
+    them into one column per label (a label a graph lacks is all -1, and
+    -1 reads the sink's block), and refines {sink} / rest by building one
+    signature tuple per vertex per round until the class count stops
+    growing.  Ids come in first-member order, the sink's last.
+    """
+    views = [g._compiled() for g in graphs]
+    n = sum(len(view.index) for view in views)
+    columns = []
+    for a in dict.fromkeys(a for view in views for a in view.labels):
+        column = ()
+        for view in views:
+            t = view.targets.get(a, (-1,) * len(view.index))
+            shift = len(column)
+            column += tuple([j + shift if j >= 0 else -1 for j in t]) if shift else t
+        columns.append(column + (n,))
+    block = [0] * n + [1]
+    count = 2
+    while True:
+        renumber = {}
+        new = [
+            renumber.setdefault(
+                (block[v],) + tuple([block[t[v]] for t in columns]), len(renumber)
+            )
+            for v in range(n + 1)
+        ]
+        if len(renumber) == count:
+            break
+        block, count = new, len(renumber)
+    return block

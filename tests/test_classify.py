@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sofic.classify import (
+    _blocks,
     are_isomorphic,
     equal_sync,
     follower_partition,
@@ -27,9 +28,11 @@ from .oracles import (
     brute_language,
     disjoint_union,
     random_deterministic_graph,
+    reference_blocks,
     walk,
     words_upto,
 )
+from .test_small_scope import presentations
 
 
 def test_follower_partition_examples(fig1, dup_gm, full1):
@@ -64,6 +67,60 @@ def test_follower_partition_matches_bounded_followers():
             for q in g.vertices:
                 same_block = partition.block_of(p) == partition.block_of(q)
                 assert same_block == (followers[p] == followers[q])
+
+
+def poly_sized(rng, n):
+    """A Hamiltonian 0-cycle plus random partial 1- and 2-maps on n
+    vertices, the shape of the benchmark's random CLI inputs."""
+    names = [f"q{i}" for i in range(n)]
+    cycle = rng.sample(names, n)
+    edges = [(cycle[i], "0", cycle[(i + 1) % n]) for i in range(n)]
+    for label in ("1", "2"):
+        edges += [(v, label, rng.choice(names)) for v in names if rng.random() < 0.5]
+    return LabeledGraph(vertices=names, edges=edges)
+
+
+def renamed_copy(rng, g):
+    """An isomorphic copy of `g` whose sorted vertex order is shuffled."""
+    fresh = [f"t{i}" for i in range(len(g.vertices))]
+    names = dict(zip(g.vertices, rng.sample(fresh, len(fresh))))
+    return LabeledGraph(
+        vertices=names.values(), edges=[(names[s], a, names[d]) for s, a, d in g.edges]
+    )
+
+
+def test_blocks_match_the_per_vertex_refinement():
+    rng = random.Random(53)
+    # one graph may lack a label another has
+    label_sets = (["0"], ["1"], ["0", "1"], ["1", "2"], ["0", "1", "2"])
+    cases = [(EMPTY,), (EMPTY, EMPTY)]
+    for _ in range(400):
+        graphs = [
+            random_deterministic_graph(rng, 8, rng.choice(label_sets))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.2:
+            graphs.insert(rng.randrange(len(graphs) + 1), EMPTY)
+        if rng.random() < 0.3:
+            graphs.append(renamed_copy(rng, graphs[0]))
+        cases.append(tuple(graphs))
+    for n in (24, 48, 72, 96):
+        g = poly_sized(rng, n)
+        twin = renamed_copy(rng, g)
+        cases += [(g,), (g, twin), (twin, g), (g, poly_sized(rng, n)), (g, EMPTY, twin)]
+    merged = 0
+    for graphs in cases:
+        block = _blocks(*graphs)
+        assert block == reference_blocks(*graphs)
+        merged += block[-1] < len(block) - 1
+    # the cases reach unions whose classes are not all singletons, and
+    # unions where every vertex is alone
+    assert 0 < merged < len(cases)
+
+    small = presentations(2)
+    for g in small:
+        for h in small:
+            assert _blocks(g, h) == reference_blocks(g, h)
 
 
 def test_follower_separation_examples(fig1, dup_gm, full1, gm):
