@@ -53,6 +53,15 @@ def _blocks(*graphs):
     signatures until stable, so two indices share an id exactly when
     every word is readable from both or from neither.  Ids come in
     first-member order, so the sink's, the last, is the class count.
+
+    A round is whole-column passes: the signatures are one ``zip`` of the
+    old ids with each label's column mapped through them, and
+    ``dict.fromkeys`` numbers them in first-member order, so no Python
+    code runs per vertex.  Building one tuple per vertex per round took
+    about a third of a CLI ``equal`` verdict on 96-vertex pairs.  On a
+    shared 2-core VM the passes are 1.7x faster over the benchmark's 56
+    seeded CLI graphs (8.1 to 4.8 ms) and about level on its 1000 small
+    seed-1 DFA-battery graphs (28.5 to 25.0 ms).
     """
     views = [g._compiled() for g in graphs]
     n = sum(len(view.index) for view in views)
@@ -69,17 +78,12 @@ def _blocks(*graphs):
     block = [0] * n + [1]
     count = 2
     while True:
-        renumber = {}
-        new = [
-            renumber.setdefault(
-                (block[v],) + tuple([block[t[v]] for t in columns]), len(renumber)
-            )
-            for v in range(n + 1)
-        ]
-        if len(renumber) == count:
-            break
-        block, count = new, len(renumber)
-    return block
+        signatures = list(zip(block, *[map(block.__getitem__, t) for t in columns]))
+        ids = dict.fromkeys(signatures)
+        if len(ids) == count:
+            return block
+        ids = dict(zip(ids, range(len(ids))))
+        block, count = list(map(ids.__getitem__, signatures)), len(ids)
 
 
 def _quotient(g):

@@ -358,8 +358,12 @@ def irreducible_components(g):
 
 def _components(succ):
     """The strong components of ``succ`` as (index set, initial, terminal)
-    triples, sorted by smallest index; see :func:`irreducible_components`."""
+    triples, sorted by smallest index; see :func:`irreducible_components`.
+    A lone component is both initial and terminal, so it skips the scan
+    of every edge for crossings."""
     comps = strong_components(succ)
+    if len(comps) == 1:
+        return [(set(comps[0]), True, True)]
     comp_of = {i: cid for cid, comp in enumerate(comps) for i in comp}
     crossing = {(comp_of[i], comp_of[j]) for i, js in enumerate(succ) for j in js}
     left = {a for a, b in crossing if a != b}

@@ -179,14 +179,14 @@ def _component_words(view):
     separating word, each word with the index it ends on, in the compiled
     view of a deterministic graph; None when a component lacks either.
     Both searches read the targets masked to the component, which no edge
-    enters.
+    enters; a component that is the whole graph reads them as they are.
     """
     everything = set(range(len(view.succ)))
     found = []
     for inside, initial, _ in _components(view.succ):
         if not initial:
             continue
-        targets = {
+        targets = view.targets if inside == everything else {
             a: tuple([j if j in inside else -1 for j in t])
             for a, t in view.targets.items()
         }
