@@ -57,11 +57,11 @@ def _blocks(*graphs):
     A round is whole-column passes: the signatures are one ``zip`` of the
     old ids with each label's column mapped through them, and
     ``dict.fromkeys`` numbers them in first-member order, so no Python
-    code runs per vertex.  Building one tuple per vertex per round took
-    about a third of a CLI ``equal`` verdict on 96-vertex pairs.  On a
-    shared 2-core VM the passes are 1.7x faster over the benchmark's 56
-    seeded CLI graphs (8.1 to 4.8 ms) and about level on its 1000 small
-    seed-1 DFA-battery graphs (28.5 to 25.0 ms).
+    code runs per vertex.  A Python loop over the vertices took about a
+    third of a CLI ``equal`` verdict on 96-vertex pairs.  On a
+    shared 2-core VM (min of 7) the passes are 1.65x faster over the
+    benchmark's 56 seeded CLI graphs (8.0 to 4.9 ms) and about 10%
+    faster on its 1000 small seed-1 DFA-battery graphs (29 to 26 ms).
     """
     views = [g._compiled() for g in graphs]
     n = sum(len(view.index) for view in views)
