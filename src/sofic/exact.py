@@ -52,28 +52,44 @@ whose range lies inside the vertices reachable from the ranges of those
 found so far (see :func:`decide_sdp_exists`).
 
 Subsets are bit masks over vertex indices, imaged 4 vertices at a time
-through one 16-entry table per chunk.  One packed table images a subset
-under every label at once: label c's target t of a vertex sits at bit
-``c*n + t`` of that vertex's mask.  A subset pair is one mask over the
-disjoint union of the two graphs, g's vertices at the low n_g bits and
-h's above, with one packed table of width ``n_g + n_h``: g is alive while
-the mask meets the low bits, and h is killed once it misses the high
-ones; containment the other way reads the same table.  Every subset
-search that returns a word runs its own breadth-first loop,
-:func:`_word_search`, over these masks.  Routing it through
-:func:`~sofic.graphs.shortest_word` instead, with a ``successors``
-callback per subset, slowed ``shortest_sync_word`` and
+through one 16-entry table per chunk (8 at a time in long searches, see
+below).  One packed table images a subset under every label at once:
+label c's target t of a vertex sits at bit ``c*n + t`` of that vertex's
+mask.  A subset pair is one mask over the disjoint union of the two
+graphs, g's vertices at the low n_g bits and h's above, with one packed
+table of width ``n_g + n_h``: g is alive while the mask meets the low
+bits, and h is killed once it misses the high ones; containment the
+other way reads the same table.  Every subset search that returns a word
+runs its own breadth-first loop, :func:`_word_search`, over these masks.
+Routing it through :func:`~sofic.graphs.shortest_word` instead, with a
+``successors`` callback per subset, slowed ``shortest_sync_word`` and
 ``decide_subshift`` both ways on the padded family (n = 12..36, against
 renamed copies) from 210 to 265 ms, the medians of twelve alternating
-in-process runs on a shared 2-core VM.  Tables are built
-once per decision.  Caching 8-bit tables on the compiled view raised the
-peak RSS of the benchmark's padded-family workload from 21.6 to 27.8 MiB
+in-process runs on a shared 2-core VM.
+
+Tables are built once per decision, 16 entries per 4 vertices.  A search
+that has stored 256 subsets, as many as a byte-wide table has entries,
+builds 256-entry tables per 8 vertices from its 4-bit ones (see
+:func:`_byte_tables`) and images the rest of its queue 8 bits at a time.
+The switch rides on the cap check: the stored count is compared with
+``min(cap, 256)``, and when that limit is reached below the cap the
+search swaps in the byte tables and :func:`_byte_image` and raises the
+limit to the cap.  A search that stays under 256 subsets runs the 4-bit
+loop alone, and the subsets, their order, the words, the rows and the
+cap counts do not depend on the width.  The DFA reduction battery never
+reaches the switch; the padded family does from n = 26 on, and the
+padded-family workload's 90th-percentile verdict time fell from 7.65 to
+6.48 ms (medians of ten alternating 20 s ``bench/run.py`` pairs).
+Building byte tables for every decision instead cut the DFA battery's
+throughput by 15%, since its small graphs paid for the larger tables on
+every call.  Other ways to switch, measured on the padded-family
+workload's median verdict time (``bench/run.py`` on a shared 2-core VM):
+choosing the width per call inside :func:`_image`, +4%; a check on every
+dequeued subset, +2.5%; switching after 128 dequeued subsets, +23%; byte
+tables from the start for masks of 48 bits or more, +6.5% (though -19%
+at the 90th percentile).  Caching 8-bit tables on the compiled view
+raised the peak RSS of the padded-family workload from 21.6 to 27.8 MiB
 (+29%) and saved nothing, as it builds fresh graphs on every pass.
-Building 8-bit chunk tables (256 entries per 8 vertices) per decision
-raised its throughput from about 380 to 430 verdicts/s but cut that of
-the DFA reduction battery, whose small graphs pay for the larger tables
-on every call, from 2768 to 2351 (-15%; ``bench/run.py``, 15 s runs on a
-shared 2-core VM); a chunk width chosen by size would be one more knob.
 
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists
@@ -614,12 +630,30 @@ def _packed_bits(target_lists, n, width, at=0, preimages=False):
     return bits
 
 
+def _byte_tables(tables):
+    """Subset-image tables 256 entries per 8 vertices, from the 16-entry
+    tables of :func:`_mask_tables`: ``lo | hi`` over each pair of chunks,
+    with a zero chunk to pad an odd count."""
+    chunks = iter(tables + [[0] * 16] if len(tables) % 2 else tables)
+    return [[lo | hi for hi in t_hi for lo in t_lo] for t_lo, t_hi in zip(chunks, chunks)]
+
+
 def _image(mask, tables):
     out = 0
     c = 0
     while mask:
         out |= tables[c][mask & 15]
         mask >>= 4
+        c += 1
+    return out
+
+
+def _byte_image(mask, tables):
+    out = 0
+    c = 0
+    while mask:
+        out |= tables[c][mask & 255]
+        mask >>= 8
         c += 1
     return out
 
@@ -632,7 +666,8 @@ def _word_search(tables, width, labels, start, live, goal, spare, cap, what):
     A subset that misses `live` dies; one with at most `spare` (0 or 1)
     vertices in `goal` is a goal, tested on `start` and on each subset
     when first reached.  Returns the word to the first goal found, or None.
-    Storing more than `cap` subsets raises ``CapExceededError(count, what)``.
+    Storing more than `cap` subsets raises ``CapExceededError(count, what)``;
+    past 256 stored subsets the rest are imaged through byte-wide tables.
     """
     parent = {start: None}
     found = start & goal
@@ -640,9 +675,10 @@ def _word_search(tables, width, labels, start, live, goal, spare, cap, what):
         return ()
     full = (1 << width) - 1
     indices = range(len(labels))
+    image, limit = _image, min(cap, 256)
     order = [start]  # the breadth-first queue
     for mask in order:
-        packed = _image(mask, tables)
+        packed = image(mask, tables)
         for c in indices:
             nxt = packed & full
             packed >>= width
@@ -651,8 +687,10 @@ def _word_search(tables, width, labels, start, live, goal, spare, cap, what):
             found = nxt & goal
             if not found & (found - spare):
                 return _word_to(parent, mask, labels) + (labels[c],)
-            if len(parent) >= cap:
-                raise CapExceededError(len(parent) + 1, what)
+            if len(parent) >= limit:
+                if limit == cap:
+                    raise CapExceededError(len(parent) + 1, what)
+                image, tables, limit = _byte_image, _byte_tables(tables), cap
             parent[nxt] = (mask, c)
             order.append(nxt)
     return None
@@ -663,19 +701,23 @@ def _subset_closure(tables, width, start, cap):
     in blocks `width` bits wide, in breadth-first order (labels tried in
     order), each mapped to its row: its packed image, imaged once when it
     is dequeued (None until then).  Storing more than `cap` subsets raises
-    ``CapExceededError(count, "subset count")``.
+    ``CapExceededError(count, "subset count")``; past 256 stored subsets the
+    rest are imaged through byte-wide tables.
     """
     rows = {start: None} if start else {}
     full = (1 << width) - 1
+    image, limit = _image, min(cap, 256)
     order = list(rows)  # the breadth-first queue
     for mask in order:
-        packed = rows[mask] = _image(mask, tables)
+        packed = rows[mask] = image(mask, tables)
         while packed:
             nxt = packed & full
             packed >>= width
             if nxt and nxt not in rows:
-                if len(rows) >= cap:
-                    raise CapExceededError(len(rows) + 1, "subset count")
+                if len(rows) >= limit:
+                    if limit == cap:
+                        raise CapExceededError(len(rows) + 1, "subset count")
+                    image, tables, limit = _byte_image, _byte_tables(tables), cap
                 rows[nxt] = None
                 order.append(nxt)
     return rows

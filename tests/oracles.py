@@ -153,6 +153,41 @@ def brute_shortest_sync_length(g):
     return dist.get(frozenset(vertices))
 
 
+def sync_word_search(g, cap=2**18):
+    """``shortest_sync_word(g, Caps(subsets=cap))`` by a breadth-first
+    search over frozensets, labels in sorted order, with its own parent
+    pointers: the word to the first subset of at most one vertex, or
+    None, and the same ``CapExceededError`` when it stores more than
+    `cap` subsets.  Each letter steps through a dict read off the edge
+    list, so that it stays quick on graphs of a few dozen vertices.
+    """
+    from sofic.errors import CapExceededError
+
+    step = {(src, a): dst for src, a, dst in g.edges}
+    labels = graph_labels(g)
+    start = frozenset(g.vertices)
+    if len(start) <= 1:
+        return () if start else None
+    parent = {start: None}
+    order = [start]  # the breadth-first queue
+    for subset in order:
+        for a in labels:
+            nxt = frozenset(step[q, a] for q in subset if (q, a) in step)
+            if not nxt or nxt in parent:
+                continue
+            if len(nxt) == 1:
+                word = [a]
+                while parent[subset] is not None:
+                    subset, b = parent[subset]
+                    word.append(b)
+                return tuple(reversed(word))
+            if len(parent) >= cap:
+                raise CapExceededError(len(parent) + 1, "subset count")
+            parent[nxt] = (subset, a)
+            order.append(nxt)
+    return None
+
+
 def compose_pairs(r, s):
     return frozenset((p, t) for p, q in r for q2, t in s if q == q2)
 

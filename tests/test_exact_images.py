@@ -1,9 +1,10 @@
 """Table-driven subset images and the subset searches, across chunk boundaries.
 
-Subset images are looked up 4 vertices at a time, and masks of more
-than 64 vertices no longer fit one machine word, so these tests use
-graphs of every size up to 70 and of every residue mod 4, and check
-against the naive edge-scanning references of ``tests/oracles.py``.
+Subset images are looked up 4 vertices at a time, or 8 at a time once a
+search has stored 256 subsets, and masks of more than 64 vertices no
+longer fit one machine word, so these tests use graphs of every size up
+to 70 and of every residue mod 8, and check against the naive
+edge-scanning references of ``tests/oracles.py``.
 """
 
 import random
@@ -12,6 +13,8 @@ from collections import deque
 import pytest
 
 from sofic.exact import (
+    _byte_image,
+    _byte_tables,
     _image,
     shortest_sync_word,
     subshift_witness,
@@ -53,11 +56,17 @@ def test_image_matches_edge_scan(n):
     tables = _image_tables(targets)
     assert len(tables) == (n + 3) // 4
     assert all(len(table) == 16 for table in tables)
+    # an odd count of 4-vertex chunks is padded with a zero chunk
+    byte_tables = _byte_tables(tables)
+    assert len(byte_tables) == (n + 7) // 8
+    assert all(len(table) == 256 for table in byte_tables)
     full = (1 << n) - 1
     masks = [0, full, full >> 1, 1 << max(n - 1, 0)] + [rng.getrandbits(n) for _ in range(4)]
     for mask in masks:
         mask &= full
-        assert _image(mask, tables) == mask_of(image(g, subset_of(mask, n), ("a",)))
+        expected = mask_of(image(g, subset_of(mask, n), ("a",)))
+        assert _image(mask, tables) == expected
+        assert _byte_image(mask, byte_tables) == expected
 
 
 def hub_graph(rng, n, hubs):

@@ -3,10 +3,11 @@
 The subset searches image a subset under every label at once: label c's
 target t of a vertex sits at bit ``c*n + t`` of that vertex's mask, so
 one table lookup per chunk yields all the label images side by side.
-These tests pin the table against the one-label tables, the searches on
-the empty and one-vertex graphs (where every offset ``c*n`` is 0),
-containment between graphs of unequal sizes and alphabets, and the
-tables a decision builds: one for the union of the two graphs.
+These tests pin the table, and the byte-wide tables that long searches
+switch to, against the one-label tables, the searches on the empty and
+one-vertex graphs (where every offset ``c*n`` is 0), containment between
+graphs of unequal sizes and alphabets, and the tables a decision builds:
+one for the union of the two graphs.
 """
 
 import random
@@ -16,6 +17,8 @@ import pytest
 from sofic import exact
 from sofic.constructions import padded_family_gn
 from sofic.exact import (
+    _byte_image,
+    _byte_tables,
     _image,
     _packed_tables,
     decide_equality,
@@ -98,6 +101,7 @@ def test_packed_tables_match_one_label_tables(n):
         target_lists = [tuple(rng.randrange(-1, n) for _ in range(n)) for _ in range(count)]
         images = _packed_tables(target_lists, n)
         preimages = _packed_tables(target_lists, n, preimages=True)
+        byte_images, byte_preimages = _byte_tables(images), _byte_tables(preimages)
         singles = [_image_tables(t) for t in target_lists]
         inverses = [_preimage_tables(t) for t in target_lists]
         masks = [0, full, full >> 1, full & ~1, 1 << max(n - 1, 0)]
@@ -110,6 +114,8 @@ def test_packed_tables_match_one_label_tables(n):
             assert split(_image(mask, preimages), n, count) == [
                 _image(mask, t) for t in inverses
             ]
+            assert _byte_image(mask, byte_images) == _image(mask, images)
+            assert _byte_image(mask, byte_preimages) == _image(mask, preimages)
             assert [_image(mask, t) for t in singles] == [
                 edge_image(mask, t) for t in target_lists
             ]
@@ -121,6 +127,7 @@ def test_packed_tables_match_one_label_tables(n):
 def test_packed_tables_missing_label_is_a_zero_block():
     images = _packed_tables([(1, 0, -1), (), (2, 2, 2)], 3)
     assert split(_image(0b111, images), 3, 3) == [0b011, 0, 0b100]
+    assert split(_byte_image(0b111, _byte_tables(images)), 3, 3) == [0b011, 0, 0b100]
 
 
 def essential_graph(rng, n, labels):

@@ -93,14 +93,18 @@ def test_prepare_reads_domains_and_range_automaton_off_the_closures(g):
 
 @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
 def test_set_up_images_each_domain_and_each_range_once(g, monkeypatch):
-    imaged = []
-    image = exact._image
+    imaged = []  # the masks imaged by either table width, in order
 
-    def counted(mask, tables):
-        imaged.append(mask)
-        return image(mask, tables)
+    def counted(image):
+        def imaging(mask, tables):
+            imaged.append(mask)
+            return image(mask, tables)
 
-    monkeypatch.setattr(exact, "_image", counted)
+        return imaging
+
+    # closures past 256 subsets, the 300-vertex ones, go on 8 bits at a time
+    for name in ("_image", "_byte_image"):
+        monkeypatch.setattr(exact, name, counted(getattr(exact, name)))
     ActionMonoid(g, DEFAULT_CAPS)._prepare()
     # |D| + |R| images: each domain, then each range, once
     assert imaged == list(table_closure(g, preimages=True)) + list(table_closure(g))
