@@ -6,6 +6,12 @@ queried property holds (or output was produced), 1 means it fails, and 2
 means an error (bad input, unmet precondition).  ``--json`` swaps the
 human-readable report for a single JSON object with ``result``,
 ``witness``, and ``details`` fields.
+
+``QUESTIONS`` routes the shift questions that a decider answers alone:
+``equal``, ``is-sft`` and ``is-irreducible`` try the polynomial decider
+and fall back on exact search when the input is not synchronizing,
+``has-sdp`` always runs exact search, and ``universal`` runs the
+polynomial separating-word search on every deterministic essential input.
 """
 
 import argparse
@@ -168,38 +174,30 @@ def cmd_subshift(args):
     return _bool_result(args, holds, witness=witness)
 
 
-def _decide(args, polynomial, exhaustive, *graphs):
-    """Answers by the polynomial decider, or by the exact one if the input is not synchronizing.
-
-    The two agree wherever the polynomial one applies.
-    """
-    try:
-        value = polynomial(*graphs)
-    except NotSynchronizingError:
-        value = exhaustive(*graphs)
-    return _bool_result(args, value)
-
-
-def cmd_equal(args):
-    return _decide(args, classify.equal_sync, exact.decide_equality, *_two_graphs(args))
+# Each command's graph count, then its deciders in order as (module, name),
+# looked up at each call so that one rebound on its module is the one run.
+# Every decider but the last may refuse input that is not synchronizing with
+# NotSynchronizingError, and the next one answers it.
+QUESTIONS = {
+    "equal": (2, (classify, "equal_sync"), (exact, "decide_equality")),
+    "is-sft": (1, (classify, "is_sft_sync"), (exact, "decide_sft")),
+    "is-irreducible": (1, (classify, "is_irreducible_shift_sync"), (exact, "decide_irreducibility")),
+    "has-sdp": (1, (exact, "decide_sdp_exists")),
+    "universal": (1, (classify, "is_universal")),
+}
 
 
-def cmd_is_sft(args):
-    return _decide(args, classify.is_sft_sync, exact.decide_sft, _one_graph(args))
-
-
-def cmd_is_irreducible(args):
-    return _decide(
-        args, classify.is_irreducible_shift_sync, exact.decide_irreducibility, _one_graph(args)
-    )
-
-
-def cmd_has_sdp(args):
-    return _bool_result(args, exact.decide_sdp_exists(_one_graph(args)))
-
-
-def cmd_universal(args):
-    return _bool_result(args, classify.is_universal(_one_graph(args)))
+def cmd_question(args):
+    count, *deciders = QUESTIONS[args.command]
+    graphs = _two_graphs(args) if count == 2 else (_one_graph(args),)
+    for module, name in deciders[:-1]:
+        try:
+            value = getattr(module, name)(*graphs)
+        except NotSynchronizingError:
+            continue
+        return _bool_result(args, value)
+    module, name = deciders[-1]
+    return _bool_result(args, getattr(module, name)(*graphs))
 
 
 def cmd_minimal(args):
@@ -301,11 +299,8 @@ def build_parser():
     add("syncword", cmd_syncword, exact=True)
     add("separate", cmd_separate)
     add("subshift", cmd_subshift, exact=True)
-    add("equal", cmd_equal)
-    add("is-sft", cmd_is_sft)
-    add("is-irreducible", cmd_is_irreducible)
-    add("has-sdp", cmd_has_sdp)
-    add("universal", cmd_universal)
+    for name in QUESTIONS:
+        add(name, cmd_question)
     minimal = add("minimal", cmd_minimal)
     minimal.add_argument("--k", type=int, required=True)
     sync_to = add("sync-to", cmd_sync_to)

@@ -115,13 +115,9 @@ def parse(text):
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError(number, "edge takes SRC LABEL DST")
-            src, label, dst = args
-            for endpoint in (src, dst):
-                if endpoint not in vertices:
-                    raise ParseError(
-                        number, f"edge references unknown vertex {endpoint!r}"
-                    )
-            edges.append((src, label, dst))
+            # well-formed edges were taken above, so an endpoint is unknown
+            unknown = next(v for v in (args[0], args[2]) if v not in vertices)
+            raise ParseError(number, f"edge references unknown vertex {unknown!r}")
         elif directive == "start":
             if kind == "graph":
                 raise ParseError(number, "start is only valid in dfa/medfa documents")

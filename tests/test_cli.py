@@ -7,6 +7,7 @@ import pytest
 
 from sofic import classify, exact, fileformat
 from sofic.cli import main
+from sofic.errors import NotSynchronizingError
 from sofic.fileformat import parse
 from sofic.graphs import LabeledGraph, essentialize
 from sofic.syncwords import is_synchronizing
@@ -128,11 +129,32 @@ def test_is_sft(capsys):
 FULL2 = LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p"), ("p", "b", "p"), ("q", "b", "q")])
 
 
-# each command's exact decider, and its polynomial decider for synchronizing input
+def universal_reference(g):
+    """Whether g presents the full shift over its labels, by exact containment."""
+    full = LabeledGraph(edges=[("v", a, "v") for a in {a for _, a, _ in g.edges}])
+    return exact.subshift_witness(full, g)[0]
+
+
+# each command's deciders in the order the CLI tries them, as (module, name):
+# a polynomial one, which refuses input that is not synchronizing, then an
+# exact one
 DECIDERS = {
-    "is-sft": (exact.decide_sft, classify.is_sft_sync),
-    "is-irreducible": (exact.decide_irreducibility, classify.is_irreducible_shift_sync),
-    "equal": (exact.decide_equality, classify.equal_sync),
+    "is-sft": [(classify, "is_sft_sync"), (exact, "decide_sft")],
+    "is-irreducible": [
+        (classify, "is_irreducible_shift_sync"),
+        (exact, "decide_irreducibility"),
+    ],
+    "equal": [(classify, "equal_sync"), (exact, "decide_equality")],
+    "has-sdp": [(exact, "decide_sdp_exists")],
+    "universal": [(classify, "is_universal")],
+}
+# each command's answer, computed without the CLI
+REFERENCE = {
+    "is-sft": exact.decide_sft,
+    "is-irreducible": exact.decide_irreducibility,
+    "equal": exact.decide_equality,
+    "has-sdp": exact.decide_sdp_exists,
+    "universal": universal_reference,
 }
 
 
@@ -156,24 +178,49 @@ def engine_cases():
             ("is-irreducible", (g,)),
             ("equal", (g, h)),
             ("equal", (g, disjoint_union(g, g))),
+            ("has-sdp", (g,)),
+            ("universal", (g,)),
         ]
     return cases
 
 
-def test_engine_choice_gives_the_exact_answers(tmp_path, capsys):
+def test_engine_choice_gives_the_exact_answers(tmp_path, capsys, monkeypatch):
+    # each call of a decider, as (name, whether it answered), in the order made
+    calls = []
+
+    def recorded(name, decide):
+        def wrapper(*graphs):
+            try:
+                value = decide(*graphs)
+            except NotSynchronizingError:
+                calls.append((name, False))
+                raise
+            calls.append((name, True))
+            return value
+
+        return wrapper
+
+    for route in DECIDERS.values():
+        for module, name in route:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     path = tmp_path / "input.sg"
-    synchronizing = []
+    answered = set()
     for command, graphs in engine_cases():
         docs = [fileformat.graph_document(f"G{i}", g) for i, g in enumerate(graphs)]
         path.write_text(fileformat.render(docs))
+        calls.clear()
         code, payload = run_json(capsys, command, str(path))
-        decide_exactly, decide_sync = DECIDERS[command]
-        expected = decide_exactly(*graphs)
+        expected = REFERENCE[command](*graphs)
         assert payload["result"] is expected and code == (0 if expected else 1)
-        synchronizing.append(all(is_synchronizing(g) for g in graphs))
-        if synchronizing[-1]:
-            assert decide_sync(*graphs) is expected
-    assert 0 < sum(synchronizing) < len(synchronizing) / 2
+        names = [name for _, name in DECIDERS[command]]
+        if len(names) == 2 and not all(is_synchronizing(g) for g in graphs):
+            assert calls == [(names[0], False), (names[1], True)], command
+            answered.add((command, names[1]))
+        else:
+            assert calls == [(names[0], True)], command
+            answered.add((command, names[0]))
+    # every decider of every command answered some input
+    assert answered == {(c, name) for c, route in DECIDERS.items() for _, name in route}
 
 
 def test_sync_commands_reject_nonessential(tmp_path, capsys):

@@ -3,9 +3,11 @@
 The argument parser is built once per process and reused, so a run of
 several commands, some of which fail to parse or fail to decide, must
 give each command the stdout, stderr and exit code that a fresh
-interpreter gives it.
+interpreter gives it.  The order in which the parser lists its
+subcommands is pinned too.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -84,3 +86,27 @@ def test_commands_in_one_process_match_fresh_interpreters(expected, order, monke
         assert in_process(argv, stdin) == expected[i], argv
     # every exit code of the table occurs
     assert {code for _, _, code in expected} == {0, 1, 2}
+
+
+def test_parser_lists_its_subcommands_in_order():
+    # the usage line and --help list them in this order
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [
+        "check",
+        "essential",
+        "components",
+        "syncword",
+        "separate",
+        "subshift",
+        "equal",
+        "is-sft",
+        "is-irreducible",
+        "has-sdp",
+        "universal",
+        "minimal",
+        "sync-to",
+        "follower-sep",
+        "iso",
+        "gen",
+        "oracle",
+    ]
