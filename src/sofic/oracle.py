@@ -112,23 +112,3 @@ def dfa_union_universal(dfas):
     """
     witness = dfa_intersection_shortest([d.complemented() for d in dfas])
     return witness is None, witness
-
-
-def is_word_synchronizing(g, w):
-    """The vertex `w` synchronizes `g` to, or None.
-
-    Walks every vertex through `w` by scanning the edge list and checks
-    whether exactly one endpoint survives.
-
-    Parameters
-    ----------
-    g : deterministic LabeledGraph
-    w : word
-    """
-    succ = _edge_map(g)
-    survivors = set(g.vertices)
-    for a in w:
-        survivors = {d for q in survivors for d in succ.get((q, a), ())}
-    if len(survivors) == 1:
-        return next(iter(survivors))
-    return None

@@ -1,42 +1,42 @@
+from pathlib import Path
+
 import pytest
 
-from sofic.graphs import LabeledGraph, induced_subgraph
+from sofic.fileformat import parse_one
+from sofic.graphs import LabeledGraph
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_graph(name):
+    """The graph of ``tests/fixtures/<name>.sg``."""
+    return parse_one((FIXTURES / f"{name}.sg").read_text(encoding="utf-8"), "graph").value
 
 
 @pytest.fixture
 def full1():
-    return LabeledGraph(edges=[("v", "0", "v"), ("v", "1", "v")])
+    return fixture_graph("full1")
 
 
 @pytest.fixture
 def fig1():
     # reducible, follower-separated, deterministic; its shift equals hfig1's
-    return LabeledGraph(
-        edges=[
-            ("q1", "0", "q1"),
-            ("q1", "1", "q2"),
-            ("q2", "1", "q2"),
-            ("q2", "0", "q3"),
-            ("q3", "0", "q2"),
-        ]
-    )
+    return fixture_graph("fig1")
 
 
 @pytest.fixture
-def hfig1(fig1):
-    return induced_subgraph(fig1, {"q2", "q3"})
+def hfig1():
+    return fixture_graph("hfig1")
 
 
 @pytest.fixture
 def gm():
-    # golden mean: no two consecutive 1s
-    return LabeledGraph(edges=[("A", "0", "A"), ("A", "1", "B"), ("B", "0", "A")])
+    return fixture_graph("gm")
 
 
 @pytest.fixture
 def ev():
-    # even shift: maximal 0-blocks between 1s have even length
-    return LabeledGraph(edges=[("A", "1", "A"), ("A", "0", "B"), ("B", "0", "A")])
+    return fixture_graph("ev")
 
 
 @pytest.fixture

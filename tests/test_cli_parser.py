@@ -7,18 +7,16 @@ interpreter gives it.  The order in which the parser lists its
 subcommands is pinned too.
 """
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from sofic import cli
 
-ROOT = Path(__file__).resolve().parent.parent
+from .test_golden import ROOT, run_cli
+
 GM = (ROOT / "tests" / "fixtures" / "gm.sg").read_text(encoding="utf-8")
 
 # (argv, stdin)
@@ -40,18 +38,8 @@ COMMANDS = [
 
 
 def in_process(argv, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        sys.stdin = saved
-    return out.getvalue(), err.getvalue(), code
+    record = run_cli(argv, stdin)
+    return record["stdout"], record["stderr"], record["code"]
 
 
 def fresh(argv, stdin):
@@ -75,7 +63,6 @@ def expected():
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_commands_in_one_process_match_fresh_interpreters(expected, order, monkeypatch):
-    monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")
     indices = list(range(len(COMMANDS)))
     if order == "reversed":

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,14 +61,21 @@ def cli_cases():
     return [case + flag for case in cases for flag in ([], ["--json"])]
 
 
-def run_cli(argv):
+def run_cli(argv, stdin=""):
+    """Runs ``cli.main`` from the repository root with `stdin` as its input."""
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    saved, cwd = sys.stdin, os.getcwd()
+    sys.stdin = io.StringIO(stdin)
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                # argparse exits on an argument error or --help
+                code = exc.code
     finally:
+        sys.stdin = saved
         os.chdir(cwd)
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
 

@@ -14,9 +14,7 @@ To record the transcript again (only when an output change is intended)::
     PYTHONPATH=src python -m tests.test_golden_gen
 """
 
-import io
 import json
-import sys
 
 from .test_golden import GOLDEN, run_cli
 
@@ -67,13 +65,7 @@ def gen_cases():
 
 
 def run_main(argv, stdin):
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        record = run_cli(argv)
-    finally:
-        sys.stdin = saved
-    return {"argv": argv, "stdin": stdin, **{k: v for k, v in record.items() if k != "argv"}}
+    return {"argv": argv, "stdin": stdin, **run_cli(argv, stdin)}
 
 
 def test_gen_and_oracle_transcript():

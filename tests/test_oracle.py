@@ -9,11 +9,10 @@ from sofic.oracle import (
     MAX_LANGUAGE_WORDS,
     dfa_intersection_shortest,
     dfa_union_universal,
-    is_word_synchronizing,
     language_upto,
 )
 
-from .oracles import brute_language, image, random_deterministic_graph, words_upto
+from .oracles import brute_language, random_deterministic_graph, words_upto
 
 
 def w(text):
@@ -155,22 +154,3 @@ def test_dfa_union_universal_matches_word_scan():
             if len(witness) <= 6:
                 assert len(witness) == len(shortest)
             assert not dfa.accepts(witness) and not other.accepts(witness)
-
-
-def test_is_word_synchronizing(fig1, gm):
-    assert is_word_synchronizing(fig1, ("1",)) == "q2"
-    assert is_word_synchronizing(fig1, ("0",)) is None
-    assert is_word_synchronizing(gm, ()) is None
-    assert is_word_synchronizing(gm, ("0",)) == "A"
-
-
-def test_is_word_synchronizing_matches_image():
-    rng = random.Random(74)
-    for _ in range(30):
-        g = random_deterministic_graph(rng, 4, ["0", "1"])
-        for word in words_upto(("0", "1"), 4):
-            result = is_word_synchronizing(g, word)
-            survivors = image(g, g.vertices, word)
-            assert (result is not None) == (len(survivors) == 1)
-            if result is not None:
-                assert survivors == {result}

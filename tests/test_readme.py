@@ -5,11 +5,12 @@ subcommand of ``build_parser()``, every subcommand must appear, and
 ``[--exact]`` must be shown exactly on the subcommands that take it.
 """
 
-import argparse
 import re
 from pathlib import Path
 
 from sofic.cli import build_parser
+
+from .test_golden import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,10 +28,10 @@ def readme_commands():
 
 
 def takes_exact():
-    """Each subcommand of the parser, mapped to whether it takes ``--exact``."""
-    actions = build_parser()._actions
-    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
-    return {name: "--exact" in p._option_string_actions for name, p in sub.choices.items()}
+    """Each subcommand of the parser, mapped to whether its ``--help`` lists ``--exact``."""
+    usage = build_parser().format_usage().split()
+    names = next(word for word in usage if word.startswith("{")).strip("{}").split(",")
+    return {name: "--exact" in run_cli([name, "--help"])["stdout"] for name in names}
 
 
 def test_readme_commands_match_the_parser():
