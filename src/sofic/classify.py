@@ -86,22 +86,29 @@ def _blocks(*graphs):
         block, count = list(map(ids.__getitem__, signatures)), len(ids)
 
 
-def _quotient(g):
-    """The follower quotient of deterministic `g` as target lists over class ids.
+def _quotient(*graphs):
+    """The follower quotient of the disjoint union of deterministic
+    `graphs` as target lists over class ids.
 
-    Returns the class count n and, per label in sorted order, the target
-    of each class or -1; class ids come in first-member order.
+    Returns the class ids of :func:`_blocks`, whose last entry is the
+    class count, and a dict mapping each label of the graphs, in sorted
+    order, to the target of each class or -1.
     """
-    block = _blocks(g)
-    n = block[-1]
-    quotient = []
-    for targets in g._compiled().targets.values():
-        moved = [-1] * n
-        for v, t in enumerate(targets):
-            if t >= 0:
-                moved[block[v]] = block[t]
-        quotient.append(moved)
-    return n, quotient
+    block = _blocks(*graphs)
+    # each graph's target lists, with the ids of its vertices
+    parts, shift = [], 0
+    for g in graphs:
+        view = g._compiled()
+        parts.append((view.targets, block[shift:]))
+        shift += len(view.index)
+    quotient = {}
+    for a in sorted({a for targets, _ in parts for a in targets}):
+        moved = quotient[a] = [-1] * block[-1]
+        for targets, ids in parts:
+            for v, t in enumerate(targets.get(a, ())):
+                if t >= 0:
+                    moved[ids[v]] = ids[t]
+    return block, quotient
 
 
 def follower_partition(g):
@@ -236,10 +243,11 @@ def is_sft_sync(g):
     NotEssentialError
     """
     _require_sync(g)
-    n, quotient = _quotient(g)
+    block, quotient = _quotient(g)
+    n = block[-1]
     # hat-graph vertex (i, j), i != j, is index i * n + j
     succ = [[] for _ in range(n * n)]
-    for t in quotient:
+    for t in quotient.values():
         defined = [(i, ti) for i, ti in enumerate(t) if ti >= 0]
         for i, ti in defined:
             for j, tj in defined:

@@ -91,6 +91,26 @@ at the 90th percentile).  Caching 8-bit tables on the compiled view
 raised the peak RSS of the padded-family workload from 21.6 to 27.8 MiB
 (+29%) and saved nothing, as it builds fresh graphs on every pass.
 
+A subset-pair containment search (:func:`subshift_witness`, and each
+direction of :func:`decide_equality`) does not switch.  Under a cap
+above 256 it restarts at that point on the follower classes of the
+union (see :func:`_pair_containment`): vertices with equal follower sets
+step to vertices with equal follower sets, and a class both graphs hold
+never keeps the contained side alive on a witness, so it is dropped from
+the start.  The witness and the answer do not change; the cap then
+bounds the class-level search, which switches to byte tables in its
+turn past 256 stored subsets.  Reducing from the start slowed the small
+searches: ``decide_irreducibility`` on the 1000 DFA-battery graphs went
+from 215-258 to 267-347 ms.  At 256 stored subsets no DFA-battery
+verdict restarts and 22 of the 100 padded-family verdicts do (n = 26
+on, both directions); the padded-family workload's 90th-percentile
+verdict time fell from 6.52 to 3.91 ms (medians of ten alternating
+20 s ``bench/run.py`` pairs on a shared 2-core VM).  Padded n = 61
+against a renamed copy, whose vertex-level searches overran the default
+cap after 2.3 s, answers in 2 to 3 ms both ways, and so does n = 51,
+which took 1.16 s.  Minimality's candidate checks keep the vertex-level
+search.
+
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists
 of each candidate, or for k = 1 on those of the one-vertex full shift
@@ -116,7 +136,13 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Caps:
-    """Search-size limits: reachable subsets, monoid elements, enumeration candidates."""
+    """Search-size limits: reachable subsets, monoid elements, enumeration candidates.
+
+    ``subsets`` bounds each subset and subset-pair search.  Past 256
+    stored subsets, a subset-pair search under a larger cap starts over
+    on follower classes (see :func:`subshift_witness`), and the cap then
+    bounds the class-level search.
+    """
 
     subsets: int = 2**18
     relations: int = 2**18
@@ -768,11 +794,16 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     Runs the two subset automata in parallel from their full vertex
     sets; containment fails exactly when some word keeps `g` alive while
     killing `h`, and the first such word in breadth-first order is
-    returned as the witness.
+    returned as the witness.  A search that has stored 256 subset pairs
+    under a larger cap starts over on the follower classes of the union
+    of `g` and `h`, which finds the same witness.
 
     Parameters
     ----------
     g, h : deterministic essential LabeledGraphs
+    caps : Caps
+        ``caps.subsets`` bounds the stored subset pairs, past a restart
+        those of the class-level search.
 
     Returns
     -------
@@ -786,8 +817,8 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     h_view = _require_presentation(h)
     # labels of h alone kill g at once, so only g's labels are tried
     labels = g_view.labels
-    tables, width = _union_tables(g_view, h_view, labels)
-    return _containment(tables, width, labels, (1 << width) - 1, (1 << len(g.vertices)) - 1, caps)
+    tables = _union_tables(g_view, h_view, labels)[0]
+    return _pair_containment(g, h, tables, labels, (1 << len(g.vertices)) - 1, caps)
 
 
 def _union_tables(g_view, h_view, labels):
@@ -801,25 +832,61 @@ def _union_tables(g_view, h_view, labels):
     return _mask_tables(bits), width
 
 
-def _containment(tables, width, labels, start, live, caps):
+def _containment(tables, width, labels, start, live, cap):
     """:func:`subshift_witness` on the subset `start` of a union, given its
     packed tables over `labels`: whether no word kills the part outside
-    `live` and keeps the part inside alive, and the first word that does."""
+    `live` and keeps the part inside alive, and the first word that does.
+    Storing more than `cap` subsets raises."""
     if not start & live:
         return True, None
-    cap = caps.subsets
     witness = _word_search(tables, width, labels, start, live, ~live, 0, cap, "subset-pair count")
     return witness is None, witness
 
 
 def _equal(tables, width, labels, n_g, caps):
     """Containment both ways between the first n_g vertices of a union and
-    the rest, given its packed tables over every label of both."""
+    the rest, given its packed tables over every label of both, by the
+    vertex-level search alone (minimality's candidate checks)."""
     full, low = (1 << width) - 1, (1 << n_g) - 1
     return (
-        _containment(tables, width, labels, full, low, caps)[0]
-        and _containment(tables, width, labels, full, full ^ low, caps)[0]
+        _containment(tables, width, labels, full, low, caps.subsets)[0]
+        and _containment(tables, width, labels, full, full ^ low, caps.subsets)[0]
     )
+
+def _pair_containment(g, h, tables, labels, live, caps):
+    """:func:`_containment` from the whole union of `g` and `h`, given its
+    packed `tables` over `labels` with g's vertices first and `live` the
+    low part or the high one; past 256 stored subsets the search starts
+    over on the follower classes of the union.
+
+    The class-level search reads the quotient of the union from
+    :func:`~sofic.classify._quotient`, one target list per label of
+    either graph joined with itself as in :func:`decide_irreducibility`.
+    Its live half starts at the live graph's classes that the other
+    graph does not hold, and its other half at all of the other graph's
+    classes.  A dropped class is held by the other graph, so it never
+    keeps the live part alive on a witness, and a label of the other
+    graph alone kills the live part: the witnesses, and so the first
+    one in breadth-first order, are those of the vertex-level search.
+    With a cap of at most 256 there is no restart, and past the restart
+    the cap bounds the class-level search.
+    """
+    n_g = len(g.vertices)
+    width = n_g + len(h.vertices)
+    cap = caps.subsets
+    try:
+        return _containment(tables, width, labels, (1 << width) - 1, live, min(cap, 256))
+    except CapExceededError:
+        if cap <= 256:
+            raise
+    block, quotient = _quotient(g, h)
+    m, lists = block[-1], quotient.values()
+    ours, theirs = set(block[:n_g]), set(block[n_g:-1])
+    if live >> n_g:  # containment of h in g
+        ours, theirs = theirs, ours
+    start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
+    tables = _mask_tables(_packed_bits(lists, m, 2 * m) + _packed_bits(lists, m, 2 * m, m))
+    return _containment(tables, 2 * m, tuple(quotient), start, (1 << m) - 1, cap)
 
 
 def decide_subshift(g, h, caps=DEFAULT_CAPS):
@@ -828,12 +895,17 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
-    """Whether `g` and `h` present the same shift (containment both ways)."""
+    """Whether `g` and `h` present the same shift: containment both ways,
+    each restarting on follower classes as in :func:`subshift_witness`."""
     g_view = _require_presentation(g)
     h_view = _require_presentation(h)
     labels = tuple(sorted(set(g_view.labels) | set(h_view.labels)))
     tables, width = _union_tables(g_view, h_view, labels)
-    return _equal(tables, width, labels, len(g.vertices), caps)
+    low = (1 << len(g.vertices)) - 1
+    return (
+        _pair_containment(g, h, tables, labels, low, caps)[0]
+        and _pair_containment(g, h, tables, labels, low ^ (1 << width) - 1, caps)[0]
+    )
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
@@ -860,7 +932,8 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
     labels = _require_presentation(g).labels
     if not g.vertices:
         return True
-    n, quotient = _quotient(g)
+    block, quotient = _quotient(g)
+    n, quotient = block[-1], quotient.values()
     tables = _mask_tables(_packed_bits(quotient, n, 2 * n) + _packed_bits(quotient, n, 2 * n, n))
     full = (1 << n) - 1
     reached = _subset_closure(tables, 2 * n, full, caps.subsets)
@@ -870,7 +943,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
         return False
     # the restriction presents a subshift of the quotient's, so one
     # containment is enough
-    return _containment(tables, 2 * n, labels, full | sync << n, full, caps)[0]
+    return _containment(tables, 2 * n, labels, full | sync << n, full, caps.subsets)[0]
 
 
 def decide_minimality(g, k, caps=DEFAULT_CAPS):

@@ -8,6 +8,11 @@ from sofic.graphs import LabeledGraph
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def fixture_path(name):
+    """The path of the file ``tests/fixtures/<name>``, as a string."""
+    return str(FIXTURES / name)
+
+
 def fixture_graph(name):
     """The graph of ``tests/fixtures/<name>.sg``."""
     return parse_one((FIXTURES / f"{name}.sg").read_text(encoding="utf-8"), "graph").value

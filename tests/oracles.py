@@ -1,15 +1,16 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last seven
+the package is meaningful.  The exceptions are the last eight
 functions, which use the package inside their bodies: two keep the
 routes of the exact deciders that build derived graphs (a follower
 quotient, an induced subgraph, named candidates), one keeps the
-two-mask subset-pair search that the one-mask search replaced, the next
-two build the one-label subset-image tables that the packed table is
-checked against, one closes subsets through those tables, and the last
-keeps the per-vertex follower refinement that whole-column passes
-replaced.
+two-mask subset-pair search that the one-mask search replaced, one
+runs the class-level pair search on the reference follower refinement,
+the next two build the one-label subset-image tables that the packed
+table is checked against, one closes subsets through those tables, and
+the last keeps the per-vertex follower refinement that whole-column
+passes replaced.
 """
 
 import itertools
@@ -476,6 +477,53 @@ def two_mask_witness(g, h, cap=2**18):
             if len(parent) >= cap:
                 raise CapExceededError(len(parent) + 1, "subset-pair count")
             parent[nxt] = (state, c)
+            order.append(nxt)
+    return True, None
+
+
+def class_witness(g, h, cap=2**18):
+    """``subshift_witness(g, h, Caps(subsets=cap))`` after its search has
+    restarted on follower classes, by a breadth-first search over pairs
+    of frozensets of class ids from ``reference_blocks(g, h)``.
+
+    The pair starts at (g's classes that h does not hold, h's classes),
+    and each class steps to the class of the target of any member, read
+    off the edge lists.  Labels of g are tried in sorted order, with the
+    search's own parent pointers, stopping where the second set is
+    empty.  Returns what the search returns, and raises the same
+    ``CapExceededError`` when it stores more than `cap` pairs.
+    """
+    from sofic.errors import CapExceededError
+
+    tagged = [(0, v) for v in g.vertices] + [(1, v) for v in h.vertices]
+    cls = dict(zip(tagged, reference_blocks(g, h)))
+    step = {}
+    for side, graph in enumerate((g, h)):
+        for src, a, dst in graph.edges:
+            step[cls[side, src], a] = cls[side, dst]
+    theirs = frozenset(cls[1, v] for v in h.vertices)
+    start = (frozenset(cls[0, v] for v in g.vertices) - theirs, theirs)
+    if not start[0]:
+        return True, None
+    if not start[1]:
+        return False, ()
+    labels = graph_labels(g)
+    parent = {start: None}
+    order = [start]  # the breadth-first queue
+    for state in order:
+        for a in labels:
+            nxt = tuple(frozenset(step[b, a] for b in part if (b, a) in step) for part in state)
+            if not nxt[0] or nxt in parent:
+                continue
+            if not nxt[1]:
+                word = [a]
+                while parent[state] is not None:
+                    state, b = parent[state]
+                    word.append(b)
+                return False, tuple(reversed(word))
+            if len(parent) >= cap:
+                raise CapExceededError(len(parent) + 1, "subset-pair count")
+            parent[nxt] = (state, a)
             order.append(nxt)
     return True, None
 

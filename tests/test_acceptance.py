@@ -8,7 +8,6 @@ randomized batteries are seeded, so runs are reproducible.
 import random
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from sofic import classify, exact, oracle, syncwords
 from sofic.cli import main as cli_main
@@ -24,6 +23,7 @@ from sofic.constructions import (
 from sofic.errors import AllLanguagesEmptyError
 from sofic.graphs import essentialize, is_irreducible, subset_step
 
+from .conftest import fixture_path
 from .oracles import (
     brute_actions,
     image,
@@ -33,8 +33,6 @@ from .oracles import (
     singleton_reachable,
     words_upto,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @contextmanager
@@ -50,15 +48,11 @@ def criterion(number, description, limit_seconds):
     print(f"ACCEPTANCE {number} PASS ({elapsed:.1f}s): {description}")
 
 
-def fixture(name):
-    return str(FIXTURES / name)
-
-
 def test_criterion_1_figure_example(fig1, hfig1):
     with criterion(1, "figure pair: equality, non-isomorphism, irreducibility", 1.0):
-        assert cli_main(["equal", fixture("fig1.sg"), fixture("hfig1.sg")]) == 0
-        assert cli_main(["iso", fixture("fig1.sg"), fixture("hfig1.sg")]) == 1
-        assert cli_main(["is-irreducible", fixture("fig1.sg")]) == 0
+        assert cli_main(["equal", fixture_path("fig1.sg"), fixture_path("hfig1.sg")]) == 0
+        assert cli_main(["iso", fixture_path("fig1.sg"), fixture_path("hfig1.sg")]) == 1
+        assert cli_main(["is-irreducible", fixture_path("fig1.sg")]) == 0
         assert syncwords.is_synchronizing(fig1) is False
         assert syncwords.is_synchronizing(hfig1) is True
 

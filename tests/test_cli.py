@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -12,13 +11,8 @@ from sofic.fileformat import parse
 from sofic.graphs import LabeledGraph, essentialize
 from sofic.syncwords import is_synchronizing
 
+from .conftest import FIXTURES, fixture_path
 from .oracles import disjoint_union, random_deterministic_graph
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def fixture(name):
-    return str(FIXTURES / name)
 
 
 def run(capsys, *argv):
@@ -33,64 +27,64 @@ def run_json(capsys, *argv):
 
 
 def test_check(capsys):
-    code, out, _ = run(capsys, "check", fixture("fig1.sg"))
+    code, out, _ = run(capsys, "check", fixture_path("fig1.sg"))
     assert code == 0
     assert "deterministic: True" in out
     assert "synchronizing: False" in out
 
 
 def test_equal_exact(capsys):
-    code, payload = run_json(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"))
+    code, payload = run_json(capsys, "equal", fixture_path("fig1.sg"), fixture_path("hfig1.sg"))
     assert code == 0 and payload["result"] is True
-    code, payload = run_json(capsys, "equal", fixture("gm.sg"), fixture("ev.sg"))
+    code, payload = run_json(capsys, "equal", fixture_path("gm.sg"), fixture_path("ev.sg"))
     assert code == 1 and payload["result"] is False
 
 
 def test_equal_answers_non_synchronizing(capsys):
     # fig1 is not synchronizing: the exact decider answers
-    code, _, err = run(capsys, "equal", fixture("fig1.sg"), fixture("hfig1.sg"))
+    code, _, err = run(capsys, "equal", fixture_path("fig1.sg"), fixture_path("hfig1.sg"))
     assert code == 0
     assert err == ""
 
 
 def test_iso(capsys):
-    code, _, _ = run(capsys, "iso", fixture("fig1.sg"), fixture("hfig1.sg"))
+    code, _, _ = run(capsys, "iso", fixture_path("fig1.sg"), fixture_path("hfig1.sg"))
     assert code == 1
-    code, payload = run_json(capsys, "iso", fixture("gm.sg"), fixture("gm.sg"))
+    code, payload = run_json(capsys, "iso", fixture_path("gm.sg"), fixture_path("gm.sg"))
     assert code == 0 and payload["details"] == {"map A": "A", "map B": "B"}
 
 
 def test_is_irreducible_answers_non_synchronizing(capsys):
     # fig1 is not synchronizing: the exact decider answers
-    code, _, err = run(capsys, "is-irreducible", fixture("fig1.sg"))
+    code, _, err = run(capsys, "is-irreducible", fixture_path("fig1.sg"))
     assert code == 0 and err == ""
-    code, _, _ = run(capsys, "is-irreducible", fixture("hfig1.sg"))
+    code, _, _ = run(capsys, "is-irreducible", fixture_path("hfig1.sg"))
     assert code == 0
 
 
 def test_syncword(capsys):
-    code, payload = run_json(capsys, "syncword", fixture("gm.sg"))
+    code, payload = run_json(capsys, "syncword", fixture_path("gm.sg"))
     assert code == 0 and payload["witness"] == ["0"]
     # fig1 is reducible: the polynomial algorithm refuses it
-    code, _, err = run(capsys, "syncword", fixture("fig1.sg"))
+    code, _, err = run(capsys, "syncword", fixture_path("fig1.sg"))
     assert code == 2 and "strongly connected" in err
-    code, payload = run_json(capsys, "syncword", fixture("fig1.sg"), "--exact")
+    code, payload = run_json(capsys, "syncword", fixture_path("fig1.sg"), "--exact")
     assert code == 0 and payload["witness"] == ["1"]
 
 
 def test_subshift_non_exact_requires_irreducible_first(capsys):
-    code, _, err = run(capsys, "subshift", fixture("fig1.sg"), fixture("gm.sg"))
+    code, _, err = run(capsys, "subshift", fixture_path("fig1.sg"), fixture_path("gm.sg"))
     assert code == 2 and "strongly connected" in err
-    code, _, _ = run(capsys, "subshift", fixture("fig1.sg"), fixture("gm.sg"), "--exact")
+    code, _, _ = run(capsys, "subshift", fixture_path("fig1.sg"), fixture_path("gm.sg"), "--exact")
     assert code == 1  # fig1's language has 11, gm's does not
 
 
 def test_subshift_and_separate(capsys):
-    code, payload = run_json(capsys, "subshift", fixture("gm.sg"), fixture("full1.sg"))
+    code, payload = run_json(capsys, "subshift", fixture_path("gm.sg"), fixture_path("full1.sg"))
     assert code == 0 and payload["result"] is True
-    code, payload = run_json(capsys, "subshift", fixture("full1.sg"), fixture("gm.sg"), "--exact")
+    code, payload = run_json(capsys, "subshift", fixture_path("full1.sg"), fixture_path("gm.sg"), "--exact")
     assert code == 1 and payload["witness"] == ["1", "1"]
-    code, payload = run_json(capsys, "separate", fixture("full1.sg"), fixture("gm.sg"))
+    code, payload = run_json(capsys, "separate", fixture_path("full1.sg"), fixture_path("gm.sg"))
     assert code == 0 and payload["witness"] == ["1", "1"]
 
 
@@ -121,8 +115,8 @@ def test_two_documents_one_file(tmp_path, capsys):
 
 
 def test_is_sft(capsys):
-    assert run(capsys, "is-sft", fixture("gm.sg"))[0] == 0
-    assert run(capsys, "is-sft", fixture("ev.sg"))[0] == 1
+    assert run(capsys, "is-sft", fixture_path("gm.sg"))[0] == 0
+    assert run(capsys, "is-sft", fixture_path("ev.sg"))[0] == 1
 
 
 # the two-vertex full shift: irreducible, and no word synchronizes it
@@ -239,37 +233,37 @@ def test_sync_commands_reject_nonessential(tmp_path, capsys):
 
 
 def test_has_sdp_universal_minimal(tmp_path, capsys):
-    assert run(capsys, "has-sdp", fixture("fig1.sg"))[0] == 0
-    assert run(capsys, "universal", fixture("full1.sg"))[0] == 0
-    assert run(capsys, "universal", fixture("gm.sg"))[0] == 1
+    assert run(capsys, "has-sdp", fixture_path("fig1.sg"))[0] == 0
+    assert run(capsys, "universal", fixture_path("full1.sg"))[0] == 0
+    assert run(capsys, "universal", fixture_path("gm.sg"))[0] == 1
     empty = tmp_path / "empty.sg"
     empty.write_text("graph E\n")
     assert run(capsys, "universal", str(empty))[0] == 0
-    assert run(capsys, "minimal", fixture("gm.sg"), "--k", "1")[0] == 1
-    assert run(capsys, "minimal", fixture("gm.sg"), "--k", "2")[0] == 0
+    assert run(capsys, "minimal", fixture_path("gm.sg"), "--k", "1")[0] == 1
+    assert run(capsys, "minimal", fixture_path("gm.sg"), "--k", "2")[0] == 0
 
 
 def test_sync_to(capsys):
-    code, payload = run_json(capsys, "sync-to", fixture("gm.sg"), "--vertex", "B")
+    code, payload = run_json(capsys, "sync-to", fixture_path("gm.sg"), "--vertex", "B")
     assert code == 0
     word = payload["witness"]
     assert word and word[-1] == "1"
-    code, _, err = run(capsys, "sync-to", fixture("gm.sg"), "--vertex", "zz")
+    code, _, err = run(capsys, "sync-to", fixture_path("gm.sg"), "--vertex", "zz")
     assert code == 2 and "zz" in err
 
 
 def test_follower_sep_and_essential(capsys):
-    code, out, _ = run(capsys, "follower-sep", fixture("gm.sg"))
+    code, out, _ = run(capsys, "follower-sep", fixture_path("gm.sg"))
     assert code == 0
     docs = parse(out)
     assert len(docs[0].value.vertices) == 2
-    code, out, _ = run(capsys, "essential", fixture("gm.sg"))
+    code, out, _ = run(capsys, "essential", fixture_path("gm.sg"))
     assert code == 0
     assert parse(out)[0].value == parse((FIXTURES / "gm.sg").read_text())[0].value
 
 
 def test_components(capsys):
-    code, out, _ = run(capsys, "components", fixture("fig1.sg"))
+    code, out, _ = run(capsys, "components", fixture_path("fig1.sg"))
     assert code == 0
     assert "q1" in out and "initial" in out and "terminal" in out
 
@@ -288,7 +282,7 @@ def test_gen_mik_pipeline(tmp_path, capsys):
 
 
 def test_gen_reductions(tmp_path, capsys):
-    code, out, _ = run(capsys, "gen", "red-irred", fixture("allacc.sg"))
+    code, out, _ = run(capsys, "gen", "red-irred", fixture_path("allacc.sg"))
     assert code == 0
     docs = parse(out)
     assert [d.name for d in docs] == ["G", "H"]
@@ -296,7 +290,7 @@ def test_gen_reductions(tmp_path, capsys):
     pair.write_text(out)
     assert run(capsys, "equal", str(pair))[0] == 0
 
-    code, out, _ = run(capsys, "gen", "red-sync", fixture("allacc.sg"))
+    code, out, _ = run(capsys, "gen", "red-sync", fixture_path("allacc.sg"))
     assert code == 0
     g = tmp_path / "sync.sg"
     g.write_text(out)
@@ -321,14 +315,14 @@ def test_gen_sdp_blowup(tmp_path, capsys):
 
 
 def test_oracle_lang(capsys):
-    code, payload = run_json(capsys, "oracle", "lang", fixture("gm.sg"), "--max-len", "2")
+    code, payload = run_json(capsys, "oracle", "lang", fixture_path("gm.sg"), "--max-len", "2")
     assert code == 0
     words = {tuple(w) for w in payload["details"]["words"]}
     assert words == {(), ("0",), ("1",), ("0", "0"), ("0", "1"), ("1", "0")}
 
 
 def test_oracle_dfa_union(capsys):
-    code, payload = run_json(capsys, "oracle", "dfa-union", fixture("allacc.sg"))
+    code, payload = run_json(capsys, "oracle", "dfa-union", fixture_path("allacc.sg"))
     assert code == 0 and payload["result"] is True
 
 
@@ -346,7 +340,7 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_bad_k_exit_code(capsys):
-    code, _, err = run(capsys, "minimal", fixture("gm.sg"), "--k", "0")
+    code, _, err = run(capsys, "minimal", fixture_path("gm.sg"), "--k", "0")
     assert code == 2 and "positive" in err
 
 

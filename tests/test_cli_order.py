@@ -2,17 +2,12 @@
 
 import io
 import sys
-from pathlib import Path
 
 import pytest
 
 from sofic.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def fixture(name):
-    return str(FIXTURES / name)
+from .conftest import FIXTURES, fixture_path
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -37,28 +32,28 @@ SAME = [
     (["gen", "padded", "-", "--n", "12"], ["gen", "padded", "--n", "12", "-"], ""),
     (["gen", "red-sync", "-", "--json"], ["gen", "red-sync", "--json", "-"], ALLACC),
     (
-        ["oracle", "dfa-union", fixture("allacc.sg"), fixture("allacc.sg"), "--json"],
-        ["oracle", "dfa-union", fixture("allacc.sg"), "--json", fixture("allacc.sg")],
+        ["oracle", "dfa-union", fixture_path("allacc.sg"), fixture_path("allacc.sg"), "--json"],
+        ["oracle", "dfa-union", fixture_path("allacc.sg"), "--json", fixture_path("allacc.sg")],
         "",
     ),
     (
-        ["equal", fixture("gm.sg"), fixture("hfig1.sg"), "--json"],
-        ["equal", fixture("gm.sg"), "--json", fixture("hfig1.sg")],
+        ["equal", fixture_path("gm.sg"), fixture_path("hfig1.sg"), "--json"],
+        ["equal", fixture_path("gm.sg"), "--json", fixture_path("hfig1.sg")],
         "",
     ),
     (
-        ["subshift", fixture("hfig1.sg"), fixture("fig1.sg"), "--exact", "--json"],
-        ["subshift", "--exact", fixture("hfig1.sg"), "--json", fixture("fig1.sg")],
+        ["subshift", fixture_path("hfig1.sg"), fixture_path("fig1.sg"), "--exact", "--json"],
+        ["subshift", "--exact", fixture_path("hfig1.sg"), "--json", fixture_path("fig1.sg")],
         "",
     ),
     (
-        ["separate", fixture("full1.sg"), fixture("gm.sg"), "--json"],
-        ["separate", fixture("full1.sg"), "--json", fixture("gm.sg")],
+        ["separate", fixture_path("full1.sg"), fixture_path("gm.sg"), "--json"],
+        ["separate", fixture_path("full1.sg"), "--json", fixture_path("gm.sg")],
         "",
     ),
     (
-        ["iso", "-", fixture("ev.sg"), "--json"],
-        ["iso", "--json", "-", fixture("ev.sg")],
+        ["iso", "-", fixture_path("ev.sg"), "--json"],
+        ["iso", "--json", "-", fixture_path("ev.sg")],
         (FIXTURES / "ev.sg").read_text(encoding="utf-8"),
     ),
 ]
@@ -83,7 +78,7 @@ def test_files_after_options(capsys, monkeypatch, files_first, options_first, st
         ["oracle", "lang", "--max-len", "3", "-", "--bogus"],
         ["oracle", "lang", "-", "--bogus", "--max-len", "3"],
         ["gen", "padded", "--n", "12", "--bogus"],
-        ["check", fixture("gm.sg"), "--bogus"],
+        ["check", fixture_path("gm.sg"), "--bogus"],
     ],
 )
 def test_unknown_arguments_still_rejected(capsys, monkeypatch, argv):

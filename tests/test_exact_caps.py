@@ -22,8 +22,6 @@ under ``Caps(relations=k)`` pin the monoid element count; there the
 pruned search answers some inputs on which the whole closure raised.
 """
 
-from pathlib import Path
-
 import pytest
 
 from sofic.constructions import family_mik, padded_family_gn, reduction_irred
@@ -40,7 +38,8 @@ from sofic.exact import (
 )
 from sofic.fileformat import parse
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from .conftest import FIXTURES
+
 SEARCHES = {
     "shortest_sync_word": shortest_sync_word,
     "synchronizing_vertices": synchronizing_vertices,

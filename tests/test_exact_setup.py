@@ -11,7 +11,6 @@ nonzero domain and each nonzero range exactly once, and under
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -26,12 +25,10 @@ from sofic.exact import (
     decide_sdp_exists,
     decide_sft,
 )
-from sofic.fileformat import parse
 from sofic.graphs import LabeledGraph
 
+from .conftest import fixture_graph
 from .oracles import random_deterministic_graph, table_closure
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def rotation(n):
@@ -110,16 +107,11 @@ def test_set_up_images_each_domain_and_each_range_once(g, monkeypatch):
     assert imaged == list(table_closure(g, preimages=True)) + list(table_closure(g))
 
 
-def fixture(name):
-    (doc,) = parse((FIXTURES / f"{name}.sg").read_text(encoding="utf-8"))
-    return doc.value
-
-
 # gm has fewer domains than ranges, fig1 as many
 @pytest.mark.parametrize("name", ["gm", "fig1"])
 @pytest.mark.parametrize("decide", [decide_sft, decide_sdp_exists])
 def test_subset_cap_boundaries(name, decide, monkeypatch):
-    g = fixture(name)
+    g = fixture_graph(name)
     d, r = len(table_closure(g, preimages=True)), len(table_closure(g))
     assert decide(g, Caps(subsets=max(d, r))) == decide(g)
     closures = []  # the preimage flag of each closure's tables, in build order

@@ -1,4 +1,3 @@
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,7 @@ from sofic.fileformat import (
 )
 from sofic.graphs import LabeledGraph
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from .conftest import FIXTURES
 
 
 def test_parse_graph(full1):
