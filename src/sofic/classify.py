@@ -11,11 +11,15 @@ separation), label-graph isomorphism for follower-separated inputs,
 shift equality for synchronizing presentations (isomorphism of the
 quotients), the hat-graph test for shifts of finite type, and the
 universality and irreducibility shortcuts valid for synchronizing
-presentations.  Isomorphism and equality refine the disjoint union of
-their inputs once, building neither the union nor a quotient; the
-finite-type test (and exact irreducibility) reads the quotient as target
-lists over class ids, and universality separates the target lists of the
-one-vertex full shift from the input's.  No decider here builds a graph.
+presentations.  Equality, finite type and irreducibility prove the
+answer True on every deterministic essential input; only False needs the
+synchronizing hypothesis, so they test it only before answering False
+and refuse input that fails it.  Isomorphism and equality refine the
+disjoint union of their inputs once, building neither the union nor a
+quotient; the finite-type test (and exact irreducibility) reads the
+quotient as target lists over class ids, and universality separates the
+target lists of the one-vertex full shift from the input's.  No decider
+here builds a graph.
 """
 
 from dataclasses import dataclass
@@ -26,7 +30,6 @@ from .graphs import (
     is_irreducible,
     strong_components,
     _require_deterministic,
-    _require_essential,
     _require_presentation,
 )
 from .syncwords import is_synchronizing, _separating
@@ -193,56 +196,64 @@ def are_isomorphic(g, h):
     return {v: partner[b] for v, b in zip(g.vertices, block)}
 
 
-def _require_sync(*graphs):
-    """Raises unless every graph is synchronizing, then unless every one is essential."""
-    for g in graphs:
-        if not is_synchronizing(g):
-            raise NotSynchronizingError("input is not a synchronizing presentation")
-    for g in graphs:
-        _require_essential(g)
+def _sync_checked(answer, *graphs):
+    """`answer`, unless it is False and some graph is not synchronizing.
+
+    The deciders below prove True on every deterministic essential input
+    and False only on synchronizing ones, so they refuse the rest.
+    """
+    if not answer and not all(map(is_synchronizing, graphs)):
+        raise NotSynchronizingError("input is not a synchronizing presentation")
+    return answer
 
 
 def equal_sync(g, h):
-    """Returns True iff two synchronizing presentations present the same shift.
+    """Returns True iff `g` and `h` present the same shift.
 
-    Follower-separated synchronizing presentations of one shift are
-    unique up to isomorphism, so equality reduces to isomorphism of the
-    two quotients: as follower sets survive the quotient, exactly when
-    every follower class of the disjoint union meets both graphs.  The
-    synchronizing hypothesis is verified, not trusted: without it the
-    reduction to isomorphism is unsound.
+    When every follower class of the disjoint union meets both graphs,
+    the two follower quotients coincide, and each presents its graph's
+    shift, so True holds on every input.  Otherwise the answer is False
+    for synchronizing inputs, as their follower-separated presentations
+    of one shift are unique up to isomorphism; any other input is
+    refused.
 
     Parameters
     ----------
-    g, h : deterministic, essential, synchronizing LabeledGraphs
+    g, h : deterministic, essential LabeledGraphs
 
     Raises
     ------
     NotDeterministicError
-    NotSynchronizingError
     NotEssentialError
+    NotSynchronizingError
+        When the quotients differ and an input is not synchronizing.
     """
-    _require_sync(g, h)
+    _require_presentation(g)
+    _require_presentation(h)
     block, n = _blocks(g, h), len(g.vertices)
-    return set(block[:n]) == set(block[n:-1])
+    return _sync_checked(set(block[:n]) == set(block[n:-1]), g, h)
 
 
 def is_sft_sync(g):
-    """Returns True iff the shift of the synchronizing presentation `g` has finite type.
+    """Returns True iff the shift presented by `g` has finite type.
 
     Reads the follower quotient from :func:`_quotient` and tests its hat
     graph (pairs of distinct classes, stepped together by each label)
-    for acyclicity: a cycle yields arbitrarily long nonsynchronizing
-    words, which for synchronizing presentations are exactly the
-    non-intrinsically-synchronizing ones.
+    for acyclicity.  If it is acyclic, every word no shorter than its
+    vertex count leads the classes that read it to one class, so the
+    shift has finite type on every input.  A cycle yields arbitrarily
+    long nonsynchronizing words, which for synchronizing presentations
+    are exactly the non-intrinsically-synchronizing ones; so the answer
+    False needs `g` synchronizing, and any other `g` is refused.
 
     Raises
     ------
     NotDeterministicError
-    NotSynchronizingError
     NotEssentialError
+    NotSynchronizingError
+        When the hat graph has a cycle and `g` is not synchronizing.
     """
-    _require_sync(g)
+    _require_presentation(g)
     block, quotient = _quotient(g)
     n = block[-1]
     # hat-graph vertex (i, j), i != j, is index i * n + j
@@ -253,22 +264,24 @@ def is_sft_sync(g):
             for j, tj in defined:
                 if i != j and ti != tj:
                     succ[i * n + j].append(ti * n + tj)
-    return all(len(c) == 1 and c[0] not in succ[c[0]] for c in strong_components(succ))
+    acyclic = all(len(c) == 1 and c[0] not in succ[c[0]] for c in strong_components(succ))
+    return _sync_checked(acyclic, g)
 
 
 def m_step_bound(g):
     """A valid step bound for the finite-type shift presented by `g`.
 
-    For a follower-separated synchronizing presentation of an SFT, every
-    language word of length at least ``|Q|**2 - |Q|`` is intrinsically
-    synchronizing, since that is the vertex count of the (acyclic) hat
-    graph.
+    When the hat graph of the follower quotient of `g` is acyclic (see
+    :func:`is_sft_sync`, which needs `g` synchronizing only to refuse),
+    every language word of length at least ``|Q|**2 - |Q|`` is
+    intrinsically synchronizing: the quotient has at most ``|Q|``
+    classes, so its hat graph has at most that many vertices.
 
     Raises
     ------
     NotDeterministicError
-    NotSynchronizingError
     NotEssentialError
+    NotSynchronizingError
     NotSftError
     """
     if not is_sft_sync(g):
@@ -278,19 +291,22 @@ def m_step_bound(g):
 
 
 def is_irreducible_shift_sync(g):
-    """Returns True iff the shift of the synchronizing presentation `g` is irreducible.
+    """Returns True iff the shift presented by `g` is irreducible.
 
-    For synchronizing presentations the shift is irreducible exactly
-    when the graph is strongly connected.
+    A strongly connected essential graph presents an irreducible shift,
+    so True holds on every input.  For synchronizing presentations the
+    converse holds too, so the answer False needs `g` synchronizing, and
+    any other `g` is refused.
 
     Raises
     ------
     NotDeterministicError
-    NotSynchronizingError
     NotEssentialError
+    NotSynchronizingError
+        When `g` is not strongly connected and not synchronizing.
     """
-    _require_sync(g)
-    return is_irreducible(g)
+    _require_presentation(g)
+    return _sync_checked(is_irreducible(g), g)
 
 
 def is_universal(g):

@@ -8,10 +8,11 @@ human-readable report for a single JSON object with ``result``,
 ``witness``, and ``details`` fields.
 
 ``QUESTIONS`` routes the shift questions that a decider answers alone:
-``equal``, ``is-sft`` and ``is-irreducible`` try the polynomial decider
-and fall back on exact search when the input is not synchronizing,
-``has-sdp`` always runs exact search, and ``universal`` runs the
-polynomial separating-word search on every deterministic essential input.
+``equal``, ``is-sft`` and ``is-irreducible`` try the polynomial decider,
+which answers True on any input and False on synchronizing input, and
+fall back on exact search when it refuses, ``has-sdp`` always runs exact
+search, and ``universal`` runs the polynomial separating-word search on
+every deterministic essential input.
 """
 
 import argparse
@@ -177,7 +178,8 @@ def cmd_subshift(args):
 # Each command's graph count, then its deciders in order as (module, name),
 # looked up at each call so that one rebound on its module is the one run.
 # Every decider but the last may refuse input that is not synchronizing with
-# NotSynchronizingError, and the next one answers it.
+# NotSynchronizingError, where its answer would be False, and the next one
+# answers it.
 QUESTIONS = {
     "equal": (2, (classify, "equal_sync"), (exact, "decide_equality")),
     "is-sft": (1, (classify, "is_sft_sync"), (exact, "decide_sft")),

@@ -94,7 +94,7 @@ raised the peak RSS of the padded-family workload from 21.6 to 27.8 MiB
 A subset-pair containment search (:func:`subshift_witness`, and each
 direction of :func:`decide_equality`) does not switch.  Under a cap
 above 256 it restarts at that point on the follower classes of the
-union (see :func:`_pair_containment`): vertices with equal follower sets
+union (see :func:`_pair_containments`): vertices with equal follower sets
 step to vertices with equal follower sets, and a class both graphs hold
 never keeps the contained side alive on a witness, so it is dropped from
 the start.  The witness and the answer do not change; the cap then
@@ -818,7 +818,8 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     # labels of h alone kill g at once, so only g's labels are tried
     labels = g_view.labels
     tables = _union_tables(g_view, h_view, labels)[0]
-    return _pair_containment(g, h, tables, labels, (1 << len(g.vertices)) - 1, caps)
+    live = (1 << len(g.vertices)) - 1
+    return _pair_containments(g, h, tables, labels, (live,), caps)[0]
 
 
 def _union_tables(g_view, h_view, labels):
@@ -853,11 +854,14 @@ def _equal(tables, width, labels, n_g, caps):
         and _containment(tables, width, labels, full, full ^ low, caps.subsets)[0]
     )
 
-def _pair_containment(g, h, tables, labels, live, caps):
-    """:func:`_containment` from the whole union of `g` and `h`, given its
-    packed `tables` over `labels` with g's vertices first and `live` the
-    low part or the high one; past 256 stored subsets the search starts
-    over on the follower classes of the union.
+
+def _pair_containments(g, h, tables, labels, lives, caps):
+    """:func:`_containment` from the whole union of `g` and `h` for each
+    of `lives` in turn, up to the first that fails, given its packed
+    `tables` over `labels` with g's vertices first and each live part
+    the low part or the high one.  Past 256 stored subsets a search
+    starts over on the follower classes of the union, whose tables the
+    first restart builds for both.
 
     The class-level search reads the quotient of the union from
     :func:`~sofic.classify._quotient`, one target list per label of
@@ -874,19 +878,28 @@ def _pair_containment(g, h, tables, labels, live, caps):
     n_g = len(g.vertices)
     width = n_g + len(h.vertices)
     cap = caps.subsets
-    try:
-        return _containment(tables, width, labels, (1 << width) - 1, live, min(cap, 256))
-    except CapExceededError:
-        if cap <= 256:
-            raise
-    block, quotient = _quotient(g, h)
-    m, lists = block[-1], quotient.values()
-    ours, theirs = set(block[:n_g]), set(block[n_g:-1])
-    if live >> n_g:  # containment of h in g
-        ours, theirs = theirs, ours
-    start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
-    tables = _mask_tables(_packed_bits(lists, m, 2 * m) + _packed_bits(lists, m, 2 * m, m))
-    return _containment(tables, 2 * m, tuple(quotient), start, (1 << m) - 1, cap)
+    found, class_tables = [], None
+    for live in lives:
+        try:
+            found.append(_containment(tables, width, labels, (1 << width) - 1, live, min(cap, 256)))
+        except CapExceededError:
+            if cap <= 256:
+                raise
+            if class_tables is None:  # the first restart; a later one reuses its quotient
+                block, quotient = _quotient(g, h)
+                m, lists = block[-1], quotient.values()
+                bits = _packed_bits(lists, m, 2 * m) + _packed_bits(lists, m, 2 * m, m)
+                class_tables = _mask_tables(bits)
+            ours, theirs = set(block[:n_g]), set(block[n_g:-1])
+            if live >> n_g:  # containment of h in g
+                ours, theirs = theirs, ours
+            start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
+            found.append(
+                _containment(class_tables, 2 * m, tuple(quotient), start, (1 << m) - 1, cap)
+            )
+        if not found[-1][0]:
+            break
+    return found
 
 
 def decide_subshift(g, h, caps=DEFAULT_CAPS):
@@ -896,16 +909,15 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift: containment both ways,
-    each restarting on follower classes as in :func:`subshift_witness`."""
+    each restarting on follower classes as in :func:`subshift_witness`,
+    on one quotient of the union."""
     g_view = _require_presentation(g)
     h_view = _require_presentation(h)
     labels = tuple(sorted(set(g_view.labels) | set(h_view.labels)))
     tables, width = _union_tables(g_view, h_view, labels)
     low = (1 << len(g.vertices)) - 1
-    return (
-        _pair_containment(g, h, tables, labels, low, caps)[0]
-        and _pair_containment(g, h, tables, labels, low ^ (1 << width) - 1, caps)[0]
-    )
+    # the last containment run is the first that fails, if one does
+    return _pair_containments(g, h, tables, labels, (low, low ^ (1 << width) - 1), caps)[-1][0]
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):

@@ -20,7 +20,7 @@ from sofic.errors import (
     NotSftError,
     NotSynchronizingError,
 )
-from sofic.exact import decide_minimality
+from sofic.exact import decide_equality, decide_irreducibility, decide_minimality, decide_sft
 from sofic.graphs import EMPTY, LabeledGraph, essentialize, is_deterministic
 from sofic.syncwords import is_synchronizing
 
@@ -230,11 +230,25 @@ def test_sync_deciders_require_essential(decider):
 @pytest.mark.parametrize(
     "decider", [is_sft_sync, m_step_bound, is_irreducible_shift_sync, equal_sync]
 )
-def test_sync_deciders_require_synchronizing(decider, fig1):
+def test_sync_deciders_require_synchronizing(decider, fig1, gm):
+    # each would answer False: fig1 is reducible, has a cycle in its hat
+    # graph, and presents another shift than gm
     assert not is_synchronizing(fig1)
-    graphs = (fig1, fig1) if decider is equal_sync else (fig1,)
+    graphs = (fig1, gm) if decider is equal_sync else (fig1,)
     with pytest.raises(NotSynchronizingError):
         decider(*graphs)
+
+
+def test_sync_deciders_answer_true_without_synchronizing(fig1, gm):
+    # a True answer needs no synchronizing input, and it is the exact one
+    two_gm = disjoint_union(gm, gm)
+    full2 = LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p"), ("p", "b", "p"), ("q", "b", "q")])
+    assert not any(map(is_synchronizing, (fig1, two_gm, full2)))
+    assert equal_sync(fig1, fig1) is decide_equality(fig1, fig1) is True
+    assert equal_sync(gm, two_gm) is decide_equality(gm, two_gm) is True
+    assert is_sft_sync(two_gm) is decide_sft(two_gm) is True
+    assert m_step_bound(two_gm) == 12
+    assert is_irreducible_shift_sync(full2) is decide_irreducibility(full2) is True
 
 
 def test_sync_deciders_build_no_graph(monkeypatch):

@@ -130,8 +130,8 @@ def universal_reference(g):
 
 
 # each command's deciders in the order the CLI tries them, as (module, name):
-# a polynomial one, which refuses input that is not synchronizing, then an
-# exact one
+# a polynomial one, which refuses input that is not synchronizing when its
+# answer would be False, then an exact one
 DECIDERS = {
     "is-sft": [(classify, "is_sft_sync"), (exact, "decide_sft")],
     "is-irreducible": [
@@ -201,6 +201,8 @@ def test_engine_choice_gives_the_exact_answers(tmp_path, capsys, monkeypatch):
     answered = set()
     # whether each case of the two-decider commands is synchronizing
     synchronizing = []
+    # the commands whose polynomial decider answered a case that is not synchronizing
+    shortcuts = set()
     for command, graphs in engine_cases():
         docs = [fileformat.graph_document(f"G{i}", g) for i, g in enumerate(graphs)]
         path.write_text(fileformat.render(docs))
@@ -211,14 +213,21 @@ def test_engine_choice_gives_the_exact_answers(tmp_path, capsys, monkeypatch):
         names = [name for _, name in DECIDERS[command]]
         if len(names) == 2:
             synchronizing.append(all(is_synchronizing(g) for g in graphs))
-        if len(names) == 2 and not synchronizing[-1]:
+        if calls == [(names[0], True)]:
+            # the polynomial decider answers input that is not synchronizing
+            # only with True, the exact answer checked above
+            assert len(names) == 1 or synchronizing[-1] or expected, command
+            answered.add((command, names[0]))
+            if len(names) == 2 and not synchronizing[-1]:
+                shortcuts.add(command)
+        else:
+            assert len(names) == 2 and not synchronizing[-1], command
             assert calls == [(names[0], False), (names[1], True)], command
             answered.add((command, names[1]))
-        else:
-            assert calls == [(names[0], True)], command
-            answered.add((command, names[0]))
-    # most of those cases are not synchronizing, so the exact decider answers them
+    # most of those cases are not synchronizing, and each polynomial
+    # decider answered some of them
     assert 0 < sum(synchronizing) < len(synchronizing) / 2
+    assert shortcuts == {command for command, route in DECIDERS.items() if len(route) == 2}
     # every decider of every command answered some input
     assert answered == {(c, name) for c, route in DECIDERS.items() for _, name in route}
 

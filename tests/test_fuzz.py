@@ -9,6 +9,7 @@ derandomized so the suite runs the same inputs every time.
 import contextlib
 import io
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from sofic import cli, fileformat
 from sofic.errors import SoficError
+
+from .test_golden import run_cli
 
 NAMES = ["a", "b", "c", "0", "00", "a|b", "(a", "v~2", "é", "x#"]
 LABELS = ["0", "1", "x"]
@@ -79,24 +82,6 @@ def documents(draw):
 TEXTS = st.one_of(st.text(max_size=200), documents())
 
 
-@contextlib.contextmanager
-def stdin_from(text):
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        yield
-    finally:
-        sys.stdin = saved
-
-
-def run_cli(argv, text):
-    err = io.StringIO()
-    with stdin_from(text), contextlib.redirect_stdout(io.StringIO()):
-        with contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    return code, err.getvalue()
-
-
 @FUZZ
 @given(TEXTS)
 def test_parse_raises_only_sofic_errors_and_round_trips(text):
@@ -113,12 +98,13 @@ def test_parse_raises_only_sofic_errors_and_round_trips(text):
 @given(TEXTS, st.sampled_from(COMMANDS), st.booleans())
 def test_cli_exits_cleanly(text, command, as_json):
     argv = command + ([] if "-" in command else ["-"]) + (["--json"] if as_json else [])
-    code, stderr = run_cli(argv, text)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert stderr.startswith("error: ")
+    record = run_cli(argv, text)
+    assert record["code"] in (0, 1, 2)
+    if record["code"] == 2:
+        # cli.main's report, not an argparse exit, which prints its usage line first
+        assert record["stderr"].startswith("error: ")
         # the error behind exit code 2 is one of the package's own
         args = cli.build_parser().parse_args(argv)
-        with stdin_from(text), contextlib.redirect_stdout(io.StringIO()):
-            with pytest.raises(SoficError):
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SoficError):
                 args.handler(args)
