@@ -37,6 +37,7 @@ from .graphs import (
     is_deterministic,
     is_essential,
     is_irreducible,
+    _require_essential,
 )
 
 SCHEMA_VERSION = "1"
@@ -171,6 +172,9 @@ def cmd_subshift(args):
         holds, witness = exact.subshift_witness(g, h)
     else:
         witness = syncwords.separating_word(g, h)
+        # after the irreducibility check: a lone vertex with no edges is
+        # strongly connected but stranded
+        _require_essential(g)
         holds = witness is None
     return _bool_result(args, holds, witness=witness)
 

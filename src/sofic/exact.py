@@ -55,11 +55,13 @@ Subsets are bit masks over vertex indices, imaged 4 vertices at a time
 through one 16-entry table per chunk (8 at a time in long searches, see
 below).  One packed table images a subset under every label at once:
 label c's target t of a vertex sits at bit ``c*n + t`` of that vertex's
-mask.  A subset pair is one mask over the disjoint union of the two
-graphs, g's vertices at the low n_g bits and h's above, with one packed
-table of width ``n_g + n_h``: g is alive while the mask meets the low
-bits, and h is killed once it misses the high ones; containment the
-other way reads the same table.  Every subset search that returns a word
+mask.  A subset pair is one mask over the disjoint union of two parts,
+one at the low bits and the other above, with one packed table as wide
+as both: the live part is alive while the mask meets it, and the other
+is killed once the mask misses it; containment the other way reads the
+same table.  Subshift and equality pair two copies of the follower
+classes of the union of both graphs (see below), minimality the vertices
+of g with those of a candidate.  Every subset search that returns a word
 runs its own breadth-first loop, :func:`_word_search`, over these masks.
 Routing it through :func:`~sofic.graphs.shortest_word` instead, with a
 ``successors`` callback per subset, slowed ``shortest_sync_word`` and
@@ -92,24 +94,23 @@ raised the peak RSS of the padded-family workload from 21.6 to 27.8 MiB
 (+29%) and saved nothing, as it builds fresh graphs on every pass.
 
 A subset-pair containment search (:func:`subshift_witness`, and each
-direction of :func:`decide_equality`) does not switch.  Under a cap
-above 256 it restarts at that point on the follower classes of the
-union (see :func:`_pair_containments`): vertices with equal follower sets
-step to vertices with equal follower sets, and a class both graphs hold
-never keeps the contained side alive on a witness, so it is dropped from
-the start.  The witness and the answer do not change; the cap then
-bounds the class-level search, which switches to byte tables in its
-turn past 256 stored subsets.  Reducing from the start slowed the small
-searches: ``decide_irreducibility`` on the 1000 DFA-battery graphs went
-from 215-258 to 267-347 ms.  At 256 stored subsets no DFA-battery
-verdict restarts and 22 of the 100 padded-family verdicts do (n = 26
-on, both directions); the padded-family workload's 90th-percentile
-verdict time fell from 6.52 to 3.91 ms (medians of ten alternating
-20 s ``bench/run.py`` pairs on a shared 2-core VM).  Padded n = 61
-against a renamed copy, whose vertex-level searches overran the default
-cap after 2.3 s, answers in 2 to 3 ms both ways, and so does n = 51,
-which took 1.16 s.  Minimality's candidate checks keep the vertex-level
-search.
+direction of :func:`decide_equality`) runs on the follower classes of
+the union of both graphs (see :func:`_containments`): vertices with
+equal follower sets step to vertices with equal follower sets, and a
+class both graphs hold never keeps the contained side alive on a
+witness, so it is dropped from the start.  The witnesses, and so the
+first one in breadth-first order, are those of the search over the
+vertices of both graphs, and ``Caps.subsets`` bounds the pairs of class
+sets stored.  The quotient costs more than a small search: over the
+pairs of graphs on at most 3 vertices a call takes 41 us against 19 us
+by the search over vertices.  On padded n = 26, 31 and 36 against
+reverse-renamed copies it takes 0.17, 0.20 and 0.25 ms against 1.37,
+1.24 and 1.39 ms for a search over vertices that stored 256 pairs and
+then started over on the classes (in-process, min of 20, on a shared
+2-core VM), and padded n = 61, whose search over vertices overruns the
+default cap, answers in under 1 ms.  Minimality's candidate checks keep
+the search over vertices: a candidate is a set of target lists, and a
+quotient per candidate would cost more than the search it saves.
 
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists
@@ -138,10 +139,9 @@ from .graphs import (
 class Caps:
     """Search-size limits: reachable subsets, monoid elements, enumeration candidates.
 
-    ``subsets`` bounds each subset and subset-pair search.  Past 256
-    stored subsets, a subset-pair search under a larger cap starts over
-    on follower classes (see :func:`subshift_witness`), and the cap then
-    bounds the class-level search.
+    ``subsets`` bounds each subset and subset-pair search; the pair
+    searches of subshift and equality store pairs of follower-class sets
+    (see :func:`subshift_witness`).
     """
 
     subsets: int = 2**18
@@ -792,18 +792,16 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     """Decides containment of shifts, returning (holds, witness).
 
     Runs the two subset automata in parallel from their full vertex
-    sets; containment fails exactly when some word keeps `g` alive while
+    sets, on the follower classes of the union of `g` and `h`;
+    containment fails exactly when some word keeps `g` alive while
     killing `h`, and the first such word in breadth-first order is
-    returned as the witness.  A search that has stored 256 subset pairs
-    under a larger cap starts over on the follower classes of the union
-    of `g` and `h`, which finds the same witness.
+    returned as the witness.
 
     Parameters
     ----------
     g, h : deterministic essential LabeledGraphs
     caps : Caps
-        ``caps.subsets`` bounds the stored subset pairs, past a restart
-        those of the class-level search.
+        ``caps.subsets`` bounds the stored pairs of class sets.
 
     Returns
     -------
@@ -813,24 +811,16 @@ def subshift_witness(g, h, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    g_view = _require_presentation(g)
-    h_view = _require_presentation(h)
-    # labels of h alone kill g at once, so only g's labels are tried
-    labels = g_view.labels
-    tables = _union_tables(g_view, h_view, labels)[0]
-    live = (1 << len(g.vertices)) - 1
-    return _pair_containments(g, h, tables, labels, (live,), caps)[0]
+    _require_presentation(g)
+    _require_presentation(h)
+    return next(_containments(g, h, caps))
 
 
-def _union_tables(g_view, h_view, labels):
-    """The packed image tables over `labels` of the disjoint union of two
-    compiled views, g's vertices first, and their width; a label that a
-    graph lacks leaves its part of the label's block empty."""
-    n_g = len(g_view.index)
-    width = n_g + len(h_view.index)
-    lists_g, lists_h = ([v.targets.get(a, ()) for a in labels] for v in (g_view, h_view))
-    bits = _packed_bits(lists_g, n_g, width) + _packed_bits(lists_h, width - n_g, width, n_g)
-    return _mask_tables(bits), width
+def _joined_tables(lists, m):
+    """The packed tables of target lists over m classes joined with
+    themselves: one copy at the low m bits of each 2m-bit label block,
+    one at the high."""
+    return _mask_tables(_packed_bits(lists, m, 2 * m) + _packed_bits(lists, m, 2 * m, m))
 
 
 def _containment(tables, width, labels, start, live, cap):
@@ -847,7 +837,7 @@ def _containment(tables, width, labels, start, live, cap):
 def _equal(tables, width, labels, n_g, caps):
     """Containment both ways between the first n_g vertices of a union and
     the rest, given its packed tables over every label of both, by the
-    vertex-level search alone (minimality's candidate checks)."""
+    vertex-level search (minimality's candidate checks)."""
     full, low = (1 << width) - 1, (1 << n_g) - 1
     return (
         _containment(tables, width, labels, full, low, caps.subsets)[0]
@@ -855,51 +845,28 @@ def _equal(tables, width, labels, n_g, caps):
     )
 
 
-def _pair_containments(g, h, tables, labels, lives, caps):
-    """:func:`_containment` from the whole union of `g` and `h` for each
-    of `lives` in turn, up to the first that fails, given its packed
-    `tables` over `labels` with g's vertices first and each live part
-    the low part or the high one.  Past 256 stored subsets a search
-    starts over on the follower classes of the union, whose tables the
-    first restart builds for both.
+def _containments(g, h, caps):
+    """:func:`_containment` of g's shift in h's, then of h's in g's, each
+    run when it is asked for, on one follower quotient of the union of
+    `g` and `h`.
 
-    The class-level search reads the quotient of the union from
-    :func:`~sofic.classify._quotient`, one target list per label of
-    either graph joined with itself as in :func:`decide_irreducibility`.
-    Its live half starts at the live graph's classes that the other
-    graph does not hold, and its other half at all of the other graph's
-    classes.  A dropped class is held by the other graph, so it never
-    keeps the live part alive on a witness, and a label of the other
-    graph alone kills the live part: the witnesses, and so the first
-    one in breadth-first order, are those of the vertex-level search.
-    With a cap of at most 256 there is no restart, and past the restart
-    the cap bounds the class-level search.
+    The quotient comes from :func:`~sofic.classify._quotient`, one target
+    list per label of either graph, joined with itself as in
+    :func:`decide_irreducibility`.  The live half starts at the live
+    graph's classes that the other graph does not hold, and the other
+    half at all of the other graph's classes.  A dropped class is held by
+    the other graph, so it never keeps the live part alive on a witness,
+    and a label of the other graph alone kills the live part: the
+    witnesses, and so the first one in breadth-first order, are those of
+    the search over the vertices of both graphs.
     """
-    n_g = len(g.vertices)
-    width = n_g + len(h.vertices)
-    cap = caps.subsets
-    found, class_tables = [], None
-    for live in lives:
-        try:
-            found.append(_containment(tables, width, labels, (1 << width) - 1, live, min(cap, 256)))
-        except CapExceededError:
-            if cap <= 256:
-                raise
-            if class_tables is None:  # the first restart; a later one reuses its quotient
-                block, quotient = _quotient(g, h)
-                m, lists = block[-1], quotient.values()
-                bits = _packed_bits(lists, m, 2 * m) + _packed_bits(lists, m, 2 * m, m)
-                class_tables = _mask_tables(bits)
-            ours, theirs = set(block[:n_g]), set(block[n_g:-1])
-            if live >> n_g:  # containment of h in g
-                ours, theirs = theirs, ours
-            start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
-            found.append(
-                _containment(class_tables, 2 * m, tuple(quotient), start, (1 << m) - 1, cap)
-            )
-        if not found[-1][0]:
-            break
-    return found
+    block, quotient = _quotient(g, h)
+    m, n_g = block[-1], len(g.vertices)
+    tables, labels = _joined_tables(quotient.values(), m), tuple(quotient)
+    classes = set(block[:n_g]), set(block[n_g:-1])
+    for ours, theirs in (classes, classes[::-1]):
+        start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
+        yield _containment(tables, 2 * m, labels, start, (1 << m) - 1, caps.subsets)
 
 
 def decide_subshift(g, h, caps=DEFAULT_CAPS):
@@ -908,16 +875,12 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
-    """Whether `g` and `h` present the same shift: containment both ways,
-    each restarting on follower classes as in :func:`subshift_witness`,
-    on one quotient of the union."""
-    g_view = _require_presentation(g)
-    h_view = _require_presentation(h)
-    labels = tuple(sorted(set(g_view.labels) | set(h_view.labels)))
-    tables, width = _union_tables(g_view, h_view, labels)
-    low = (1 << len(g.vertices)) - 1
-    # the last containment run is the first that fails, if one does
-    return _pair_containments(g, h, tables, labels, (low, low ^ (1 << width) - 1), caps)[-1][0]
+    """Whether `g` and `h` present the same shift: containment both ways
+    as in :func:`subshift_witness`, on one quotient of the union, the
+    second only when the first holds."""
+    _require_presentation(g)
+    _require_presentation(h)
+    return all(holds for holds, _ in _containments(g, h, caps))
 
 
 def decide_irreducibility(g, caps=DEFAULT_CAPS):
@@ -946,7 +909,7 @@ def decide_irreducibility(g, caps=DEFAULT_CAPS):
         return True
     block, quotient = _quotient(g)
     n, quotient = block[-1], quotient.values()
-    tables = _mask_tables(_packed_bits(quotient, n, 2 * n) + _packed_bits(quotient, n, 2 * n, n))
+    tables = _joined_tables(quotient, n)
     full = (1 << n) - 1
     reached = _subset_closure(tables, 2 * n, full, caps.subsets)
     sync = sum(mask for mask in reached if mask.bit_count() == 1)

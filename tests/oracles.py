@@ -482,9 +482,9 @@ def two_mask_witness(g, h, cap=2**18):
 
 
 def class_witness(g, h, cap=2**18):
-    """``subshift_witness(g, h, Caps(subsets=cap))`` after its search has
-    restarted on follower classes, by a breadth-first search over pairs
-    of frozensets of class ids from ``reference_blocks(g, h)``.
+    """``subshift_witness(g, h, Caps(subsets=cap))`` by a breadth-first
+    search over pairs of frozensets of follower-class ids from
+    ``reference_blocks(g, h)``.
 
     The pair starts at (g's classes that h does not hold, h's classes),
     and each class steps to the class of the target of any member, read
@@ -526,6 +526,13 @@ def class_witness(g, h, cap=2**18):
             parent[nxt] = (state, a)
             order.append(nxt)
     return True, None
+
+
+def class_equality(g, h, cap=2**18):
+    """``decide_equality(g, h, Caps(subsets=cap))`` by
+    :func:`class_witness` both ways, the second only when the first
+    holds."""
+    return class_witness(g, h, cap)[0] and class_witness(h, g, cap)[0]
 
 
 def image_tables(targets):

@@ -103,6 +103,13 @@ def test_empty_graph_gets_an_answer(tmp_path, capsys):
     ]:
         code, payload = run_json(capsys, *argv)
         assert code == expected and payload == {"result": code == 0, "schema": "1"}
+    # a lone vertex with no edges presents the empty shift but is not
+    # essential: subshift refuses it with or without --exact
+    lone = tmp_path / "lone.sg"
+    lone.write_text("graph G\nvertex p\n")
+    for argv in (["subshift", str(lone), e], ["subshift", str(lone), e, "--exact"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: graph has stranded vertices\n")
 
 
 def test_two_documents_one_file(tmp_path, capsys):

@@ -7,12 +7,21 @@ Each row runs ``shortest_sync_word``, ``synchronizing_vertices``,
 ``irred_mik1``, the first graph of ``reduction_irred`` on an instance
 whose union is universal (so its irreducibility test reaches the
 subset-pair search).  The expected counts, messages and answers of the
-first three were recorded from the bit-walking subset image that the
-table-driven one replaced, those of the next two from the two-mask pair
-search that the one-mask search over the disjoint union replaced, and
-those of the monoid deciders from the ``decide_sft`` that closed the
-whole monoid before judging its idempotents; any change to the
-breadth-first order, to the cap test or to the message shows up here.
+first two were recorded from the bit-walking subset image that the
+table-driven one replaced, those of ``decide_irreducibility`` from the
+two-mask pair search that the one-mask search over the disjoint union
+replaced, and those of the monoid deciders from the ``decide_sft`` that
+closed the whole monoid before judging its idempotents; any change to
+the breadth-first order, to the cap test or to the message shows up
+here.
+
+``subshift_witness`` and ``decide_equality`` search pairs of sets of
+follower classes of the union of both graphs.  Their rows are what
+``class_witness`` in ``tests/oracles.py`` returns, and each test checks
+its row against that reference too.  Where the search over vertices
+that these deciders ran before stored more pairs, rows on other pairs
+or at smaller caps replace the ones it raised on, and the rows at the
+end of ``ANSWERS`` pin what the class-level search answers there.
 
 That ``decide_sft`` built its monoid with ``Caps.relations`` bounding
 both subset closures, so ``Caps.subsets`` never stopped it; the pruned
@@ -21,7 +30,6 @@ and its rows that raise were answers then (marked below).  The rows
 under ``Caps(relations=k)`` pin the monoid element count; there the
 pruned search answers some inputs on which the whole closure raised.
 """
-
 import pytest
 
 from sofic.constructions import family_mik, padded_family_gn, reduction_irred
@@ -39,6 +47,7 @@ from sofic.exact import (
 from sofic.fileformat import parse
 
 from .conftest import FIXTURES
+from .oracles import class_equality, class_witness
 
 SEARCHES = {
     "shortest_sync_word": shortest_sync_word,
@@ -68,17 +77,17 @@ CAP_EXCEEDED = [
     ('synchronizing_vertices', ('gm',), 2, 3, 'subset count 3 exceeds the configured cap'),
     ('synchronizing_vertices', ('hfig1',), 1, 2, 'subset count 2 exceeds the configured cap'),
     ('synchronizing_vertices', ('hfig1',), 2, 3, 'subset count 3 exceeds the configured cap'),
-    ('subshift_witness', ('padded21', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('subshift_witness', ('padded21', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
-    ('subshift_witness', ('padded21', 'padded21'), 136, 137, 'subset-pair count 137 exceeds the configured cap'),
+    ('subshift_witness', ('fig1', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('fig1', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('fig1', 'padded21'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
     ('subshift_witness', ('padded21', 'padded26'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('subshift_witness', ('padded21', 'padded26'), 142, 143, 'subset-pair count 143 exceeds the configured cap'),
+    ('subshift_witness', ('padded21', 'padded26'), 5, 6, 'subset-pair count 6 exceeds the configured cap'),
     ('subshift_witness', ('padded26', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('subshift_witness', ('padded26', 'padded21'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('subshift_witness', ('padded26', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('subshift_witness', ('fig1', 'hfig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('subshift_witness', ('fig1', 'hfig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
-    ('subshift_witness', ('hfig1', 'fig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('subshift_witness', ('hfig1', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('subshift_witness', ('hfig1', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('subshift_witness', ('hfig1', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'ev'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'ev'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'ev'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
@@ -90,14 +99,14 @@ CAP_EXCEEDED = [
     ('subshift_witness', ('full1', 'gm'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'full1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('subshift_witness', ('gm', 'full1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
-    ('decide_equality', ('padded21', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('decide_equality', ('padded21', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
-    ('decide_equality', ('padded21', 'padded21'), 136, 137, 'subset-pair count 137 exceeds the configured cap'),
+    ('decide_equality', ('fig1', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
+    ('decide_equality', ('fig1', 'padded21'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
+    ('decide_equality', ('fig1', 'padded21'), 3, 4, 'subset-pair count 4 exceeds the configured cap'),
     ('decide_equality', ('padded21', 'padded26'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('decide_equality', ('padded21', 'padded26'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
-    ('decide_equality', ('padded21', 'padded26'), 142, 143, 'subset-pair count 143 exceeds the configured cap'),
+    ('decide_equality', ('padded21', 'padded26'), 5, 6, 'subset-pair count 6 exceeds the configured cap'),
     ('decide_equality', ('padded26', 'padded21'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
-    ('decide_equality', ('padded26', 'padded21'), 4, 5, 'subset-pair count 5 exceeds the configured cap'),
+    ('decide_equality', ('padded26', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('decide_equality', ('fig1', 'hfig1'), 1, 2, 'subset-pair count 2 exceeds the configured cap'),
     ('decide_equality', ('fig1', 'hfig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
     ('decide_equality', ('hfig1', 'fig1'), 2, 3, 'subset-pair count 3 exceeds the configured cap'),
@@ -231,6 +240,19 @@ ANSWERS = [
     ('decide_sft', ('full1',), 2, True),
     ('decide_sft', ('full1',), 3, True),
     ('decide_sft', ('full1',), 50, True),
+    # the search over vertices raised on these
+    ('subshift_witness', ('padded21', 'padded21'), 1, (True, None)),
+    ('decide_equality', ('padded21', 'padded21'), 1, True),
+    ('subshift_witness', ('padded21', 'padded26'), 6, (True, None)),
+    ('decide_equality', ('padded21', 'padded26'), 6, False),
+    ('subshift_witness', ('padded26', 'padded21'), 2, (False, ('4',))),
+    ('decide_equality', ('padded26', 'padded21'), 2, False),
+    ('subshift_witness', ('hfig1', 'fig1'), 1, (True, None)),
+    ('subshift_witness', ('fig1', 'padded21'), 4, (True, None)),
+    ('decide_equality', ('fig1', 'padded21'), 4, False),
+    ('subshift_witness', ('hfig1', 'padded21'), 4, (True, None)),
+    ('subshift_witness', ('padded26', 'fig1'), 3, (False, ('2',))),
+    ('decide_equality', ('padded26', 'fig1'), 3, False),
 ]
 
 # (search, graph names, k, CapExceededError.count, message) under Caps(relations=k)
@@ -269,20 +291,32 @@ def graphs():
 GRAPHS = graphs()
 
 
+# the references the rows of the pair searches are checked against
+REFERENCES = {"subshift_witness": class_witness, "decide_equality": class_equality}
+
+
 @pytest.mark.parametrize("search,names,k,count,message", CAP_EXCEEDED)
 def test_cap_exceeded_count_and_message(search, names, k, count, message):
+    graphs = [GRAPHS[n] for n in names]
     with pytest.raises(CapExceededError) as info:
-        SEARCHES[search](*(GRAPHS[n] for n in names), Caps(subsets=k))
+        SEARCHES[search](*graphs, Caps(subsets=k))
     assert info.value.count == count
     assert str(info.value) == message
+    if search in REFERENCES:
+        with pytest.raises(CapExceededError) as info:
+            REFERENCES[search](*graphs, k)
+        assert (info.value.count, str(info.value)) == (count, message)
 
 
 @pytest.mark.parametrize("search,names,k,answer", ANSWERS)
 def test_answer_within_cap(search, names, k, answer):
-    result = SEARCHES[search](*(GRAPHS[n] for n in names), Caps(subsets=k))
+    graphs = [GRAPHS[n] for n in names]
+    result = SEARCHES[search](*graphs, Caps(subsets=k))
     if isinstance(result, frozenset):
         result = tuple(sorted(result))
     assert result == answer
+    if search in REFERENCES:
+        assert REFERENCES[search](*graphs, k) == answer
 
 
 @pytest.mark.parametrize("search,names,k,count,message", RELATIONS_EXCEEDED)

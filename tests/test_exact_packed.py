@@ -7,7 +7,7 @@ These tests pin the table, and the byte-wide tables that long searches
 switch to, against the one-label tables, the searches on the empty and
 one-vertex graphs (where every offset ``c*n`` is 0), containment between
 graphs of unequal sizes and alphabets, and the tables a decision builds:
-one for the union of the two graphs.
+one for the follower classes of the union of the two graphs.
 """
 
 import random
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from sofic import exact
+from sofic.classify import _quotient
 from sofic.constructions import padded_family_gn
 from sofic.exact import (
     _byte_image,
@@ -184,6 +185,7 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     laid = []
     searched = []  # the tables of each containment and each equality test
     compared = []
+    quotients = []  # the graphs of each follower quotient built
     mask_tables, packed_bits = exact._mask_tables, exact._packed_bits
     containment, equal = exact._containment, exact._equal
 
@@ -203,18 +205,28 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
         compared.append(tables)
         return equal(tables, *args)
 
+    def counted_quotient(*graphs):
+        quotients.append(graphs)
+        return _quotient(*graphs)
+
     monkeypatch.setattr(exact, "_mask_tables", counted_tables)
     monkeypatch.setattr(exact, "_packed_bits", counted_bits)
     monkeypatch.setattr(exact, "_containment", counted_containment)
     monkeypatch.setattr(exact, "_equal", counted_equal)
+    monkeypatch.setattr(exact, "_quotient", counted_quotient)
     rng = random.Random(0)
     g, h = essential_graph(rng, 4, "01"), essential_graph(rng, 5, "012")
     assert decide_equality(g, h) is False
-    assert len(built) == 1 and laid == [4, 5]
+    # one table of the union's follower classes, laid out twice side by side
+    classes = _quotient(g, h)[0][-1]
+    assert quotients == [(g, h)]
+    assert len(built) == 1 and laid == [classes, classes]
     # an equal pair runs both containments, on the one table of the union
     built.clear()
     searched.clear()
+    quotients.clear()
     assert decide_equality(g, LabeledGraph(edges=g.edges)) is True
+    assert len(quotients) == 1
     assert len(built) == 1 and list(map(id, searched)) == [id(built[0])] * 2
     built.clear()
     laid.clear()
@@ -226,3 +238,5 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     assert laid.count(4) == 1
     assert len(compared) > 1 and list(map(id, compared)) == list(map(id, built))
     assert laid.count(2) == len(built)
+    # minimality's candidate checks build no quotient
+    assert len(quotients) == 1

@@ -1,25 +1,25 @@
 """Subset searches that cross from 4-bit to byte-wide image tables, and
-subset-pair searches that restart on follower classes.
+subset-pair searches on follower classes.
 
 A subset search images subsets 4 vertices at a time until it has stored
 256 subsets, then builds byte-wide tables and images the rest of its
-queue 8 vertices at a time (see ``sofic.exact``).  A subset-pair
-containment search with a cap above 256 instead starts over at that
-point on the follower classes of the union, where it switches the same
-way past 256 stored pairs.  Neither may change an answer or a witness,
-so these tests run searches on both sides of 256 against references:
+queue 8 vertices at a time (see ``sofic.exact``).  The subset-pair
+searches of ``subshift_witness`` and ``decide_equality`` run on the
+follower classes of the union of both graphs, on one quotient per call,
+and switch the same way past 256 stored pairs.  Neither may change an
+answer or a witness, so these tests run searches against references:
 
-- subset-pair witnesses and cap counts against ``two_mask_witness``, and
-  past a restart against ``class_witness``;
+- subset-pair witnesses against ``two_mask_witness``, the search over
+  vertices, and witnesses and cap counts against ``class_witness`` at
+  caps from 1 to past 256;
 - synchronizing words and cap counts against ``sync_word_search``;
 - closure rows, in breadth-first order, against ``table_closure``.
 
-The inputs are ``padded_family_gn(n)`` for n = 24..41 with reverse-renamed
-copies (the pair searches restart from n = 26 on), padded n = 51 and 61,
-where the vertex-level pair searches outgrow the default cap, and
-seeded graphs whose closures or class-level searches pass 256 subsets,
-under the default caps and under ``Caps(subsets=k)`` for k on both sides
-of 256.
+The inputs are ``padded_family_gn(n)`` for n = 21..41 with reverse-renamed
+copies, padded n = 51 and 61, where the searches over vertices outgrow
+the default cap, seeded pairs whose search over vertices stores more
+than 256 pairs, and seeded graphs whose closures or class-level searches
+pass 256 subsets, under the default caps and under ``Caps(subsets=k)``.
 """
 
 import random
@@ -43,11 +43,18 @@ from sofic.exact import (
 )
 from sofic.graphs import LabeledGraph, essentialize
 
-from .oracles import class_witness, sync_word_search, table_closure, two_mask_witness
+from .oracles import (
+    class_equality,
+    class_witness,
+    sync_word_search,
+    table_closure,
+    two_mask_witness,
+)
 from .test_exact_packed import essential_graph
 from .test_exact_setup import unpacked
 
 CAPS = (255, 256, 257, 300)
+PAIR_CAPS = (1, 2, 5, 255, 256, 257, 300)
 
 
 def reverse_renamed(g):
@@ -86,41 +93,42 @@ def switched(monkeypatch):
 
 
 @pytest.fixture
-def restarted(monkeypatch, switched):
-    """Per quotient built for a restart on follower classes (one per
-    ``subshift_witness``, one for both directions of ``decide_equality``),
-    the number of searches that had switched to byte-wide tables before."""
-    starts = []
+def quotients(monkeypatch):
+    """The graphs of every follower quotient the exact deciders build."""
+    built = []
     quotient = exact._quotient
 
     def counted(*graphs):
-        starts.append(len(switched))
+        built.append(graphs)
         return quotient(*graphs)
 
     monkeypatch.setattr(exact, "_quotient", counted)
-    return starts
+    return built
 
 
-def restarted_witness(g, h, k):
-    """``subshift_witness(g, h, Caps(subsets=k))`` for k above 256: what
-    the two-mask search returns while it stores at most 256 subset pairs,
-    else what the class-level reference returns at cap k."""
-    try:
-        return two_mask_witness(g, h, 256)
-    except CapExceededError:
-        return class_witness(g, h, k)
+def once(quotients, search, *args):
+    """The outcome of `search`, which must build exactly one quotient."""
+    quotients.clear()
+    got = outcome(search, *args)
+    assert len(quotients) == 1
+    return got
 
 
-def check_pair(g, h):
+def check_pair(g, h, quotients):
+    """Both pair deciders on `g` and `h` against the class-level reference,
+    at the default caps and at every cap of ``PAIR_CAPS``, and at the
+    default caps against the search over vertices."""
     holds = []
     for x, y in ((g, h), (h, g)):
         expected = two_mask_witness(x, y)
-        assert subshift_witness(x, y) == expected
+        assert once(quotients, subshift_witness, x, y) == expected == class_witness(x, y)
         holds.append(expected[0])
-        for k in CAPS:
-            reference = two_mask_witness if k <= 256 else restarted_witness
-            assert outcome(subshift_witness, x, y, Caps(subsets=k)) == outcome(
-                reference, x, y, k
+        for k in PAIR_CAPS:
+            assert once(quotients, subshift_witness, x, y, Caps(subsets=k)) == outcome(
+                class_witness, x, y, k
+            )
+            assert once(quotients, decide_equality, x, y, Caps(subsets=k)) == outcome(
+                class_equality, x, y, k
             )
     # either graph first: the second containment runs from the high part
     assert decide_equality(g, h) is decide_equality(h, g) is all(holds)
@@ -163,17 +171,17 @@ def check_closures(g):
             assert got == exceeded(k)
 
 
-@pytest.mark.parametrize("n", range(24, 42))
-def test_padded_family_against_a_reverse_renamed_copy(n, switched, restarted):
+@pytest.mark.parametrize("n", range(21, 42))
+def test_padded_family_against_a_reverse_renamed_copy(n, switched, quotients):
     g = padded_family_gn(n)
     h = reverse_renamed(g)
     for x, y in ((g, h), (h, g)):
         assert subshift_witness(x, y) == (True, None)
-    # both pair searches store 256 subsets from n = 26 on and restart on
-    # the three follower classes, building no byte-wide tables
-    assert len(restarted) == (2 if n >= 26 else 0)
+    # the copies hold the same follower classes, so neither pair search
+    # stores a pair or builds byte-wide tables
+    assert quotients == [(g, h), (h, g)]
     assert not switched
-    check_pair(g, h)
+    check_pair(g, h, quotients)
     # the sync-word search and the range closure still switch from n = 26 on
     switched.clear()
     check_sync_word(g)
@@ -184,26 +192,26 @@ def test_padded_family_against_a_reverse_renamed_copy(n, switched, restarted):
 
 
 @pytest.mark.parametrize("n", [51, 61])
-def test_padded_family_past_the_vertex_level_cap(n, restarted):
-    # the vertex-level pair searches of n = 61 store more than 2**18 subsets
+def test_padded_family_past_the_vertex_level_cap(n, quotients):
+    # the searches over vertices of n = 61 store more than 2**18 pairs
     g = padded_family_gn(n)
     h = reverse_renamed(g)
     for x, y in ((g, h), (h, g)):
         assert subshift_witness(x, y) == (True, None)
     assert decide_equality(g, h) is True
-    # both directions of the equality restart on one quotient
-    assert len(restarted) == 3
+    # both directions of the equality run on one quotient
+    assert quotients == [(g, h), (h, g), (g, h)]
 
 
-def test_padded_family_against_a_copy_less_one_edge(restarted):
+def test_padded_family_against_a_copy_less_one_edge(quotients):
     # of the 305 edges of n = 41, only t's rm-loop changes the shift when
     # dropped; the witness is 130 letters long
     g = padded_family_gn(41)
     h = essentialize(LabeledGraph(edges=[e for e in g.edges if e != ("t", "rm", "t")]))
-    holds, witness = subshift_witness(g, h)
-    assert restarted and not holds and len(witness) == 130
+    holds, witness = once(quotients, subshift_witness, g, h)
+    assert not holds and len(witness) == 130
     assert (holds, witness) == class_witness(g, h) == two_mask_witness(g, h)
-    assert subshift_witness(h, g) == (True, None)
+    assert once(quotients, subshift_witness, h, g) == (True, None)
 
 
 def crossing_graphs(seed, count):
@@ -232,27 +240,26 @@ def less_one_edge(rng, g):
     return essentialize(LabeledGraph(edges=[e for e in g.edges if e != drop]))
 
 
-def test_seeded_witnesses_found_after_the_switch(restarted):
-    # g against itself less one edge: the search that fails finds its
-    # witness after the restart at 256 stored subsets on some pairs,
-    # before it on others
+def test_seeded_witnesses_found_after_the_switch(quotients):
+    # g against itself less one edge: on some pairs the search over
+    # vertices finds the witness only after storing 256 pairs, and the
+    # class-level search must find the same one
     rng = random.Random(2600)
     late = 0
     for _ in range(16):
         g = essential_graph(rng, 12, "012")
         h = less_one_edge(rng, g)
-        restarted.clear()
-        holds = subshift_witness(g, h)[0]
-        late += bool(restarted) and not holds
-        check_pair(g, h)
+        if not subshift_witness(g, h)[0]:
+            late += outcome(two_mask_witness, g, h, 256)[0] == 257
+        check_pair(g, h, quotients)
     assert late >= 3
 
 
 @pytest.mark.parametrize("seed", [2503, 2504, 2505])
-def test_class_level_searches_past_256_subsets(seed, switched, restarted):
+def test_class_level_searches_past_256_subsets(seed, switched, quotients):
     # follower-separated g against itself less one edge: on some pairs
-    # the class-level search stores more than 256 subsets too, and
-    # switches to byte-wide tables after the restart
+    # the class-level search stores more than 256 pairs, and switches to
+    # byte-wide tables
     rng = random.Random(seed)
     late = 0
     for g in crossing_graphs(seed, 2):
@@ -260,8 +267,7 @@ def test_class_level_searches_past_256_subsets(seed, switched, restarted):
         for _ in range(4):
             h = less_one_edge(rng, g)
             switched.clear()
-            restarted.clear()
             subshift_witness(g, h)
-            late += bool(restarted) and len(switched) > restarted[0]
-            check_pair(g, h)
+            late += bool(switched)
+            check_pair(g, h, quotients)
     assert late >= 1

@@ -1,12 +1,15 @@
 """The one-mask subset-pair search against the two-mask search it replaced.
 
-``subshift_witness`` keeps a subset pair as one mask over the disjoint
-union of the two graphs (g's vertices first).  ``two_mask_witness`` in
+Minimality's candidate checks keep a subset pair as one mask over the
+disjoint union of the two graphs (g's vertices first), in tables laid
+out as ``_presented_on`` lays them out.  ``two_mask_witness`` in
 ``tests/oracles.py`` runs the former search over (mask of g, mask of h)
 tuples; both must return the same answer and the same witness, and
 raise the same cap count, on seeded random graphs whose union straddles
 a 4-vertex chunk, whose alphabets differ, where one graph is empty, and
-whose union has more than 255 vertices.
+whose union has more than 255 vertices.  ``subshift_witness``, which
+searches the union's follower classes, must return the same answer and
+witness at the default cap.
 """
 
 import random
@@ -14,7 +17,7 @@ import random
 import pytest
 
 from sofic.errors import CapExceededError
-from sofic.exact import Caps, subshift_witness
+from sofic.exact import _containment, _mask_tables, _packed_bits, subshift_witness
 from sofic.graphs import EMPTY, LabeledGraph
 
 from .oracles import two_mask_witness
@@ -22,7 +25,15 @@ from .test_exact_packed import essential_graph
 
 
 def one_mask_witness(g, h, cap):
-    return subshift_witness(g, h, Caps(subsets=cap))
+    """The search over vertices on the one packed table of the union of
+    `g` and `h` over g's labels, h's part of a label it lacks empty."""
+    labels = g._compiled().labels
+    n_g, width = len(g.vertices), len(g.vertices) + len(h.vertices)
+    lists_h = h._compiled().targets
+    bits = _packed_bits([g._compiled().targets[a] for a in labels], n_g, width)
+    bits += _packed_bits([lists_h.get(a, ()) for a in labels], width - n_g, width, n_g)
+    full = (1 << width) - 1
+    return _containment(_mask_tables(bits), width, labels, full, (1 << n_g) - 1, cap)
 
 
 def outcome(search, g, h, cap):

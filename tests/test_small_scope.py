@@ -22,9 +22,9 @@ n = 4 gives 161,497 graphs, the empty one included, and took 70 s on a
 shared 2-core VM.  On graphs with more than ``FULL_MINIMALITY`` vertices
 minimality is checked only at k = 1 and k = |Q|, as its candidate
 search grows fastest.  ``--pairs 3`` checks the 4,276,624 ordered pairs
-of the 2068 graphs of n <= 3 and took 11 minutes on the same kind of
-machine (``check_equal_sync`` 454 s of it), so it is left out of the
-test suite.
+of the 2068 graphs of n <= 3 and took 14 minutes on the same kind of
+machine (``check_subshift_witness`` 366 s and ``check_equal_sync``
+406 s of it), so it is left out of the test suite.
 """
 
 import argparse
@@ -50,7 +50,7 @@ from sofic.graphs import LabeledGraph, essentialize, is_irreducible
 from sofic.oracle import language_upto
 from sofic.syncwords import is_synchronizing, separating_word, synchronizing_word_irreducible
 
-from .oracles import image
+from .oracles import image, two_mask_witness
 
 LABELS = ("a", "b")
 FULL_MINIMALITY = 3
@@ -156,9 +156,13 @@ def separates(w, g, h):
 
 def check_subshift_witness(g, h, languages):
     """A witness is in g's language and not in h's; "contained" means
-    every word of g's up to ``DEPTH`` is one of h's."""
+    every word of g's up to ``DEPTH`` is one of h's.  The answer and the
+    witness, the first in shortlex order, are those of the breadth-first
+    search over vertices."""
     holds, witness = subshift_witness(g, h)
-    if holds:
+    if (holds, witness) != two_mask_witness(g, h):
+        ok = False
+    elif holds:
         ok = witness is None and languages[g] <= languages[h]
     else:
         ok = separates(witness, g, h)
