@@ -103,14 +103,12 @@ first one in breadth-first order, are those of the search over the
 vertices of both graphs, and ``Caps.subsets`` bounds the pairs of class
 sets stored.  The quotient costs more than a small search: over the
 pairs of graphs on at most 3 vertices a call takes 41 us against 19 us
-by the search over vertices.  On padded n = 26, 31 and 36 against
-reverse-renamed copies it takes 0.17, 0.20 and 0.25 ms against 1.37,
-1.24 and 1.39 ms for a search over vertices that stored 256 pairs and
-then started over on the classes (in-process, min of 20, on a shared
-2-core VM), and padded n = 61, whose search over vertices overruns the
-default cap, answers in under 1 ms.  Minimality's candidate checks keep
-the search over vertices: a candidate is a set of target lists, and a
-quotient per candidate would cost more than the search it saves.
+by the search over vertices (in-process, min of 20, on a shared 2-core
+VM).  It pays on large inputs: padded n = 61, on which a search over
+the vertices overruns the default cap, answers in under 1 ms.
+Minimality's candidate checks keep the search over vertices: a
+candidate is a set of target lists, and a quotient per candidate would
+cost more than the search it saves.
 
 The deciders build no graphs.  Irreducibility works on the target lists
 of the follower quotient over class ids, minimality on the target lists

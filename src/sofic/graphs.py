@@ -20,10 +20,8 @@ A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use: one pass over the edges
 gives the label actions and essentiality, and the successor lists are
 built only when a search first reads them.  Membership reads that
-view; the other name accessors (``out_edges``, ``successors``,
-``out_labels``) bisect the sorted edges for a vertex's run.  Searches
-never run over names: every search shares the view, which the
-precondition checks return, through the one SCC routine
+view.  Searches never run over names: every search shares the view,
+which the precondition checks return, through the one SCC routine
 :func:`strong_components` (flagged as initial or terminal index sets by
 :func:`_components`) and the parent-pointer search :func:`shortest_word`
 (the exact deciders' subset searches run their own over packed masks,
@@ -34,8 +32,6 @@ absorbing sink gives the sink index n, which a list of n + 1 entries
 also answers at the undefined target -1; no sink graph is built.
 """
 
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NotDeterministicError, NotEssentialError, UnknownVertexError
@@ -133,25 +129,6 @@ class LabeledGraph:
         if self._view is None:
             self._view = _Compiled(self)
         return self._view
-
-    def _edges_from(self, q):
-        """The edges starting at `q`: one contiguous run of the sorted edges."""
-        self._require_vertex(q)
-        edges, source = self.edges, itemgetter(0)
-        return edges[bisect_left(edges, q, key=source):bisect_right(edges, q, key=source)]
-
-    def out_edges(self, q):
-        """Yields the (label, dst) pairs of edges starting at `q`, sorted."""
-        for _, label, dst in self._edges_from(q):
-            yield label, dst
-
-    def successors(self, q, label):
-        """The tuple of endpoints of `label`-edges starting at `q`, sorted."""
-        return tuple(dst for _, a, dst in self._edges_from(q) if a == label)
-
-    def out_labels(self, q):
-        """The sorted tuple of labels on edges starting at `q`."""
-        return tuple(dict.fromkeys(a for _, a, _ in self._edges_from(q)))
 
     def _require_vertex(self, q):
         """The index of vertex `q`."""

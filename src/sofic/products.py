@@ -13,8 +13,6 @@ search pairs of indices in the integer view of :mod:`sofic.graphs`
 instead, with the sink as index n; these graphs are for display and tests.
 """
 
-from collections import Counter
-
 from .errors import AlphabetMismatchError
 from .graphs import (
     LabeledGraph,
@@ -56,7 +54,7 @@ def sink_vertex_graph(g, gamma):
     AlphabetMismatchError
         If some label of `g` is missing from `gamma`.
     """
-    _require_deterministic(g)
+    targets = _require_deterministic(g).targets
     gamma = tuple(sorted(set(gamma)))
     missing = set(alphabet(g)) - set(gamma)
     if missing:
@@ -65,9 +63,10 @@ def sink_vertex_graph(g, gamma):
         )
     sink = sink_vertex_name(g)
     edges = list(g.edges)
-    for q in g.vertices:
-        present = set(g.out_labels(q))
-        edges.extend((q, a, sink) for a in gamma if a not in present)
+    for i, q in enumerate(g.vertices):
+        edges.extend(
+            (q, a, sink) for a in gamma if a not in targets or targets[a][i] < 0
+        )
     edges.extend((sink, a, sink) for a in gamma)
     return LabeledGraph(vertices=list(g.vertices) + [sink], edges=edges)
 
@@ -122,12 +121,14 @@ def find_word_to(g, sources, target_pred):
         g._require_vertex(v)
     # slot (a, k) is the k-th smallest a-successor, so that
     # nondeterministic graphs are searched edge by edge
-    counts = Counter((src, a) for src, a, _ in g.edges)
-    slots = sorted({(a, k) for (_, a), c in counts.items() for k in range(c)})
+    dsts = {}
+    for src, a, dst in g.edges:
+        dsts.setdefault((src, a), []).append(dst)
+    slots = sorted({(a, k) for (_, a), ts in dsts.items() for k in range(len(ts))})
 
     def successors(v):
-        dsts = {a: g.successors(v, a) for a, _ in slots}
-        return [dsts[a][k] if k < len(dsts[a]) else None for a, k in slots]
+        found = ((dsts.get((v, a), ()), k) for a, k in slots)
+        return [ts[k] if k < len(ts) else None for ts, k in found]
 
     word = shortest_word(starts, slots, successors, target_pred)
     return None if word is None else tuple(a for a, _ in word)

@@ -61,16 +61,17 @@ def test_sink_graph_tracks_undefined_steps():
     rng = random.Random(31)
     for _ in range(30):
         g = random_deterministic_graph(rng, 4, ["0", "1"])
-        gamma = alphabet(g)
-        if not gamma:
+        if not alphabet(g):
             continue
-        g0 = sink_vertex_graph(g, gamma)
         sink = sink_vertex_name(g)
-        for q in g.vertices:
-            for w in words_upto(gamma, 4):
-                there = walk(g0, q, w)
-                assert there is not None
-                assert (there == sink) == (walk(g, q, w) is None)
+        # the second alphabet holds a label that g never uses
+        for gamma in (alphabet(g), alphabet(g) + ("z",)):
+            g0 = sink_vertex_graph(g, gamma)
+            for q in g.vertices:
+                for w in words_upto(gamma, 4):
+                    there = walk(g0, q, w)
+                    assert there is not None
+                    assert (there == sink) == (walk(g, q, w) is None)
 
 
 def kept_apart(g, p, q, w):
