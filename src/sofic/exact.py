@@ -101,11 +101,10 @@ class both graphs hold never keeps the contained side alive on a
 witness, so it is dropped from the start.  The witnesses, and so the
 first one in breadth-first order, are those of the search over the
 vertices of both graphs, and ``Caps.subsets`` bounds the pairs of class
-sets stored.  The quotient costs more than a small search: over the
-pairs of graphs on at most 3 vertices a call takes 41 us against 19 us
-by the search over vertices (in-process, min of 20, on a shared 2-core
-VM).  It pays on large inputs: padded n = 61, on which a search over
-the vertices overruns the default cap, answers in under 1 ms.
+sets stored.  The quotient is about half of a call's 33 us on pairs of
+graphs on at most 3 vertices (in-process, min of 20, shared 2-core VM)
+but pays on large inputs: padded n = 61, on which a search over the
+vertices overruns the default cap, answers in under 1 ms.
 Minimality's candidate checks keep the search over vertices: a
 candidate is a set of target lists, and a quotient per candidate would
 cost more than the search it saves.
@@ -850,21 +849,26 @@ def _containments(g, h, caps):
 
     The quotient comes from :func:`~sofic.classify._quotient`, one target
     list per label of either graph, joined with itself as in
-    :func:`decide_irreducibility`.  The live half starts at the live
-    graph's classes that the other graph does not hold, and the other
-    half at all of the other graph's classes.  A dropped class is held by
-    the other graph, so it never keeps the live part alive on a witness,
-    and a label of the other graph alone kills the live part: the
-    witnesses, and so the first one in breadth-first order, are those of
-    the search over the vertices of both graphs.
+    :func:`decide_irreducibility` when a direction first searches.  The
+    live half starts at the live graph's classes that the other graph
+    does not hold (with none, there is no search), and the other half at
+    all of the other graph's classes.  A dropped class is held by the
+    other graph, so it never keeps the live part alive on a witness, and
+    a label of the other graph alone kills the live part: the witnesses,
+    and so the first one in breadth-first order, are those of the search
+    over the vertices of both graphs.
     """
     block, quotient = _quotient(g, h)
     m, n_g = block[-1], len(g.vertices)
-    tables, labels = _joined_tables(quotient.values(), m), tuple(quotient)
     classes = set(block[:n_g]), set(block[n_g:-1])
+    tables = None
     for ours, theirs in (classes, classes[::-1]):
-        start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
-        yield _containment(tables, 2 * m, labels, start, (1 << m) - 1, caps.subsets)
+        if ours <= theirs:  # no live class: no search and no table
+            yield True, None
+        else:
+            tables = tables or _joined_tables(quotient.values(), m)
+            start = sum(1 << b for b in ours - theirs) | sum(1 << b for b in theirs) << m
+            yield _containment(tables, 2 * m, tuple(quotient), start, (1 << m) - 1, caps.subsets)
 
 
 def decide_subshift(g, h, caps=DEFAULT_CAPS):

@@ -1,7 +1,7 @@
 """Deliberately naive reference computations for cross-validation.
 
 Everything here recomputes from the raw edge list so that agreement with
-the package is meaningful.  The exceptions are the last eight
+the package is meaningful.  The exceptions are the last nine
 functions, which use the package inside their bodies: two keep the
 routes of the exact deciders that build derived graphs (a follower
 quotient, an induced subgraph, named candidates), one keeps the
@@ -9,8 +9,8 @@ two-mask subset-pair search that the one-mask search replaced, one
 runs the class-level pair search on the reference follower refinement,
 the next two build the one-label subset-image tables that the packed
 table is checked against, one closes subsets through those tables, and
-the last keeps the per-vertex follower refinement that whole-column
-passes replaced.
+the last two keep the per-vertex follower refinement and the quotient
+read off it by a loop over every vertex and label.
 """
 
 import itertools
@@ -622,3 +622,26 @@ def reference_blocks(*graphs):
             break
         block, count = new, len(renumber)
     return block
+
+
+def reference_quotient(*graphs):
+    """``classify._quotient(*graphs)`` by a loop over every vertex and label.
+
+    Takes the class ids of :func:`reference_blocks` and, for each label
+    of the graphs in sorted order, sets each class's target from every
+    member's compiled target that is not -1; a class with none keeps -1.
+    """
+    block = reference_blocks(*graphs)
+    parts, shift = [], 0
+    for g in graphs:
+        view = g._compiled()
+        parts.append((view.targets, block[shift:]))
+        shift += len(view.index)
+    quotient = {}
+    for a in sorted({a for targets, _ in parts for a in targets}):
+        moved = quotient[a] = [-1] * block[-1]
+        for targets, ids in parts:
+            for v, t in enumerate(targets.get(a, ())):
+                if t >= 0:
+                    moved[ids[v]] = ids[t]
+    return block, quotient

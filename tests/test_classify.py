@@ -4,6 +4,7 @@ import pytest
 
 from sofic.classify import (
     _blocks,
+    _quotient,
     are_isomorphic,
     equal_sync,
     follower_partition,
@@ -29,6 +30,7 @@ from .oracles import (
     disjoint_union,
     random_deterministic_graph,
     reference_blocks,
+    reference_quotient,
     walk,
     words_upto,
 )
@@ -112,6 +114,7 @@ def test_blocks_match_the_per_vertex_refinement():
     for graphs in cases:
         block = _blocks(*graphs)
         assert block == reference_blocks(*graphs)
+        assert _quotient(*graphs) == reference_quotient(*graphs)
         merged += block[-1] < len(block) - 1
     # the cases reach unions whose classes are not all singletons, and
     # unions where every vertex is alone
@@ -121,6 +124,7 @@ def test_blocks_match_the_per_vertex_refinement():
     for g in small:
         for h in small:
             assert _blocks(g, h) == reference_blocks(g, h)
+            assert _quotient(g, h) == reference_quotient(g, h)
 
 
 def test_follower_separation_examples(fig1, dup_gm, full1, gm):

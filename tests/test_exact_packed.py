@@ -37,6 +37,7 @@ from .oracles import (
     preimage_tables as _preimage_tables,
     random_deterministic_graph,
 )
+from .test_classify import renamed_copy
 from .test_exact_images import brute_kill_length
 
 ONE = LabeledGraph(vertices=["v"], edges=[("v", "a", "v")])
@@ -221,16 +222,28 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     classes = _quotient(g, h)[0][-1]
     assert quotients == [(g, h)]
     assert len(built) == 1 and laid == [classes, classes]
-    # an equal pair runs both containments, on the one table of the union
+    # a copy holds every class of the other graph, so neither direction
+    # searches and no table is built
     built.clear()
     searched.clear()
     quotients.clear()
     assert decide_equality(g, LabeledGraph(edges=g.edges)) is True
-    assert len(quotients) == 1
+    assert len(quotients) == 1 and built == [] and searched == []
+    padded = padded_family_gn(61)
+    assert decide_equality(padded, renamed_copy(rng, padded)) is True
+    assert len(quotients) == 2 and built == [] and searched == []
+    # an equal pair in which each graph has a class the other lacks runs
+    # both containments, on the one table of the union
+    one_a = LabeledGraph(edges=[("p", "b", "p"), ("q", "a", "p"), ("q", "b", "q")])
+    odd_b = LabeledGraph(
+        edges=[("x", "b", "x"), ("y", "b", "z"), ("z", "a", "x"), ("z", "b", "y")]
+    )
+    assert decide_equality(one_a, odd_b) is True
     assert len(built) == 1 and list(map(id, searched)) == [id(built[0])] * 2
     built.clear()
     laid.clear()
     compared.clear()
+    quotients.clear()
     # g has no 2-vertex presentation, so every surviving candidate is
     # compared; g's part of the union is laid out once, and each candidate
     # gets one table of the union, shared by both directions
@@ -239,4 +252,4 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     assert len(compared) > 1 and list(map(id, compared)) == list(map(id, built))
     assert laid.count(2) == len(built)
     # minimality's candidate checks build no quotient
-    assert len(quotients) == 1
+    assert quotients == []

@@ -22,9 +22,9 @@ n = 4 gives 161,497 graphs, the empty one included, and took 70 s on a
 shared 2-core VM.  On graphs with more than ``FULL_MINIMALITY`` vertices
 minimality is checked only at k = 1 and k = |Q|, as its candidate
 search grows fastest.  ``--pairs 3`` checks the 4,276,624 ordered pairs
-of the 2068 graphs of n <= 3 and took 14 minutes on the same kind of
-machine (``check_subshift_witness`` 366 s and ``check_equal_sync``
-406 s of it), so it is left out of the test suite.
+of the 2068 graphs of n <= 3 and took 13 to 15 minutes on the same kind
+of machine (``check_subshift_witness`` 304-344 s and ``check_equal_sync``
+409-502 s of it), so it is left out of the test suite.
 """
 
 import argparse
