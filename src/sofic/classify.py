@@ -43,12 +43,6 @@ class FollowerPartition:
 
     classes: tuple
 
-    def block_of(self, v):
-        for block in self.classes:
-            if v in block:
-                return block
-        raise KeyError(v)
-
 
 def _rounds(graphs):
     """Follower refinement of the disjoint union of deterministic `graphs`.

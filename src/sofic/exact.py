@@ -1,121 +1,28 @@
 """Exact deciders for general deterministic presentations.
 
-The problems handled here (subshift, equality, sync-word existence,
-SFT, existence of a synchronizing presentation, irreducibility,
-minimality) have no known polynomial algorithms on reducible inputs, so
-this module decides them by explicit search over finite state spaces:
-reachable subsets of vertices, or reachable *actions* of words.
+Subshift, equality, sync-word existence, SFT, existence of a
+synchronizing presentation, irreducibility and minimality have no known
+polynomial algorithms on reducible inputs, so this module decides them
+by search over reachable vertex subsets or reachable actions of words,
+and builds no graphs.  Each mechanism is described where it is built:
 
-The action of a word w is the relation pairing p with q whenever a
-w-labeled path runs from p to q.  On a deterministic graph every action
-is a partial function; :class:`ActionRelation` lists its target indices
-with -1 for undefined.  Actions compose like the words they come from,
-so the set of all actions is a finite monoid generated by the
-single-letter actions; breadth-first closure enumerates it together with
-a shortest generating word per element.  Emptiness and
-intrinsic-synchronization tests over that monoid decide the SFT and
-synchronizing-presentation questions; the SFT test needs only the
-nonempty idempotents of the actions of nonempty words that are not
-intrinsically synchronizing (see :func:`decide_sft`).
-
-Inside the closure an action on n vertices is a byte string of target
-indices with the sink index n for undefined, and composing it with a
-letter is one ``bytes.translate`` over that letter's 256-byte table;
-above 255 vertices actions are tuples instead.  Elements get integer
-ids in breadth-first order, and each element's witness is a parent
-pointer (the element and label it was first reached from); no Cayley
-table is kept, since a step is one composition and one lookup.
-
-The analysis reads range and domain masks.  The domains of all elements
-are the subsets reached from the full vertex set under preimages, since
-``dom(c;w)`` is the preimage of ``dom(w)`` under c, and the nonzero
-ranges are the subsets reached from it under images.  One closure
-routine finds both, imaging each subset once and keeping that image,
-under every label side by side, as its row; the rows of the range
-closure are the range automaton, so the range of an element is one
-lookup from its parent's.  (Deduplicating a subset's children with set
-operations instead of the per-label loop slowed the 4000 closures of a
-seed-1 DFA-battery benchmark pass from 110 to 156 ms.)  Whether an
-element r is intrinsically synchronizing depends only on its left-image
-set L(r), the set of nonzero ranges ``ran(S;r)`` over all elements S.
-L(identity) is the set of nonzero ranges, and L(p;c) is L(p) imaged
-under the letter c, less 0.  So the L-sets are kept like the ranges, one
-per element id, worked out in id order up to the element tested; each
-distinct set is imaged once per label, by lookups in the automaton, and
-judged once, however many elements share it.
-
-Neither the SFT nor the SDP search needs the whole monoid.  A nonempty
-extension ``r;w`` of an intrinsically synchronizing r is one too, so
-the SFT search never expands an intrinsically synchronizing element
-(see :func:`decide_sft`), and the SDP search never expands an element
-whose range lies inside the vertices reachable from the ranges of those
-found so far (see :func:`decide_sdp_exists`).
-
-Subsets are bit masks over vertex indices, imaged 4 vertices at a time
-through one 16-entry table per chunk (8 at a time in long searches, see
-below).  One packed table images a subset under every label at once:
-label c's target t of a vertex sits at bit ``c*n + t`` of that vertex's
-mask.  A subset pair is one mask over the disjoint union of two parts,
-one at the low bits and the other above, with one packed table as wide
-as both: the live part is alive while the mask meets it, and the other
-is killed once the mask misses it; containment the other way reads the
-same table.  Subshift and equality pair two copies of the follower
-classes of the union of both graphs (see below), minimality the vertices
-of g with those of a candidate.  Every subset search that returns a word
-runs its own breadth-first loop, :func:`_word_search`, over these masks.
-Routing it through :func:`~sofic.graphs.shortest_word` instead, with a
-``successors`` callback per subset, slowed ``shortest_sync_word`` and
-``decide_subshift`` both ways on the padded family (n = 12..36, against
-renamed copies) from 210 to 265 ms, the medians of twelve alternating
-in-process runs on a shared 2-core VM.
-
-Tables are built once per decision, 16 entries per 4 vertices.  A search
-that has stored 256 subsets, as many as a byte-wide table has entries,
-builds 256-entry tables per 8 vertices from its 4-bit ones (see
-:func:`_byte_tables`) and images the rest of its queue 8 bits at a time.
-The switch rides on the cap check: the stored count is compared with
-``min(cap, 256)``, and when that limit is reached below the cap the
-search swaps in the byte tables and :func:`_byte_image` and raises the
-limit to the cap.  A search that stays under 256 subsets runs the 4-bit
-loop alone, and the subsets, their order, the words, the rows and the
-cap counts do not depend on the width.  The DFA reduction battery never
-reaches the switch; the padded family does from n = 26 on, and the
-padded-family workload's 90th-percentile verdict time fell from 7.65 to
-6.48 ms (medians of ten alternating 20 s ``bench/run.py`` pairs).
-Building byte tables for every decision instead cut the DFA battery's
-throughput by 15%, since its small graphs paid for the larger tables on
-every call.  Other ways to switch, measured on the padded-family
-workload's median verdict time (``bench/run.py`` on a shared 2-core VM):
-choosing the width per call inside :func:`_image`, +4%; a check on every
-dequeued subset, +2.5%; switching after 128 dequeued subsets, +23%; byte
-tables from the start for masks of 48 bits or more, +6.5% (though -19%
-at the 90th percentile).  Caching 8-bit tables on the compiled view
-raised the peak RSS of the padded-family workload from 21.6 to 27.8 MiB
-(+29%) and saved nothing, as it builds fresh graphs on every pass.
-
-A subset-pair containment search (:func:`subshift_witness`, and each
-direction of :func:`decide_equality`) runs on the follower classes of
-the union of both graphs (see :func:`_containments`): vertices with
-equal follower sets step to vertices with equal follower sets, and a
-class both graphs hold never keeps the contained side alive on a
-witness, so it is dropped from the start.  The witnesses, and so the
-first one in breadth-first order, are those of the search over the
-vertices of both graphs, and ``Caps.subsets`` bounds the pairs of class
-sets stored.  The quotient is about half of a call's 33 us on pairs of
-graphs on at most 3 vertices (in-process, min of 20, shared 2-core VM)
-but pays on large inputs: padded n = 61, on which a search over the
-vertices overruns the default cap, answers in under 1 ms.
-Minimality's candidate checks keep the search over vertices: a
-candidate is a set of target lists, and a quotient per candidate would
-cost more than the search it saves.
-
-The deciders build no graphs.  Irreducibility works on the target lists
-of the follower quotient over class ids, minimality on the target lists
-of each candidate, or for k = 1 on those of the one-vertex full shift
-(see :func:`~sofic.classify.is_universal`).
-
-Every search is guarded by a cap and raises :class:`CapExceededError`
-when an instance grows past desk scale.
+* word actions: :class:`ActionRelation` at the public boundary, stored
+  as byte strings or, above 255 vertices, tuples (:func:`_action_codec`);
+* the action monoid: a breadth-first closure with parent pointers
+  (:class:`ActionMonoid`), analysed through domain and range closures
+  (:meth:`ActionMonoid._prepare`) and left-image sets
+  (:meth:`ActionMonoid._is_intrinsic`), and expanded only in part by
+  :func:`decide_sft` and :func:`decide_sdp_exists`;
+* packed subset tables: a subset is an int mask imaged under every label
+  at once (:func:`_packed_bits`, :func:`_mask_tables`), in one closure
+  routine (:func:`_subset_closure`) or one search for a word
+  (:func:`_word_search`), both switching to byte-wide tables past 256
+  stored subsets (:func:`_byte_tables`);
+* pair searches: subshift and equality search pairs of sets of follower
+  classes of the union of both graphs (:func:`_containments`), and
+  minimality's candidate checks pairs of vertex sets (:func:`_equal`);
+* caps: every search is bounded by a field of :class:`Caps` and raises
+  :class:`CapExceededError` past it.
 """
 
 from dataclasses import dataclass
@@ -134,12 +41,8 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Caps:
-    """Search-size limits: reachable subsets, monoid elements, enumeration candidates.
-
-    ``subsets`` bounds each subset and subset-pair search; the pair
-    searches of subshift and equality store pairs of follower-class sets
-    (see :func:`subshift_witness`).
-    """
+    """Search-size limits: ``subsets`` for subset and subset-pair searches,
+    ``relations`` for monoid elements, ``enumeration`` for minimality's candidates."""
 
     subsets: int = 2**18
     relations: int = 2**18
@@ -243,26 +146,27 @@ def _action_codec(n, target_lists):
 
 
 class ActionMonoid:
-    """All actions of words on one graph, with generator and witness data.
+    """All actions of words on one graph, with witness data.
 
-    Built by :func:`action_monoid`.  Elements are reported in
+    Built by :func:`action_monoid`.  Actions compose like the words they
+    come from (:func:`compose`), so they form a finite monoid generated
+    by the actions of single letters.  Elements are reported in
     breadth-first order, so the witness of each element is a shortest
     (and lexicographically least) word generating it.
 
     Internally element k is the action ``_funcs[k]`` (see
     :func:`_action_codec`) and ``_parents[k]`` is the (element, label
-    index) pair it was first reached from; :meth:`step` composes and
-    looks up.  Relations are converted only at the public boundary.  A
-    new monoid holds only the identity until :meth:`_close` enumerates
-    the rest, all of it or the part a decider expands; `caps` bounds the
-    element count and the two subset closures of :meth:`_prepare`.
+    index) pair it was first reached from: witnesses are read off these
+    parent pointers, and no Cayley table is kept.  Relations are
+    converted only at the public boundary.  A new monoid holds only the
+    identity until :meth:`_close` enumerates the rest, all of it or the
+    part a decider expands.
     """
 
     def __init__(self, graph, caps):
         self.graph = graph
         self._caps = caps
         self._generators = graph._compiled().targets
-        self._labels = {a: c for c, a in enumerate(self._generators)}
         n = len(graph.vertices)
         self._pack, self._compose, self._letters, self._pad = _action_codec(
             n, self._generators.values()
@@ -271,13 +175,9 @@ class ActionMonoid:
         self._funcs = [identity]
         self._index = {identity: 0}
         self._parents = [None]
-        self._codes = {t: t for t in range(n)}
-        self._codes[-1] = n
         self._analysis = None
         self._full = (1 << n) - 1
-        # per element id its range mask
         self._rans = [self._full]  # the identity reaches every vertex
-        # per element id its L-set, per (L-set, label) its image, per L-set its verdict
         self._lefts = []
         self._images = {}
         self._verdicts = {}
@@ -290,30 +190,13 @@ class ActionMonoid:
     def elements(self):
         return tuple(self._relation(k) for k in range(len(self._funcs)))
 
-    @property
-    def generators(self):
-        return {a: ActionRelation(self.graph, f) for a, f in self._generators.items()}
-
     def __contains__(self, relation):
         return self._lookup(relation) is not None
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def word_witness(self, relation):
         """A shortest word whose action is `relation`."""
         k = self._require_element(relation)
         return _word_to(self._parents, k, tuple(self._generators))
-
-    def step(self, relation, label):
-        """The element ``relation ; [label]``."""
-        k = self._require_element(relation)
-        c = self._labels.get(label)
-        if c is None:
-            raise NotAnElementError(
-                f"label {label!r} is not a generator of this monoid"
-            )
-        return self._relation(self._index[self._compose(self._funcs[k], self._letters[c])])
 
     def _relation(self, k):
         n = len(self.graph.vertices)
@@ -325,10 +208,10 @@ class ActionMonoid:
         """The element id of `relation`, or None if it is not an element."""
         if not isinstance(relation, ActionRelation) or relation.graph != self.graph:
             return None
-        key = [self._codes.get(t) for t in relation.targets]
-        if None in key:
+        n = len(self.graph.vertices)
+        if not all(-1 <= t < n for t in relation.targets):
             return None
-        return self._index.get(self._pack(key))
+        return self._index.get(self._pack([n if t < 0 else t for t in relation.targets]))
 
     def _require_element(self, relation):
         k = self._lookup(relation)
@@ -369,11 +252,14 @@ class ActionMonoid:
     def _prepare(self):
         """The nonzero domain masks of all elements, and the range automaton.
 
-        Both are subset closures from the full vertex set (see the module
-        docstring), so neither depends on how much of the monoid is
-        enumerated.  The automaton maps each nonzero range, and 0, to its
-        packed image, label c's image at bits ``c*n``.  Both closures are
-        bounded by ``caps.subsets``, the domain closure first.
+        Since ``dom(c;w)`` is the preimage of ``dom(w)`` under c, the
+        domains are the subsets reached from the full vertex set under
+        preimages, and the nonzero ranges those reached from it under
+        images, so neither depends on how much of the monoid is
+        enumerated.  The rows of the range closure are the automaton: it
+        maps each nonzero range, and 0, to its packed image, label c's
+        image at bits ``c*n``.  Both closures are bounded by
+        ``caps.subsets``, the domain closure first.
         """
         if self._analysis is None:
             gens, n, cap = self._generators.values(), len(self.graph.vertices), self._caps.subsets
@@ -385,7 +271,8 @@ class ActionMonoid:
 
     def _ranges(self):
         """Per element id, for every element enumerated so far, its range mask:
-        the range of its parent imaged under the label it was reached by."""
+        the range of its parent imaged under the label it was reached by,
+        one lookup in the range automaton."""
         rans = self._rans
         if len(rans) < len(self._parents):
             steps, n, full = self._prepare()[1], len(self.graph.vertices), self._full
@@ -415,7 +302,8 @@ class ActionMonoid:
 
         L(identity) is the set of nonzero ranges, and when ``_parents[j]
         == (p, c)``, L(j) is L(p) imaged under the letter c, less 0; each
-        distinct (L-set, label) pair is imaged once.
+        distinct (L-set, label) pair is imaged once, by lookups in the
+        range automaton, however many elements share it.
         """
         lefts, images = self._lefts, self._images
         if len(lefts) <= k:
@@ -437,11 +325,10 @@ def action_monoid(g, caps=DEFAULT_CAPS):
     ----------
     g : deterministic LabeledGraph
     caps : Caps
-        ``caps.relations`` bounds the element count.  The monoid's later
-        analysis closes the domains and the ranges under ``caps.subsets``;
-        a closed monoid has no more nonzero domains or ranges than
-        elements, so those closures stay within ``caps.subsets`` whenever
-        it is at least ``caps.relations``.
+        ``caps.relations`` bounds the element count.  A closed monoid has
+        no more nonzero domains or ranges than elements, so the closures
+        of its later analysis (:meth:`ActionMonoid._prepare`) stay within
+        ``caps.subsets`` whenever it is at least ``caps.relations``.
 
     Raises
     ------
@@ -460,7 +347,9 @@ def is_intrinsically_sync_relation(m, r):
     Means: for all elements S, T, if ``S;r`` and ``r;T`` are nonempty
     then so is ``S;r;T``.  For a word w in the language, this holds of
     its action exactly when w is intrinsically synchronizing for the
-    presented shift.
+    presented shift.  Every nonempty extension ``a;r;b`` of such an r is
+    one too: if ``S;a;r;b`` and ``a;r;b;T`` are nonempty, so are
+    ``S;a;r`` and ``r;b;T``, hence ``S;a;r;b;T``.
 
     Raises
     ------
@@ -487,9 +376,9 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     Holds exactly when every nonempty action is preceded by an
     intrinsically synchronizing one, that is when every nonzero domain
     meets the union U of the ranges of intrinsically synchronizing
-    elements.  A nonempty extension ``r;w`` of an intrinsically
-    synchronizing r is one too, since ``S;r;w`` nonempty implies ``S;r``
-    nonempty; so U is the set of vertices reachable from those ranges.
+    elements.  Their nonempty extensions are intrinsically synchronizing
+    too (see :func:`is_intrinsically_sync_relation`), so U is the set of
+    vertices reachable from those ranges.
 
     The monoid is enumerated breadth-first, but an element whose range
     lies inside the part of U found so far is never expanded: every
@@ -501,9 +390,9 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     g : deterministic essential LabeledGraph
     caps : Caps
         ``caps.relations`` bounds the elements enumerated, and
-        ``caps.subsets`` each of the two subset closures that give the
-        domains and the ranges of all elements up front.  An input whose
-        whole monoid exceeds ``caps.relations`` can still get an answer.
+        ``caps.subsets`` the closures of :meth:`ActionMonoid._prepare`.
+        An input whose whole monoid exceeds ``caps.relations`` can still
+        get an answer.
 
     Raises
     ------
@@ -545,9 +434,8 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     - An element c on a cycle satisfies ``c = c;s`` with s in S+, so
       ``c = c;e`` for the idempotent power e of s, and every element
       reachable from a cycle has the form ``a;e;b``.
-    - Intrinsic synchronization is closed under extension on both
-      sides: if ``a;e;b`` is nonempty and e is intrinsically
-      synchronizing, so is ``a;e;b``.
+    - If e is intrinsically synchronizing, so is every nonempty
+      ``a;e;b`` (see :func:`is_intrinsically_sync_relation`).
     - Every idempotent e of S+ lies on a cycle, since ``e = e;e``.
 
     The idempotents other than the identity are the elements k with
@@ -584,7 +472,6 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     n = len(g.vertices)
     funcs, compose, pad = m._funcs, m._compose, m._pad
     zero = m._pack([n] * n)
-    # element 0, the identity, is in S+ only through a total permutation
     identity_in_s_plus = any(-1 not in t and len(set(t)) == n for t in m._generators.values())
     failed = False
 
@@ -607,7 +494,8 @@ def _mask_tables(bits):
 
     ``tables[c][b]`` is the image mask of the subset ``b << 4*c``: the
     OR of ``bits[v]`` over the vertices v of the chunk that ``b``
-    selects.
+    selects.  A decision builds its tables once (minimality once per
+    candidate).
     """
     chunks = iter(list(bits) + [0, 0, 0])
     tables = []
@@ -622,11 +510,8 @@ def _mask_tables(bits):
 
 
 def _packed_tables(target_lists, n, preimages=False):
-    """Subset-image tables of several labels on n vertices at once.
-
-    Label c takes bits ``c*n`` up to ``(c+1)*n``, so that a subset's image
-    is every label's image side by side (see :func:`_packed_bits`).
-    """
+    """:func:`_mask_tables` of the :func:`_packed_bits` of n vertices in
+    label blocks n bits wide."""
     return _mask_tables(_packed_bits(target_lists, n, n, 0, preimages))
 
 
@@ -656,7 +541,35 @@ def _packed_bits(target_lists, n, width, at=0, preimages=False):
 def _byte_tables(tables):
     """Subset-image tables 256 entries per 8 vertices, from the 16-entry
     tables of :func:`_mask_tables`: ``lo | hi`` over each pair of chunks,
-    with a zero chunk to pad an odd count."""
+    with a zero chunk to pad an odd count.
+
+    :func:`_word_search` and :func:`_subset_closure` switch to them, and
+    to :func:`_byte_image`, once they have stored 256 subsets, as many as
+    a byte-wide table has entries.  The switch rides on the cap check: a
+    search compares its stored count with ``min(cap, 256)`` and, reaching
+    it below the cap, swaps tables and raises the limit to the cap.  The
+    subsets, their order, the words, the rows and the cap counts do not
+    depend on the width.  No DFA-battery search and, since subshift
+    searches follower classes, no padded-family pair verdict stores 256
+    subsets; ``shortest_sync_word`` and ``synchronizing_vertices`` on
+    padded n >= 26 do, and the switch pays there.  Without it,
+    ``shortest_sync_word`` on padded n = 36 and 41 took 6.4-6.6 and
+    21.6-21.7 ms against 5.8-6.8 and 18.9-19.4 ms, and
+    ``synchronizing_vertices`` on n = 36 took 5.7 against 5.0-5.1 ms
+    (in-process, min of 11, three alternating runs each, shared 2-core
+    VM); n = 26 ran slightly faster without it.
+
+    Byte tables for every decision cut the DFA battery's throughput by
+    15%, as its small graphs paid for the larger tables.  Other ways to
+    switch, measured when the padded-family pair verdicts still searched
+    vertex sets, as changes of that workload's median verdict time: the
+    width chosen per call inside :func:`_image`, +4%; a check on every
+    dequeued subset, +2.5%; switching after 128 dequeued subsets, +23%;
+    byte tables from the start for masks of 48 bits or more, +6.5%.
+    Caching byte tables on the compiled view raised the workload's peak
+    RSS from 21.6 to 27.8 MiB (+29%) and saved nothing, as it builds fresh
+    graphs on every pass.
+    """
     chunks = iter(tables + [[0] * 16] if len(tables) % 2 else tables)
     return [[lo | hi for hi in t_hi for lo in t_lo] for t_lo, t_hi in zip(chunks, chunks)]
 
@@ -689,8 +602,14 @@ def _word_search(tables, width, labels, start, live, goal, spare, cap, what):
     A subset that misses `live` dies; one with at most `spare` (0 or 1)
     vertices in `goal` is a goal, tested on `start` and on each subset
     when first reached.  Returns the word to the first goal found, or None.
-    Storing more than `cap` subsets raises ``CapExceededError(count, what)``;
-    past 256 stored subsets the rest are imaged through byte-wide tables.
+    Storing more than `cap` subsets raises ``CapExceededError(count, what)``.
+
+    Every subset search that returns a word runs this loop.  Routing it
+    through :func:`~sofic.graphs.shortest_word` instead, with a
+    ``successors`` callback per subset, slowed ``shortest_sync_word`` and
+    ``decide_subshift`` both ways on the padded family (n = 12..36,
+    against renamed copies) from 210 to 265 ms, the medians of twelve
+    alternating in-process runs on a shared 2-core VM.
     """
     parent = {start: None}
     found = start & goal
@@ -724,8 +643,11 @@ def _subset_closure(tables, width, start, cap):
     in blocks `width` bits wide, in breadth-first order (labels tried in
     order), each mapped to its row: its packed image, imaged once when it
     is dequeued (None until then).  Storing more than `cap` subsets raises
-    ``CapExceededError(count, "subset count")``; past 256 stored subsets the
-    rest are imaged through byte-wide tables.
+    ``CapExceededError(count, "subset count")``.
+
+    A subset's children are read off its row label by label;
+    deduplicating them with set operations instead slowed the 4000
+    closures of a seed-1 DFA-battery benchmark pass from 110 to 156 ms.
     """
     rows = {start: None} if start else {}
     full = (1 << width) - 1
@@ -788,11 +710,10 @@ def shortest_sync_word(g, caps=DEFAULT_CAPS):
 def subshift_witness(g, h, caps=DEFAULT_CAPS):
     """Decides containment of shifts, returning (holds, witness).
 
-    Runs the two subset automata in parallel from their full vertex
-    sets, on the follower classes of the union of `g` and `h`;
-    containment fails exactly when some word keeps `g` alive while
-    killing `h`, and the first such word in breadth-first order is
-    returned as the witness.
+    Containment fails exactly when some word keeps `g` alive while
+    killing `h`; the first such word in breadth-first order is the
+    witness, searched on the follower classes of the union of both
+    graphs (see :func:`_containments`).
 
     Parameters
     ----------
@@ -834,7 +755,8 @@ def _containment(tables, width, labels, start, live, cap):
 def _equal(tables, width, labels, n_g, caps):
     """Containment both ways between the first n_g vertices of a union and
     the rest, given its packed tables over every label of both, by the
-    vertex-level search (minimality's candidate checks)."""
+    vertex-level search.  Minimality's candidate checks run it, since a
+    quotient per candidate would cost more than the search it saves."""
     full, low = (1 << width) - 1, (1 << n_g) - 1
     return (
         _containment(tables, width, labels, full, low, caps.subsets)[0]
@@ -856,7 +778,11 @@ def _containments(g, h, caps):
     other graph, so it never keeps the live part alive on a witness, and
     a label of the other graph alone kills the live part: the witnesses,
     and so the first one in breadth-first order, are those of the search
-    over the vertices of both graphs.
+    over the vertices of both graphs.  The quotient is about half of a
+    call's 33 us on pairs of graphs on at most 3 vertices (in-process,
+    min of 20, shared 2-core VM) but pays on large inputs: padded n = 61,
+    on which a search over the vertices overruns the default cap, answers
+    in under 1 ms.
     """
     block, quotient = _quotient(g, h)
     m, n_g = block[-1], len(g.vertices)
@@ -878,8 +804,7 @@ def decide_subshift(g, h, caps=DEFAULT_CAPS):
 
 def decide_equality(g, h, caps=DEFAULT_CAPS):
     """Whether `g` and `h` present the same shift: containment both ways
-    as in :func:`subshift_witness`, on one quotient of the union, the
-    second only when the first holds."""
+    (see :func:`_containments`)."""
     _require_presentation(g)
     _require_presentation(h)
     return all(holds for holds, _ in _containments(g, h, caps))

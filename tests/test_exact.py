@@ -92,10 +92,9 @@ def test_action_monoid_examples(gm, full1, p2):
     }
 
 
-def test_action_monoid_iterates_its_elements(gm):
+def test_action_monoid_contains_its_elements(gm):
     m = action_monoid(gm)
-    assert tuple(m) == m.elements
-    assert all(e in m for e in m)
+    assert all(e in m for e in m.elements)
 
 
 def test_action_monoid_completeness_on_random_graphs():

@@ -20,10 +20,13 @@ from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
     Caps,
     action_monoid,
+    action_of_word,
+    compose,
     decide_sdp_exists,
     decide_sft,
     is_intrinsically_sync_relation,
 )
+from sofic.graphs import alphabet
 
 from .oracles import naive_intrinsic, naive_sdp_exists
 from .test_exact_index import random_dfas, random_graphs, small_monoid
@@ -63,8 +66,8 @@ def test_nonempty_extensions_of_intrinsic_elements_are_intrinsic():
         for e, pairs in zip(elements, pair_sets):
             if not naive_intrinsic(pair_sets, pairs):
                 continue
-            for a in m.generators:
-                nxt = m.step(e, a)
+            for a in alphabet(g):
+                nxt = compose(e, action_of_word(g, (a,)))
                 if not nxt.is_empty:
                     assert naive_intrinsic(pair_sets, nxt.pairs)
                     assert is_intrinsically_sync_relation(m, nxt)
