@@ -4,7 +4,9 @@ Follower equivalence reduces to DFA state equivalence: complete the
 graph with a sink, treat every non-sink state as accepting, and refine.
 The refinement here is Moore-style iterated splitting, which is
 polynomial and produces the same partition as the faster textbook
-algorithms.  It runs on the integer views of one or more graphs at once.
+algorithms.  It runs on the integer views of one or more graphs at once,
+or on automata given as target lists, such as the exact engine's subset
+automaton.
 
 On top of the partition sit the quotient construction (follower
 separation), label-graph isomorphism for follower-separated inputs,
@@ -48,45 +50,65 @@ def _rounds(graphs):
     """Follower refinement of the disjoint union of deterministic `graphs`.
 
     Vertex i of a graph is index i plus the sizes of the graphs before
-    it; the sink is the last index.  Refines {sink} / rest by successor
-    signatures until the class count stops growing, so two indices share
-    a class exactly when every word is readable from both or from
-    neither.  Returns the sorted labels, the class ids in first-member
-    order, and the last round's distinct signatures in that order: a
-    class's and its targets' ids, each the index of a first member.
-
-    A round reads each graph's target tuples, one ``itemgetter`` per
-    label, through the ids from its first index on, whose last, the
-    sink's, a target of -1 reads, and hashes each signature once, by
-    ``dict.setdefault`` with its index as its id.  Against one shifted
-    column per label and a loop over vertices and labels for the
-    quotient, ``_quotient`` takes 1.36 against 1.95 ms on the
-    benchmark's 25 padded-family pairs and 7.2 against 9.9 ms on its 56
-    CLI pairs, but 18 against 16 us on a pair of graphs of at most 3
-    vertices (shared 2-core VM, in-process, min of 41).
+    it.  Returns the sorted labels and what :func:`_refine` returns for
+    the graphs' target tuples, a label a graph lacks reading -1.
     """
     views = [g._compiled() for g in graphs]
     labels = sorted({a for view in views for a in view.labels})
-    parts, n = [], 0
+    spans, n = [], 0
     for view in views:
         size = len(view.index)
         # two extra -1s make every getter return a tuple; zip drops them
         getters = [itemgetter(*view.targets.get(a, (-1,) * size), -1, -1) for a in labels]
-        parts.append((n, n + size, getters))
+        spans.append((n, n + size, getters))
         n += size
-    sink = [(n,) * (len(labels) + 1)]  # alone from the start, so its id stays n
-    block, count = [0] * n + [n], 1 + (n > 0)
+    return (labels, *_refine(spans, n, len(labels)))
+
+
+def _list_rounds(size, lists):
+    """:func:`_refine` of one automaton on `size` states given as target
+    lists, one per label, -1 for undefined."""
+    return _refine([(0, size, [itemgetter(*t, -1, -1) for t in lists])], size, len(lists))
+
+
+def _refine(spans, n, count):
+    """Follower refinement of n states read through `count` labels.
+
+    Each span ``(start, stop, getters)`` gives the states from start to
+    stop, and per label an ``itemgetter`` of their targets, -1 for
+    undefined, relative to start, with two more -1s; the sink is index
+    n.  Refines {sink} / rest by successor signatures until the class
+    count stops growing, so two indices share a class exactly when every
+    word is readable from both or from neither.  Returns the class ids
+    in first-member order, and the last round's distinct signatures in
+    that order: a class's and its targets' ids, each the index of a
+    first member.
+
+    A round reads each span's targets through the ids from its first
+    index on, whose last, the sink's, a target of -1 reads, and hashes
+    each signature once, by ``dict.setdefault`` with its index as its
+    id.  Against one shifted column per label and a loop over vertices
+    and labels for the quotient, ``_quotient`` takes 1.36 against
+    1.95 ms on the benchmark's 25 padded-family pairs and 7.2 against
+    9.9 ms on its 56 CLI pairs, but 18 against 16 us on a pair of graphs
+    of at most 3 vertices (shared 2-core VM, in-process, min of 41).
+    Each entry builds its own getters: passing target lists from the
+    graph entry too made ``_blocks`` and ``_quotient`` 2-5% slower on such
+    pairs and on the DFA-battery pairs (in-process, min of 11).
+    """
+    sink = [(n,) * (count + 1)]  # alone from the start, so its id stays n
+    block, classes = [0] * n + [n], 1 + (n > 0)
     while True:
         rows = []
-        for start, stop, getters in parts:
+        for start, stop, getters in spans:
             ids = block[start:]
             rows.append(zip(block[start:stop], *[get(ids) for get in getters]))
         seen = {}
         new = list(map(seen.setdefault, chain(*rows, sink), range(n + 1)))
-        if len(seen) == count:
-            renumber = dict(zip(seen.values(), range(count)))
-            return labels, list(map(renumber.__getitem__, block)), seen
-        block, count = new, len(seen)
+        if len(seen) == classes:
+            renumber = dict(zip(seen.values(), range(classes)))
+            return list(map(renumber.__getitem__, block)), seen
+        block, classes = new, len(seen)
 
 
 def _blocks(*graphs):
@@ -94,14 +116,20 @@ def _blocks(*graphs):
     return _rounds(graphs)[1]
 
 
+def _class_targets(block, signatures):
+    """Per label, each class's target or -1, read off the class ids
+    `block` and the signatures that :func:`_refine` returns."""
+    ids = block[:-1] + [-1]  # a first member's index reads its id, the sink's -1
+    _, *columns = zip(*signatures)
+    return [list(map(ids.__getitem__, t[:-1])) for t in columns]
+
+
 def _quotient(*graphs):
     """The follower quotient of the disjoint union of deterministic
     `graphs`: the class ids of :func:`_blocks` and, for each label in
-    sorted order, each class's target or -1, read off the signatures."""
+    sorted order, each class's target or -1 (:func:`_class_targets`)."""
     labels, block, signatures = _rounds(graphs)
-    ids = block[:-1] + [-1]  # a first member's index reads its id, the sink's -1
-    _, *columns = zip(*signatures)
-    return block, {a: list(map(ids.__getitem__, t[:-1])) for a, t in zip(labels, columns)}
+    return block, dict(zip(labels, _class_targets(block, signatures)))
 
 
 def follower_partition(g):

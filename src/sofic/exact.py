@@ -12,12 +12,17 @@ and builds no graphs.  Each mechanism is described where it is built:
   (:class:`ActionMonoid`), analysed through domain and range closures
   (:meth:`ActionMonoid._prepare`) and left-image sets
   (:meth:`ActionMonoid._is_intrinsic`), and expanded only in part by
-  :func:`decide_sft` and :func:`decide_sdp_exists`;
+  :func:`decide_sdp_exists`;
 * packed subset tables: a subset is an int mask imaged under every label
   at once (:func:`_packed_bits`, :func:`_mask_tables`), in one closure
   routine (:func:`_subset_closure`) or one search for a word
   (:func:`_word_search`), both switching to byte-wide tables past 256
   stored subsets (:func:`_byte_tables`);
+* the follower-set automaton: the closure from the full vertex set
+  (:func:`_range_closure`) refined to the follower sets of words
+  (:func:`_follower_sets`), on whose class pairs :func:`decide_sft`
+  searches for a cycle and whose class counts bound
+  :func:`decide_minimality`;
 * pair searches: subshift and equality search pairs of sets of follower
   classes of the union of both graphs (:func:`_containments`), and
   minimality's candidate checks pairs of vertex sets (:func:`_equal`);
@@ -28,7 +33,7 @@ and builds no graphs.  Each mechanism is described where it is built:
 from dataclasses import dataclass
 from itertools import product
 
-from .classify import _quotient, is_universal
+from .classify import _class_targets, _list_rounds, _quotient, is_universal
 from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
     reachable_indices,
@@ -42,7 +47,9 @@ from .graphs import (
 @dataclass(frozen=True)
 class Caps:
     """Search-size limits: ``subsets`` for subset and subset-pair searches,
-    ``relations`` for monoid elements, ``enumeration`` for minimality's candidates."""
+    the follower-set closure among them, ``relations`` for the monoid
+    elements of :func:`action_monoid` and :func:`decide_sdp_exists`,
+    ``enumeration`` for minimality's candidates."""
 
     subsets: int = 2**18
     relations: int = 2**18
@@ -128,21 +135,19 @@ def _action_codec(n, target_lists):
     """How actions on n vertices are stored and composed.
 
     An action lists a target index per vertex, with the sink index n for
-    undefined.  Returns ``(pack, compose, letters, pad)``: ``pack`` turns
-    a sequence of indices into an action, and ``compose(func,
-    letters[c])`` is the action `func` followed by the partial function
+    undefined.  Returns ``(pack, compose, letters)``: ``pack`` turns a
+    sequence of indices into an action, and ``compose(func, letters[c])``
+    is the action `func` followed by the partial function
     ``target_lists[c]`` (-1 for undefined), which maps the sink to
-    itself; ``func + pad`` is `func` as such a letter, so that
-    ``compose(func, func + pad)`` is `func` twice.  Up to 255 vertices
-    actions are byte strings and composing is one ``bytes.translate``
-    over a 256-byte table; above that they are tuples.  This is the only
-    place where storage depends on n.
+    itself.  Up to 255 vertices actions are byte strings and composing is
+    one ``bytes.translate`` over a 256-byte table; above that they are
+    tuples.  This is the only place where storage depends on n.
     """
     exts = [[n if t < 0 else t for t in targets] for targets in target_lists]
     if n <= 255:
         pad = bytes([n]) * (256 - n)
-        return bytes, bytes.translate, [bytes(ext) + pad for ext in exts], pad
-    return tuple, _tuple_compose, [(*ext, n) for ext in exts], (n,)
+        return bytes, bytes.translate, [bytes(ext) + pad for ext in exts]
+    return tuple, _tuple_compose, [(*ext, n) for ext in exts]
 
 
 class ActionMonoid:
@@ -168,7 +173,7 @@ class ActionMonoid:
         self._caps = caps
         self._generators = graph._compiled().targets
         n = len(graph.vertices)
-        self._pack, self._compose, self._letters, self._pad = _action_codec(
+        self._pack, self._compose, self._letters = _action_codec(
             n, self._generators.values()
         )
         identity = self._pack(range(n))
@@ -264,7 +269,7 @@ class ActionMonoid:
         if self._analysis is None:
             gens, n, cap = self._generators.values(), len(self.graph.vertices), self._caps.subsets
             doms = _subset_closure(_packed_tables(gens, n, preimages=True), n, self._full, cap)
-            steps = _subset_closure(_packed_tables(gens, n), n, self._full, cap)
+            steps = _range_closure(gens, n, cap)
             steps[0] = 0
             self._analysis = (doms, steps)
         return self._analysis
@@ -380,10 +385,14 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     too (see :func:`is_intrinsically_sync_relation`), so U is the set of
     vertices reachable from those ranges.
 
-    The monoid is enumerated breadth-first, but an element whose range
-    lies inside the part of U found so far is never expanded: every
-    extension of it has its range inside U too.  The search stops once
-    every nonzero domain meets U.
+    U starts as the vertices reachable from the singleton ranges of the
+    range closure: an action r of rank one is intrinsically
+    synchronizing, as nonempty ``S;r`` and ``r;T`` both pass through its
+    one range vertex.  Then the monoid is enumerated breadth-first, but an element
+    whose range lies inside the part of U found so far is never expanded:
+    every extension of it has its range inside U too.  The search stops
+    once every nonzero domain meets U, without enumerating anything when
+    the singletons cover them all.
 
     Parameters
     ----------
@@ -401,8 +410,10 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     succ = _require_presentation(g).succ
     n = len(g.vertices)
     m = ActionMonoid(g, caps)
-    uncovered = list(m._prepare()[0])
-    covered = 0
+    doms, steps = m._prepare()
+    singletons = [r.bit_length() - 1 for r in steps if r.bit_count() == 1]
+    covered = sum(1 << v for v in reachable_indices(succ, singletons))
+    uncovered = [d for d in doms if not d & covered]
 
     def expand(k):
         nonlocal uncovered, covered
@@ -423,70 +434,68 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
 def decide_sft(g, caps=DEFAULT_CAPS):
     """Whether the shift presented by `g` is a shift of finite type.
 
-    The shift fails to be an SFT exactly when arbitrarily long language
-    words fail intrinsic synchronization.  In the finite Cayley graph of
-    the action monoid, the actions of arbitrarily long words are exactly
-    the elements reachable from a cycle.  Those hold a nonempty
-    non-intrinsically-synchronizing element exactly when some nonempty
-    idempotent e of S+, the actions of nonempty words, is not
-    intrinsically synchronizing:
+    Reads the follower-set graph of :func:`_follower_sets`: its classes
+    are the follower sets F(w) of words w, F() that of the empty word,
+    and a label a steps F(w) to F(wa).  The shift is an SFT exactly when
+    no cycle runs through unordered pairs of distinct classes stepped
+    together by each label, a pair whose sides merge or that loses a
+    side having no edge.  For the shift is M-step exactly when F(uw) =
+    F(w) whenever uw is a word and |w| >= M (Lind and Marcus, Thm
+    2.1.8):
 
-    - An element c on a cycle satisfies ``c = c;s`` with s in S+, so
-      ``c = c;e`` for the idempotent power e of s, and every element
-      reachable from a cycle has the form ``a;e;b``.
-    - If e is intrinsically synchronizing, so is every nonempty
-      ``a;e;b`` (see :func:`is_intrinsically_sync_relation`).
-    - Every idempotent e of S+ lies on a cycle, since ``e = e;e``.
+    - If no cycle is reachable from a pair {F(), F(u)}, no path from
+      one has M steps, M the number of pairs; so for |w| >= M the pair
+      {F()·w, F(u)·w} = {F(w), F(uw)}, both sides defined, has merged.
+    - A cycle through {F(u), F(v)}, repeated, gives arbitrarily long w
+      with F(uw) != F(vw), both defined; one of them, say F(uw),
+      differs from F(w), and then F(up) != F(p) for every prefix p of
+      w, as a merged pair stays merged.  So the path from {F(), F(u)}
+      along w is as long as w, and the shift is M-step for no M.
 
-    The idempotents other than the identity are the elements k with
-    ``k;k == k``; the identity is in S+ exactly when some letter acts as
-    a total permutation.
-
-    The monoid is enumerated breadth-first, but an element is expanded
-    only when it is nonempty and not intrinsically synchronizing.  The
-    search answers False at the first nonempty idempotent of S+ that is
-    not intrinsically synchronizing, and True when the queue drains.
-    That is sound: take a nonempty element x that is never enumerated,
-    and the longest prefix u of a word of x whose action e is
-    enumerated.  The empty prefix acts as the identity, which is
-    enumerated, so u exists; u is a proper prefix, and the action of the
-    next longer one, e composed with a letter, is not enumerated, so e
-    was not expanded.  Since ``x = e;v`` for the rest v of the word, e is
-    nonempty, so e is intrinsically synchronizing, and so is its
-    nonempty extension x.  Hence every nonempty idempotent that is not
-    intrinsically synchronizing is enumerated, and judged when it is
-    dequeued.
+    So the iterative depth-first search, which stops at the first pair
+    it finds on its own path, starts only from the pairs holding F(),
+    the class of the full vertex set.
 
     Parameters
     ----------
     g : deterministic essential LabeledGraph
     caps : Caps
-        As in :func:`decide_sdp_exists`.
+        ``caps.subsets`` bounds the one subset closure.
 
     Raises
     ------
     CapExceededError
     """
-    _require_presentation(g)
-    m = ActionMonoid(g, caps)
-    n = len(g.vertices)
-    funcs, compose, pad = m._funcs, m._compose, m._pad
-    zero = m._pack([n] * n)
-    identity_in_s_plus = any(-1 not in t and len(set(t)) == n for t in m._generators.values())
-    failed = False
+    gens = _require_presentation(g).targets.values()
+    m, lists = _follower_sets(gens, len(g.vertices), caps.subsets)
 
-    def expand(k):
-        nonlocal failed
-        f = funcs[k]
-        if failed or f == zero or m._is_intrinsic(k):
-            return False
-        if (k or identity_in_s_plus) and compose(f, f + pad) == f:
-            failed = True
-            return False
-        return True
+    def steps(pair):
+        i, j = divmod(pair, m)
+        for t in lists:
+            a, b = t[i], t[j]
+            if a >= 0 and b >= 0 and a != b:
+                yield a * m + b if a < b else b * m + a
 
-    m._close(expand)
-    return not failed
+    on_path, finished = set(), set()
+    for start in range(1, m):  # the pair {0, j} is j
+        if start in finished:
+            continue
+        on_path.add(start)
+        stack = [(start, steps(start))]
+        while stack:
+            pair, rest = stack[-1]
+            for nxt in rest:
+                if nxt in on_path:
+                    return False
+                if nxt not in finished:
+                    on_path.add(nxt)
+                    stack.append((nxt, steps(nxt)))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(pair)
+                finished.add(pair)
+    return True
 
 
 def _mask_tables(bits):
@@ -668,6 +677,33 @@ def _subset_closure(tables, width, start, cap):
     return rows
 
 
+def _range_closure(gens, n, cap):
+    """:func:`_subset_closure` from the full set of n vertices under the
+    images of the label target lists `gens`: the nonzero sets V·w."""
+    return _subset_closure(_packed_tables(gens, n), n, (1 << n) - 1, cap)
+
+
+def _follower_sets(gens, n, cap):
+    """The follower-set graph of the shift presented by an essential
+    deterministic graph on n vertices with label target lists `gens`.
+
+    The rows of :func:`_range_closure` are a deterministic automaton on
+    the nonzero sets V·w, and the follower set of V·w is that of the
+    word w, F(w).  Read as target lists, 0 mapped to -1, they are
+    refined by :func:`~sofic.classify._list_rounds`, so the classes are
+    the distinct F(w) (Lind and Marcus, Sec. 3.2), class 0 the class of
+    V.  Returns the class count and, per label, each class's target or
+    -1.  Storing more than `cap` subsets raises.
+    """
+    full = (1 << n) - 1
+    rows = _range_closure(gens, n, cap)
+    index = dict(zip(rows, range(len(rows))))
+    index[0] = -1
+    lists = [[index[row >> c * n & full] for row in rows.values()] for c in range(len(gens))]
+    block, signatures = _list_rounds(len(rows), lists)
+    return block[-1], _class_targets(block, signatures)
+
+
 def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     """The set of vertices some word synchronizes to, via subset search.
 
@@ -681,7 +717,7 @@ def synchronizing_vertices(g, caps=DEFAULT_CAPS):
     """
     gens = _require_presentation(g).targets.values()
     n = len(g.vertices)
-    reached = _subset_closure(_packed_tables(gens, n), n, (1 << n) - 1, caps.subsets)
+    reached = _range_closure(gens, n, caps.subsets)
     return frozenset(g.vertices[m.bit_length() - 1] for m in reached if m.bit_count() == 1)
 
 
@@ -852,12 +888,22 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     """Whether `g`'s shift has a deterministic presentation on at most k vertices.
 
     For ``k >= |Q|`` `g` itself is one; ``k == 1`` asks whether the shift
-    is full.  In between, for j = 2 .. k, all essential deterministic
-    candidates with exactly j vertices over the alphabet of `g` are
-    searched, pruned by the candidate's one- and two-letter language, and
-    survivors are checked with the exact equality decider.  (A j-cycle on
-    one label with loops on the rest presents the full shift.  Exactly j
-    vertices is not monotone in j: the 4-cycle labeled abab has essential
+    is full.  In between, the follower-set graph of :func:`_follower_sets`
+    answers when it can:
+
+    - True when its essential part has at most k classes, since that part
+      is a deterministic presentation of the shift.
+    - False when it has more than 2**k - 1 classes, since the follower
+      set of w is fixed by the set U·w of a presentation on vertices U,
+      and on k vertices at most 2**k - 1 such sets are nonempty.
+
+    Otherwise, or when its closure stores more than ``caps.subsets``
+    subsets, for j = 2 .. k all essential deterministic candidates with
+    exactly j vertices over the alphabet of `g` are searched, pruned by
+    the candidate's one- and two-letter language, and survivors are
+    checked with the exact equality decider.  (A j-cycle on one label
+    with loops on the rest presents the full shift.  Exactly j vertices
+    is not monotone in j: the 4-cycle labeled abab has essential
     presentations on 2 and 4 vertices but none on 3.)  A candidate is one
     target list per label, each with its domain and range masks: the
     pruning tests whether a range meets a domain, essentiality whether
@@ -869,6 +915,11 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     ----------
     g : deterministic essential LabeledGraph
     k : positive int
+    caps : Caps
+        ``caps.enumeration`` bounds the candidate count, checked before
+        anything else; ``caps.subsets`` bounds the follower-set closure,
+        past which the candidate search answers alone, and each equality
+        check of the search.
 
     Raises
     ------
@@ -876,7 +927,8 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
         When the candidate count ``(k+1)**(k*|alphabet|)`` exceeds
         ``caps.enumeration``.
     """
-    labels = _require_presentation(g).labels
+    view = _require_presentation(g)
+    labels = view.labels
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k >= len(g.vertices):
@@ -886,7 +938,29 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     count = (k + 1) ** (k * len(labels))
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
+    try:
+        m, lists = _follower_sets(view.targets.values(), len(g.vertices), caps.subsets)
+    except CapExceededError:
+        pass
+    else:
+        if m >= 1 << k:
+            return False
+        if _essential_count(m, lists) <= k:
+            return True
     return any(_presented_on(g, j, caps) for j in range(2, k + 1))
+
+
+def _essential_count(m, lists):
+    """The number of the m states of the automaton with target lists
+    `lists` that lie on a bi-infinite path: those left when states with
+    no edge in or no edge out are dropped until none is."""
+    alive = set(range(m))
+    while True:
+        heads = {t[v] for t in lists for v in alive}
+        kept = {v for v in alive if v in heads and any(t[v] in alive for t in lists)}
+        if len(kept) == len(alive):
+            return len(alive)
+        alive = kept
 
 
 def _presented_on(g, k, caps):

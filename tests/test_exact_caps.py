@@ -24,11 +24,14 @@ or at smaller caps replace the ones it raised on, and the rows at the
 end of ``ANSWERS`` pin what the class-level search answers there.
 
 That ``decide_sft`` built its monoid with ``Caps.relations`` bounding
-both subset closures, so ``Caps.subsets`` never stopped it; the pruned
-search bounds them by ``Caps.subsets``, as ``decide_sdp_exists`` does,
-and its rows that raise were answers then (marked below).  The rows
-under ``Caps(relations=k)`` pin the monoid element count; there the
-pruned search answers some inputs on which the whole closure raised.
+both subset closures, so ``Caps.subsets`` never stopped it; the monoid
+search that followed bounded them by ``Caps.subsets``, as
+``decide_sdp_exists`` does, and its rows that raise were answers then
+(marked below).  ``decide_sft`` now runs only the range closure, the
+one of ``synchronizing_vertices``, so its rows raise where that one's
+do.  The rows under ``Caps(relations=k)`` pin the monoid element count
+of ``decide_sdp_exists``, which answers some inputs on which the whole
+closure raised, and show that this cap does not bound ``decide_sft``.
 """
 import pytest
 
@@ -257,8 +260,8 @@ ANSWERS = [
 
 # (search, graph names, k, CapExceededError.count, message) under Caps(relations=k)
 RELATIONS_EXCEEDED = [
-    ('decide_sft', ('padded21',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
-    ('decide_sft', ('padded21',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded26',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded26',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
     ('decide_sdp_exists', ('padded21',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
     ('decide_sdp_exists', ('padded21',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
 ]
@@ -274,6 +277,13 @@ RELATIONS_ANSWERS = [
     ('decide_sft', ('fig1',), 1, False),
     ('decide_sft', ('hfig1',), 1, False),
     ('decide_sft', ('gm',), 3, True),
+    # decide_sft builds no monoid; the monoid search raised on these
+    ('decide_sft', ('padded21',), 1, False),
+    ('decide_sft', ('padded21',), 2, False),
+    # the singleton ranges cover every domain, so no element is enumerated
+    ('decide_sdp_exists', ('ev',), 1, True),
+    ('decide_sdp_exists', ('fig1',), 1, True),
+    ('decide_sdp_exists', ('hfig1',), 1, True),
 ]
 
 

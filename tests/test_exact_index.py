@@ -1,22 +1,23 @@
 """The SFT, irreducibility and minimality deciders against oracles.
 
-``decide_sft`` judges the nonempty idempotents of the actions of nonempty
-words in a breadth-first search that never expands an intrinsically
-synchronizing element; it must agree with the cycle-reachability
+``decide_sft`` searches pairs of classes of the follower-set graph, read
+off one subset closure; it must agree with the cycle-reachability
 criterion of ``tests.oracles.naive_sft`` on seeded ``reduction_sft`` and
 ``reduction_irred`` graphs, on random essential graphs (some with a
-letter acting as a total permutation, which puts the identity among
-those actions), on the empty graph and above 255 vertices, where
-actions are tuples, and it must stop short of the whole monoid.
-``decide_irreducibility`` and ``decide_minimality`` must agree with the
-routes that build a follower quotient, an induced subgraph and named
-candidates.  None of the three deciders builds a graph.
+letter acting as a total permutation, which puts the identity among the
+actions of nonempty words), on the empty graph and above 255 vertices,
+its closure must store the subsets of ``tests.oracles.reachable_subsets``,
+and it must build no action monoid.  ``decide_irreducibility`` and
+``decide_minimality`` must agree with the routes that build a follower
+quotient, an induced subgraph and named candidates, minimality on each
+of its ways to answer.  None of the three deciders builds a graph.
 """
 
 import random
 
 import pytest
 
+from sofic import exact
 from sofic.constructions import padded_family_gn, reduction_irred, reduction_sft
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
@@ -38,6 +39,7 @@ from .oracles import (
     quotient_irreducibility,
     random_deterministic_graph,
     random_dfa,
+    reachable_subsets,
 )
 from .test_exact_monoid import big_graph
 
@@ -159,18 +161,24 @@ def test_big_graph_matches_its_two_vertex_collapse():
     assert decide_sft(big) is False
 
 
-def enumerated(monkeypatch):
-    """The element counts of the monoids enumerated from now on, one per
-    ``ActionMonoid._close`` call."""
-    sizes = []
-    close = ActionMonoid._close
+def closures(monkeypatch):
+    """The subset count of every range closure from now on, and the
+    action monoids built: ``(counts, monoids)``."""
+    counts, monoids = [], []
+    closure, init = exact._range_closure, ActionMonoid.__init__
 
-    def counted(self, expand=None):
-        close(self, expand)
-        sizes.append(self.size)
+    def counted_closure(gens, n, cap):
+        rows = closure(gens, n, cap)
+        counts.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(ActionMonoid, "_close", counted)
-    return sizes
+    def counted_init(self, *args):
+        monoids.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(exact, "_range_closure", counted_closure)
+    monkeypatch.setattr(ActionMonoid, "__init__", counted_init)
+    return counts, monoids
 
 
 @pytest.mark.parametrize(
@@ -182,15 +190,13 @@ def enumerated(monkeypatch):
     ids=["random", "permutation"],
 )
 def test_pruned_sft_matches_cycle_reachability(graphs, monkeypatch):
-    whole = [action_monoid(g).size for g in graphs]
-    sizes = enumerated(monkeypatch)
+    counts, monoids = closures(monkeypatch)
     answers = [naive_sft(g) for g in graphs]
     assert [decide_sft(g) for g in graphs] == answers
     assert any(answers) and not all(answers)
-    assert all(k <= n for k, n in zip(sizes, whole))
-    # both answers come out of searches that stop short of the whole monoid
-    for answer in (True, False):
-        assert any(k < n for k, n, a in zip(sizes, whole, answers) if a is answer)
+    # one closure per graph, of the subsets V·w, and no monoid
+    assert counts == [len(reachable_subsets(g)) for g in graphs]
+    assert monoids == []
 
 
 def test_pruned_sft_on_the_empty_graph_and_above_255_vertices(monkeypatch):
@@ -199,22 +205,21 @@ def test_pruned_sft_on_the_empty_graph_and_above_255_vertices(monkeypatch):
     graphs = random_graphs(94, 8) + random_graphs(95, 4, permutations=True)
     answers = [naive_sft(g) for g in graphs]
     bigs = [copies(g, 256 // len(g.vertices) + 1) for g in graphs]
-    whole = [action_monoid(big).size for big in bigs]
-    sizes = enumerated(monkeypatch)
+    counts, monoids = closures(monkeypatch)
     for big, answer in zip(bigs, answers):
         assert len(big.vertices) > 255
         assert decide_sft(big) == answer
     assert any(answers) and not all(answers)
-    for answer in (True, False):
-        assert any(k < n for k, n, a in zip(sizes, whole, answers) if a is answer)
+    assert counts == [len(reachable_subsets(big)) for big in bigs]
+    assert monoids == []
 
 
-def test_pruned_sft_enumerates_part_of_the_monoid(monkeypatch):
+def test_pruned_sft_builds_no_monoid(monkeypatch):
     g = padded_family_gn(36)
-    whole = action_monoid(g).size
-    sizes = enumerated(monkeypatch)
+    counts, monoids = closures(monkeypatch)
     assert decide_sft(g) is False
-    assert sizes[0] < whole
+    assert counts == [len(reachable_subsets(g))]
+    assert monoids == []
 
 
 # -------------------------------------------------------- irreducibility
@@ -276,6 +281,64 @@ def test_minimality_matches_named_candidates():
     assert not named_minimality(TWO_CYCLES, 3)
     assert not _presented_on(TWO_CYCLES, 3, DEFAULT_CAPS)
     assert decide_minimality(TWO_CYCLES, 3)
+
+
+def searched(monkeypatch):
+    """The sizes passed to ``_presented_on`` from now on, and the class
+    counts of the follower-set closures, None for one that raised:
+    ``(sizes, classes)``."""
+    sizes, classes = [], []
+    presented_on, follower_sets = exact._presented_on, exact._follower_sets
+
+    def counted_search(g, k, caps):
+        sizes.append(k)
+        return presented_on(g, k, caps)
+
+    def counted_classes(gens, n, cap):
+        classes.append(None)
+        m, lists = follower_sets(gens, n, cap)
+        classes[-1] = m
+        return m, lists
+
+    monkeypatch.setattr(exact, "_presented_on", counted_search)
+    monkeypatch.setattr(exact, "_follower_sets", counted_classes)
+    return sizes, classes
+
+
+def minimality_ways():
+    """Per way to answer: graph, k, caps, class count (None when the
+    closure overran the cap), the sizes of the candidate searches run,
+    and the answer."""
+    randoms, inputs = random_graphs(91, 10), minimality_inputs()
+    return {
+        # the essential part of its 3 classes is the 2-cycle
+        "essential part fits": [(TWO_CYCLES, 2, DEFAULT_CAPS, 3, [], True),
+                                (TWO_CYCLES, 3, DEFAULT_CAPS, 3, [], True)],
+        # more than 2**k - 1 classes; at k = 3 the search took seconds
+        "too many classes": [(randoms[6], 2, DEFAULT_CAPS, 7, [], False),
+                             (randoms[7], 2, DEFAULT_CAPS, 9, [], False),
+                             (randoms[7], 3, DEFAULT_CAPS, 9, [], False)],
+        # 3 classes, all essential
+        "search": [(inputs[8], 2, DEFAULT_CAPS, 3, [2], True),
+                   (inputs[26], 2, DEFAULT_CAPS, 3, [2], False)],
+        # the closure stores 4 subsets
+        "closure over the cap": [(inputs[36], 2, Caps(subsets=1), None, [2], False)],
+    }
+
+
+MINIMALITY_WAYS = minimality_ways()
+
+
+@pytest.mark.parametrize("way", MINIMALITY_WAYS)
+def test_minimality_answers_each_way(way, monkeypatch):
+    sizes, classes = searched(monkeypatch)
+    for g, k, caps, count, runs, answer in MINIMALITY_WAYS[way]:
+        del sizes[:], classes[:]
+        assert decide_minimality(g, k, caps) is answer
+        assert (classes, sizes) == ([count], runs)
+        # named candidates on 3 vertices take seconds there
+        if k == 2 or way != "too many classes":
+            assert answer == any(named_minimality(g, j) for j in range(2, k + 1))
 
 
 # the orbit of (ab)^inf on 4 vertices: essential presentations of it

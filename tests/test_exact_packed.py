@@ -43,6 +43,11 @@ from .test_exact_images import brute_kill_length
 ONE = LabeledGraph(vertices=["v"], edges=[("v", "a", "v")])
 ONE_AB = LabeledGraph(edges=[("v", "a", "v"), ("v", "b", "v")])
 TWO = LabeledGraph(edges=[("p", "a", "q"), ("q", "b", "p"), ("q", "a", "q")])
+# 4 vertices, 3 follower sets of words, and no presentation on 2 vertices
+FALLS_THROUGH = LabeledGraph(
+    edges=[("v0", "0", "v2"), ("v0", "1", "v0"), ("v1", "0", "v2"),
+           ("v2", "1", "v2"), ("v3", "0", "v1"), ("v3", "1", "v3")]
+)
 
 
 def test_empty_graph_answers():
@@ -244,12 +249,15 @@ def test_tables_are_built_once_per_graph_per_decision(monkeypatch):
     laid.clear()
     compared.clear()
     quotients.clear()
-    # g has no 2-vertex presentation, so every surviving candidate is
-    # compared; g's part of the union is laid out once, and each candidate
-    # gets one table of the union, shared by both directions
-    assert exact.decide_minimality(g, 2) is False
-    assert laid.count(4) == 1
-    assert len(compared) > 1 and list(map(id, compared)) == list(map(id, built))
-    assert laid.count(2) == len(built)
+    # FALLS_THROUGH has 3 follower classes, all essential, so neither
+    # bound of the follower-set graph answers k = 2 and every surviving
+    # candidate is compared.  Its closure lays the graph out once on its
+    # own, in the first table; the search lays it out once more as its
+    # part of the union, and each candidate gets one table of the union,
+    # shared by both directions
+    assert exact.decide_minimality(FALLS_THROUGH, 2) is False
+    assert laid.count(4) == 2
+    assert len(compared) > 1 and list(map(id, compared)) == list(map(id, built[1:]))
+    assert laid.count(2) == len(compared)
     # minimality's candidate checks build no quotient
     assert quotients == []

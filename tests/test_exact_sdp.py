@@ -3,9 +3,11 @@
 ``decide_sdp_exists`` enumerates only part of the action monoid: it
 never expands an element whose range lies inside the vertices reachable
 from the ranges of the intrinsically synchronizing elements found so
-far.  That rests on one lemma, tested here on its own: a nonempty
-extension of an intrinsically synchronizing element is intrinsically
-synchronizing too.  The answers are compared with
+far, starting from the singleton ranges of the range closure, and
+enumerates nothing when those cover every domain.  That rests on one
+lemma, tested here on its own: a nonempty extension of an
+intrinsically synchronizing element is intrinsically synchronizing
+too.  The answers are compared with
 ``tests.oracles.naive_sdp_exists``, which scans the whole brute-force
 monoid, and the caps are checked to bound the part enumerated, not the
 whole monoid.
@@ -18,6 +20,7 @@ import pytest
 from sofic.constructions import padded_family_gn, reduction_irred
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
+    ActionMonoid,
     Caps,
     action_monoid,
     action_of_word,
@@ -26,8 +29,9 @@ from sofic.exact import (
     decide_sft,
     is_intrinsically_sync_relation,
 )
-from sofic.graphs import alphabet
+from sofic.graphs import LabeledGraph, alphabet
 
+from .conftest import fixture_graph
 from .oracles import naive_intrinsic, naive_sdp_exists
 from .test_exact_index import random_dfas, random_graphs, small_monoid
 
@@ -55,6 +59,38 @@ def test_matches_naive_scan_of_whole_monoid(graphs):
     answers = [decide_sdp_exists(g) for g in graphs]
     assert answers == [naive_sdp_exists(g) for g in graphs]
     assert True in answers and False in answers
+
+
+def judged(monkeypatch):
+    """The elements judged for intrinsic synchronization from now on."""
+    elements = []
+    is_intrinsic = ActionMonoid._is_intrinsic
+
+    def counted(self, k):
+        elements.append(k)
+        return is_intrinsic(self, k)
+
+    monkeypatch.setattr(ActionMonoid, "_is_intrinsic", counted)
+    return elements
+
+
+# (graph, answer, whether the singleton ranges answer alone)
+SEEDED = [
+    # synchronizing: its one-vertex ranges reach every vertex
+    (fixture_graph("ev"), True, True),
+    # a swaps two vertices: no range is a singleton, yet the identity
+    # is intrinsically synchronizing
+    (LabeledGraph(edges=[("p", "a", "q"), ("q", "a", "p")]), True, False),
+    (random_graphs(71, 9, max_vertices=4)[8], False, False),
+]
+
+
+@pytest.mark.parametrize("g,answer,alone", SEEDED, ids=["ev", "swap", "random"])
+def test_singleton_ranges_seed_the_search(g, answer, alone, monkeypatch):
+    assert naive_sdp_exists(g) is answer
+    elements = judged(monkeypatch)
+    assert decide_sdp_exists(g) is answer
+    assert (elements == []) is alone
 
 
 def test_nonempty_extensions_of_intrinsic_elements_are_intrinsic():

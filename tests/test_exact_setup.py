@@ -7,7 +7,8 @@ closure and the range automaton off the rows of the image closure.  Both
 are checked against ``tests/oracles.table_closure``, a plain set closure
 over one-label tables, in breadth-first order.  The set-up images each
 nonzero domain and each nonzero range exactly once, and under
-``Caps(subsets=k)`` the domain closure runs, and raises, first.
+``Caps(subsets=k)`` the domain closure runs, and raises, first;
+``decide_sft`` runs the range closure alone.
 """
 
 import random
@@ -113,7 +114,10 @@ def test_set_up_images_each_domain_and_each_range_once(g, monkeypatch):
 def test_subset_cap_boundaries(name, decide, monkeypatch):
     g = fixture_graph(name)
     d, r = len(table_closure(g, preimages=True)), len(table_closure(g))
-    assert decide(g, Caps(subsets=max(d, r))) == decide(g)
+    # the preimage flag and the size of each closure, in build order:
+    # decide_sft runs only the range closure
+    expected = [(False, r)] if decide is decide_sft else [(True, d), (False, r)]
+    assert decide(g, Caps(subsets=max(size for _, size in expected))) == decide(g)
     closures = []  # the preimage flag of each closure's tables, in build order
     packed_tables = exact._packed_tables
 
@@ -122,14 +126,13 @@ def test_subset_cap_boundaries(name, decide, monkeypatch):
         return packed_tables(target_lists, n, preimages)
 
     monkeypatch.setattr(exact, "_packed_tables", recorded)
-    with pytest.raises(CapExceededError) as info:
-        decide(g, Caps(subsets=d - 1))
-    assert info.value.count == d
-    assert str(info.value) == f"subset count {d} exceeds the configured cap"
-    assert closures == [True]  # the range closure never started
-    if r > d:
+    for i, (_, size) in enumerate(expected):
+        if any(earlier >= size for _, earlier in expected[:i]):
+            continue  # an earlier closure raises first
         closures.clear()
         with pytest.raises(CapExceededError) as info:
-            decide(g, Caps(subsets=r - 1))
-        assert info.value.count == r
-        assert closures == [True, False]
+            decide(g, Caps(subsets=size - 1))
+        assert info.value.count == size
+        assert str(info.value) == f"subset count {size} exceeds the configured cap"
+        # the later closures never started
+        assert closures == [flag for flag, _ in expected[: i + 1]]

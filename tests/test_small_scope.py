@@ -18,10 +18,12 @@ the pair checks on the graphs of at most ``--pairs`` vertices::
     PYTHONPATH=src python -m tests.test_small_scope --n 4
     PYTHONPATH=src python -m tests.test_small_scope --pairs 3
 
-n = 4 gives 161,497 graphs, the empty one included, and took 70 s on a
+n = 4 gives 161,497 graphs, the empty one included, and took 86 s on a
 shared 2-core VM.  On graphs with more than ``FULL_MINIMALITY`` vertices
 minimality is checked only at k = 1 and k = |Q|, as its candidate
-search grows fastest.  ``--pairs 3`` checks the 4,276,624 ordered pairs
+search grows fastest, and the exact SFT decider is checked against the
+brute-force monoid only on graphs of at most ``BRUTE_SFT`` vertices.
+``--pairs 3`` checks the 4,276,624 ordered pairs
 of the 2068 graphs of n <= 3 and took 13 to 15 minutes on the same kind
 of machine (``check_subshift_witness`` 304-344 s and ``check_equal_sync``
 409-502 s of it), so it is left out of the test suite.
@@ -50,10 +52,13 @@ from sofic.graphs import LabeledGraph, essentialize, is_irreducible
 from sofic.oracle import language_upto
 from sofic.syncwords import is_synchronizing, separating_word, synchronizing_word_irreducible
 
-from .oracles import image, two_mask_witness
+from .oracles import image, naive_sft, two_mask_witness
 
 LABELS = ("a", "b")
 FULL_MINIMALITY = 3
+# naive_sft takes about 2 ms on a graph of at most 3 vertices and 0.2 s
+# on one of 4, which would add hours to n = 4
+BRUTE_SFT = 3
 # the longest subshift witness among graphs on at most 2 vertices has 4 letters
 DEPTH = 6
 
@@ -125,6 +130,14 @@ def check_sync_deciders(g):
     )
 
 
+def check_sft(g):
+    """The exact SFT decider against the cycle-reachability criterion
+    over the whole brute-force monoid, on at most ``BRUTE_SFT`` vertices."""
+    if len(g.vertices) > BRUTE_SFT or decide_sft(g) == naive_sft(g):
+        return []
+    return [f"decide_sft {decide_sft(g)} on {show(g)}"]
+
+
 def check_sdp_exists(g):
     """An irreducible or synchronizing graph presents a shift with a
     synchronizing deterministic presentation."""
@@ -143,7 +156,7 @@ def check_minimality(g):
     return []
 
 
-SINGLE_CHECKS = (check_sync_words, check_sync_deciders, check_sdp_exists, check_minimality)
+SINGLE_CHECKS = (check_sync_words, check_sync_deciders, check_sft, check_sdp_exists, check_minimality)
 
 
 # -------------------------------------------------------------------- pairs
