@@ -163,7 +163,8 @@ def follower_separation(g):
     Each class collapses to one vertex (named after its smallest member)
     with an ``a``-edge between classes exactly when some representative
     edge exists.  The result is deterministic, essential,
-    follower-separated, and presents the same shift.
+    follower-separated, and presents the same shift.  A `g` that is
+    already follower-separated is its own quotient and is returned as is.
 
     Parameters
     ----------
@@ -175,9 +176,12 @@ def follower_separation(g):
     NotEssentialError
     """
     _require_presentation(g)
+    block = _blocks(g)
+    if block[-1] == len(g.vertices):
+        return g
     # vertices come in sorted order, so a class's first is its smallest
     first = {}
-    rep = {v: first.setdefault(b, v) for v, b in zip(g.vertices, _blocks(g))}
+    rep = {v: first.setdefault(b, v) for v, b in zip(g.vertices, block)}
     return LabeledGraph(
         vertices=first.values(),
         edges=[(rep[src], a, rep[dst]) for src, a, dst in g.edges],

@@ -19,17 +19,24 @@ token at a time would.
 A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use: one pass over the edges
 gives the label actions and essentiality, and the successor lists are
-built only when a search first reads them.  Membership reads that
-view.  Searches never run over names: every search shares the view,
-which the precondition checks return, through the one SCC routine
-:func:`strong_components` (flagged as initial or terminal index sets by
-:func:`_components`) and the parent-pointer search :func:`shortest_word`
+built only when a search first reads them.  Membership reads the view.
+Searches never run over names: every search shares the view, which
+the precondition checks return, through the strong-connectivity test
+:func:`is_irreducible`, the one SCC routine :func:`strong_components`
+(flagged as initial or terminal index sets by :func:`_components`) and
+the parent-pointer search :func:`shortest_word`
 (the exact deciders' subset searches run their own over packed masks,
 see :mod:`sofic.exact`, and rebuild words with the same
 :func:`_word_to`).  Names come back only at the name-level API, such as
 :func:`irreducible_components`.  A search that completes a graph with an
 absorbing sink gives the sink index n, which a list of n + 1 entries
 also answers at the undefined target -1; no sink graph is built.
+
+On a deterministic graph :func:`is_irreducible` sweeps the label
+actions, so the successor lists are read only for components (the
+synchronization test needs them on a graph that is not strongly
+connected), for nondeterministic graphs, and by
+``exact.decide_sdp_exists`` and ``syncwords.sync_word_to_vertex``.
 """
 
 from typing import NamedTuple
@@ -335,12 +342,8 @@ def irreducible_components(g):
 
 def _components(succ):
     """The strong components of ``succ`` as (index set, initial, terminal)
-    triples, sorted by smallest index; see :func:`irreducible_components`.
-    A lone component is both initial and terminal, so it skips the scan
-    of every edge for crossings."""
+    triples, sorted by smallest index; see :func:`irreducible_components`."""
     comps = strong_components(succ)
-    if len(comps) == 1:
-        return [(set(comps[0]), True, True)]
     comp_of = {i: cid for cid, comp in enumerate(comps) for i in comp}
     crossing = {(comp_of[i], comp_of[j]) for i, js in enumerate(succ) for j in js}
     left = {a for a, b in crossing if a != b}
@@ -452,8 +455,57 @@ def _word_to(parent, state, labels):
 
 
 def is_irreducible(g):
-    """Returns True iff `g` is strongly connected (at most one component)."""
-    return len(strong_components(g._compiled().succ)) <= 1
+    """Returns True iff `g` is strongly connected (at most one component).
+
+    On a deterministic graph two sweeps over the label actions answer:
+    one forward from vertex 0 along ``targets``, then one backward along
+    predecessor lists built once from ``targets``; `g` is strongly
+    connected exactly when both reach every vertex, and a graph of at
+    most one vertex always is.  A nondeterministic graph falls back to
+    counting its :func:`strong_components`.
+
+    Examples
+    --------
+    >>> is_irreducible(LabeledGraph(edges=[("a", "x", "b"), ("b", "y", "a")]))
+    True
+    >>> is_irreducible(LabeledGraph(edges=[("a", "x", "b"), ("b", "y", "b")]))
+    False
+    """
+    return _strongly_connected(g._compiled())
+
+
+def _strongly_connected(view):
+    """:func:`is_irreducible` on the compiled view of a graph."""
+    if view.targets is None:
+        return len(strong_components(view.succ)) <= 1
+    n = len(view.index)
+    if n <= 1:
+        return True
+    rows = tuple(view.targets.values())
+    seen, stack = bytearray(n), [0]
+    seen[0] = 1
+    while stack:
+        v = stack.pop()
+        for t in rows:
+            w = t[v]
+            if w >= 0 and not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    if 0 in seen:
+        return False
+    # the extra last list collects the undefined targets, -1, unread
+    preds = [[] for _ in range(n + 1)]
+    for t in rows:
+        for v, w in enumerate(t):
+            preds[w].append(v)
+    seen, stack = bytearray(n), [0]
+    seen[0] = 1
+    while stack:
+        for w in preds[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return 0 not in seen
 
 
 def induced_subgraph(g, p):

@@ -25,6 +25,7 @@ from .graphs import (
     shortest_word,
     _components,
     _require_deterministic,
+    _strongly_connected,
 )
 
 
@@ -180,10 +181,16 @@ def _component_words(view):
     view of a deterministic graph; None when a component lacks either.
     Both searches read the targets masked to the component, which no edge
     enters; a component that is the whole graph reads them as they are.
+    A strongly connected graph is its own one component, found without
+    successor lists; the empty graph has none.
     """
-    everything = set(range(len(view.succ)))
+    everything = set(range(len(view.index)))
+    if _strongly_connected(view):
+        components = [(everything, True, True)] if everything else []
+    else:
+        components = _components(view.succ)
     found = []
-    for inside, initial, _ in _components(view.succ):
+    for inside, initial, _ in components:
         if not initial:
             continue
         targets = view.targets if inside == everything else {

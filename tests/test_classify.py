@@ -130,6 +130,35 @@ def test_follower_separation_examples(fig1, dup_gm, full1, gm):
     assert are_isomorphic(quotient, gm) is not None
 
 
+def quotient_graph(g):
+    """The follower quotient of `g` built from :func:`reference_quotient`,
+    each class named after its smallest member."""
+    block, quotient = reference_quotient(g)
+    names = {}
+    for v, b in zip(g.vertices, block):
+        names.setdefault(b, v)
+    edges = [
+        (names[b], a, names[c]) for a, t in quotient.items() for b, c in enumerate(t) if c >= 0
+    ]
+    return LabeledGraph(vertices=names.values(), edges=edges)
+
+
+def test_follower_separation_returns_a_separated_input():
+    rng = random.Random(43)
+    graphs = [essentialize(random_deterministic_graph(rng, 6, "01")) for _ in range(300)]
+    graphs += [EMPTY, *presentations(2)]
+    separated = 0
+    for g in graphs:
+        q = follower_separation(g)
+        if is_follower_separated(g):
+            assert q is g
+            separated += 1
+        else:
+            assert q is not g and len(q.vertices) < len(g.vertices)
+        assert q == quotient_graph(g)
+    assert 50 < separated < len(graphs) - 50
+
+
 def test_follower_separation_requires_essential():
     with pytest.raises(NotEssentialError):
         follower_separation(LabeledGraph(edges=[("a", "x", "b")]))

@@ -15,6 +15,8 @@ from sofic.graphs import (
     irreducible_components,
     is_deterministic,
     is_essential,
+    is_irreducible,
+    strong_components,
     subset_step,
 )
 
@@ -263,6 +265,60 @@ def test_component_flags_match_edge_scan():
             assert comp.initial == (not incoming)
             assert comp.terminal == (not outgoing)
         assert sorted(v for c in comps for v in c.vertices) == list(g.vertices)
+
+
+def one_component(g):
+    """Whether Tarjan finds at most one strong component in `g`."""
+    return len(strong_components(successor_lists(g))) <= 1
+
+
+def cycle(names, label="x"):
+    return [(v, label, w) for v, w in zip(names, names[1:] + names[:1])]
+
+
+STRONG_CONNECTIVITY_CASES = {
+    "empty": (LabeledGraph(), True),
+    "one vertex": (LabeledGraph(vertices=["v"]), True),
+    "one loop": (LabeledGraph(edges=[("v", "x", "v")]), True),
+    "isolated first": (LabeledGraph(vertices=["a"], edges=cycle(["b", "c"])), False),
+    "isolated last": (LabeledGraph(vertices=["z"], edges=cycle(["b", "c"])), False),
+    # the cycle through vertex 0 reaches the other, which never comes back
+    "joined out of the first": (
+        LabeledGraph(edges=cycle(["a", "b"]) + cycle(["c", "d"]) + [("b", "y", "c")]),
+        False,
+    ),
+    "joined into the first": (
+        LabeledGraph(edges=cycle(["a", "b"]) + cycle(["c", "d"]) + [("c", "y", "b")]),
+        False,
+    ),
+    "nondeterministic cycle": (
+        LabeledGraph(edges=cycle(["a", "b", "c"]) + [("a", "x", "c")]),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STRONG_CONNECTIVITY_CASES)
+def test_strong_connectivity_edge_cases(case):
+    g, expected = STRONG_CONNECTIVITY_CASES[case]
+    assert is_irreducible(g) is one_component(g) is expected
+
+
+def test_strong_connectivity_matches_tarjan():
+    rng = random.Random(61)
+    graphs = list(random_graphs(rng, 400))
+    for _ in range(800):
+        labels = "abc"[: rng.randint(1, 3)]
+        g = random_deterministic_graph(rng, rng.choice((4, 8, 12)), labels)
+        if rng.random() < 0.3:
+            # a second target for some (vertex, label) pairs
+            extra = [(v, rng.choice(labels), rng.choice(g.vertices)) for v in g.vertices]
+            g = LabeledGraph(vertices=g.vertices, edges=g.edges + tuple(extra[: rng.randint(1, 3)]))
+        graphs.append(g)
+    # graphs of at most one vertex are strongly connected without a sweep
+    kinds = Counter((is_deterministic(g), one_component(g)) for g in graphs if len(g) > 1)
+    assert all(kinds[d, c] > 40 for d in (True, False) for c in (True, False))
+    assert [g for g in graphs if is_irreducible(g) != one_component(g)] == []
 
 
 def test_induced_subgraph(fig1, hfig1):

@@ -48,7 +48,7 @@ from sofic.exact import (
     shortest_sync_word,
     subshift_witness,
 )
-from sofic.graphs import LabeledGraph, essentialize, is_irreducible
+from sofic.graphs import LabeledGraph, essentialize, is_irreducible, strong_components
 from sofic.oracle import language_upto
 from sofic.syncwords import is_synchronizing, separating_word, synchronizing_word_irreducible
 
@@ -83,6 +83,14 @@ def show(g):
 
 
 # ------------------------------------------------------------ single graphs
+
+
+def check_strong_connectivity(g):
+    """The two sweeps of ``is_irreducible`` against counting Tarjan's components."""
+    fast = is_irreducible(g)
+    if fast == (len(strong_components(g._compiled().succ)) <= 1):
+        return []
+    return [f"is_irreducible {fast} on {show(g)}"]
 
 
 def check_sync_words(g):
@@ -156,7 +164,14 @@ def check_minimality(g):
     return []
 
 
-SINGLE_CHECKS = (check_sync_words, check_sync_deciders, check_sft, check_sdp_exists, check_minimality)
+SINGLE_CHECKS = (
+    check_strong_connectivity,
+    check_sync_words,
+    check_sync_deciders,
+    check_sft,
+    check_sdp_exists,
+    check_minimality,
+)
 
 
 # -------------------------------------------------------------------- pairs

@@ -6,7 +6,8 @@ copies with one vertex split into two follower-equivalent vertices.
 ``are_isomorphic`` must agree, map included, with a search over every
 vertex bijection.  The synchronization test, ``sync_word_to_vertex`` and
 ``equal_sync`` search the compiled view of their inputs and build no
-graph.
+graph, and on strongly connected input the polynomial tests build no
+successor lists.
 """
 
 import itertools
@@ -17,8 +18,13 @@ import pytest
 from sofic import graphs
 from sofic.classify import are_isomorphic, equal_sync, is_follower_separated
 from sofic.exact import decide_equality
-from sofic.graphs import LabeledGraph, essentialize
-from sofic.syncwords import is_synchronizing, sync_word_to_vertex
+from sofic.graphs import LabeledGraph, essentialize, is_irreducible
+from sofic.syncwords import (
+    is_synchronizing,
+    separating_word,
+    sync_word_to_vertex,
+    synchronizing_word_irreducible,
+)
 
 from .oracles import random_deterministic_graph
 from .test_golden_more import GRAPHS as REDUCIBLE
@@ -149,15 +155,21 @@ def constructions(monkeypatch):
     return built
 
 
-def test_synchronization_builds_no_graph(constructions, monkeypatch):
-    sccs = []
+@pytest.fixture
+def sccs(monkeypatch):
+    """The successor lists of every call to ``graphs.strong_components``."""
+    calls = []
     components = graphs.strong_components
 
     def counted(succ):
-        sccs.append(succ)
+        calls.append(succ)
         return components(succ)
 
     monkeypatch.setattr(graphs, "strong_components", counted)
+    return calls
+
+
+def test_synchronization_builds_no_graph(constructions, sccs):
     synchronizing = [g for g in REDUCIBLE if is_synchronizing(g)]
     assert synchronizing and len(synchronizing) < len(REDUCIBLE)
     for g in REDUCIBLE:
@@ -168,6 +180,29 @@ def test_synchronization_builds_no_graph(constructions, monkeypatch):
         for r in g:
             sync_word_to_vertex(g, r)
     assert constructions == []
+
+
+def test_strongly_connected_input_gets_no_successor_lists(sccs):
+    rng = random.Random(34)
+    strong = [g for g in (synchronizing_graph(rng, 7, "ab") for _ in range(60)) if is_irreducible(g)]
+    # strongly connected and not synchronizing: a two-cycle over one label
+    strong.append(LabeledGraph(edges=[("A", "a", "B"), ("B", "a", "A")]))
+    assert len(strong) >= 20
+    sccs.clear()
+    calls = (
+        is_irreducible,
+        is_synchronizing,
+        synchronizing_word_irreducible,
+        lambda g: separating_word(g, g),
+        lambda g: separating_word(g, strong[0]),
+    )
+    for g in strong:
+        for call in calls:
+            fresh = LabeledGraph(vertices=g.vertices, edges=g.edges)
+            call(fresh)
+            assert fresh._compiled()._succ is None
+    assert strong[0]._compiled()._succ is None
+    assert sccs == []
 
 
 def test_equal_sync_builds_no_graph(constructions):
