@@ -57,7 +57,7 @@ def _rounds(graphs):
     labels = sorted({a for view in views for a in view.labels})
     spans, n = [], 0
     for view in views:
-        size = len(view.index)
+        size = view.n
         # two extra -1s make every getter return a tuple; zip drops them
         getters = [itemgetter(*view.targets.get(a, (-1,) * size), -1, -1) for a in labels]
         spans.append((n, n + size, getters))

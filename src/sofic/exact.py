@@ -20,9 +20,9 @@ and builds no graphs.  Each mechanism is described where it is built:
   stored subsets (:func:`_byte_tables`);
 * the follower-set automaton: the closure from the full vertex set
   (:func:`_range_closure`) refined to the follower sets of words
-  (:func:`_follower_sets`), on whose class pairs :func:`decide_sft`
-  searches for a cycle and whose class counts bound
-  :func:`decide_minimality`;
+  (:func:`_follower_sets`), built once per compiled view, on whose class
+  pairs :func:`decide_sft` searches for a cycle and whose class counts
+  bound :func:`decide_minimality`;
 * pair searches: subshift and equality search pairs of sets of follower
   classes of the union of both graphs (:func:`_containments`), and
   minimality's candidate checks pairs of vertex sets (:func:`_equal`);
@@ -36,7 +36,6 @@ from itertools import product
 from .classify import _class_targets, _list_rounds, _quotient, is_universal
 from .errors import CapExceededError, HostMismatchError, NotAnElementError
 from .graphs import (
-    reachable_indices,
     strong_components,
     _require_deterministic,
     _require_presentation,
@@ -383,7 +382,8 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     meets the union U of the ranges of intrinsically synchronizing
     elements.  Their nonempty extensions are intrinsically synchronizing
     too (see :func:`is_intrinsically_sync_relation`), so U is the set of
-    vertices reachable from those ranges.
+    vertices reachable from those ranges, found by imaging masks under
+    per-vertex successor masks.
 
     U starts as the vertices reachable from the singleton ranges of the
     range closure: an action r of rank one is intrinsically
@@ -407,12 +407,20 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    succ = _require_presentation(g).succ
-    n = len(g.vertices)
+    view = _require_presentation(g)
+    # in label blocks 0 bits wide, a vertex's mask is the OR of its successors
+    tables = _mask_tables(_packed_bits(view.targets.values(), view.n, 0))
+
+    def reach(new, covered):
+        """`covered`, closed under successors, with all that `new` reaches."""
+        while new:
+            covered |= new
+            new = _image(new, tables) & ~covered
+        return covered
+
     m = ActionMonoid(g, caps)
     doms, steps = m._prepare()
-    singletons = [r.bit_length() - 1 for r in steps if r.bit_count() == 1]
-    covered = sum(1 << v for v in reachable_indices(succ, singletons))
+    covered = reach(sum(r for r in steps if r.bit_count() == 1), 0)
     uncovered = [d for d in doms if not d & covered]
 
     def expand(k):
@@ -421,8 +429,7 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
         if not uncovered or not ran & ~covered:
             return False
         if m._is_intrinsic(k):
-            reached = reachable_indices(succ, (v for v in range(n) if ran >> v & 1))
-            covered |= sum(1 << v for v in reached)
+            covered = reach(ran & ~covered, covered)
             uncovered = [d for d in uncovered if not d & covered]
             return False
         return True
@@ -466,8 +473,7 @@ def decide_sft(g, caps=DEFAULT_CAPS):
     ------
     CapExceededError
     """
-    gens = _require_presentation(g).targets.values()
-    m, lists = _follower_sets(gens, len(g.vertices), caps.subsets)
+    m, lists = _follower_sets(_require_presentation(g), caps.subsets)
 
     def steps(pair):
         i, j = divmod(pair, m)
@@ -683,9 +689,9 @@ def _range_closure(gens, n, cap):
     return _subset_closure(_packed_tables(gens, n), n, (1 << n) - 1, cap)
 
 
-def _follower_sets(gens, n, cap):
+def _follower_sets(view, cap):
     """The follower-set graph of the shift presented by an essential
-    deterministic graph on n vertices with label target lists `gens`.
+    deterministic graph, given its compiled view.
 
     The rows of :func:`_range_closure` are a deterministic automaton on
     the nonzero sets V·w, and the follower set of V·w is that of the
@@ -694,14 +700,31 @@ def _follower_sets(gens, n, cap):
     the distinct F(w) (Lind and Marcus, Sec. 3.2), class 0 the class of
     V.  Returns the class count and, per label, each class's target or
     -1.  Storing more than `cap` subsets raises.
+
+    The view keeps the result with the closure's subset count, so
+    :func:`decide_sft` and :func:`decide_minimality` on one graph build
+    it once; a closure that raised keeps nothing.  A later call with a
+    cap below the kept count raises the count and message the closure
+    would: the closure stores its start unchecked, so under a cap below 1
+    it overruns at the second subset.
     """
-    full = (1 << n) - 1
-    rows = _range_closure(gens, n, cap)
-    index = dict(zip(rows, range(len(rows))))
-    index[0] = -1
-    lists = [[index[row >> c * n & full] for row in rows.values()] for c in range(len(gens))]
-    block, signatures = _list_rounds(len(rows), lists)
-    return block[-1], _class_targets(block, signatures)
+    if view._fsg is None:
+        n = view.n
+        full = (1 << n) - 1
+        rows = _range_closure(view.targets.values(), n, cap)
+        index = dict(zip(rows, range(len(rows))))
+        index[0] = -1
+        lists = [
+            [index[row >> c * n & full] for row in rows.values()]
+            for c in range(len(view.labels))
+        ]
+        block, signatures = _list_rounds(len(rows), lists)
+        view._fsg = len(rows), block[-1], _class_targets(block, signatures)
+    count, m, lists = view._fsg
+    limit = max(cap, 1)
+    if count > limit:
+        raise CapExceededError(limit + 1, "subset count")
+    return m, lists
 
 
 def synchronizing_vertices(g, caps=DEFAULT_CAPS):
@@ -939,7 +962,7 @@ def decide_minimality(g, k, caps=DEFAULT_CAPS):
     if count > caps.enumeration:
         raise CapExceededError(count, "enumeration candidate count")
     try:
-        m, lists = _follower_sets(view.targets.values(), len(g.vertices), caps.subsets)
+        m, lists = _follower_sets(view, caps.subsets)
     except CapExceededError:
         pass
     else:

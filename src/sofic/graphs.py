@@ -18,8 +18,10 @@ token at a time would.
 
 A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use: one pass over the edges
-gives the label actions and essentiality, and the successor lists are
-built only when a search first reads them.  Membership reads the view.
+gives the vertex count, the label actions and essentiality.  The view
+derives the rest on first read and keeps it: the name index (for name
+lookups and membership), the successor lists, the strong-connectivity
+flag and the follower-set graph of :mod:`sofic.exact`.
 Searches never run over names: every search shares the view, which
 the precondition checks return, through the strong-connectivity test
 :func:`is_irreducible`, the one SCC routine :func:`strong_components`
@@ -34,9 +36,9 @@ also answers at the undefined target -1; no sink graph is built.
 
 On a deterministic graph :func:`is_irreducible` sweeps the label
 actions, so the successor lists are read only for components (the
-synchronization test needs them on a graph that is not strongly
-connected), for nondeterministic graphs, and by
-``exact.decide_sdp_exists`` and ``syncwords.sync_word_to_vertex``.
+synchronization test and ``syncwords.sync_word_to_vertex`` need them on
+a graph that is not strongly connected) and for nondeterministic
+graphs; no exact decider reads them.
 """
 
 from typing import NamedTuple
@@ -168,20 +170,28 @@ class LabeledGraph:
 class _Compiled:
     """The integer view of a graph: vertex i is ``g.vertices[i]``.
 
-    ``index`` maps names to indices and ``labels`` is the sorted label
+    It stores ``n``, the vertex count, and ``labels``, the sorted label
     tuple.  ``targets`` maps each label to its action, entry i the index
     reached from i or -1 (as in ``ActionRelation.targets``); it is None
     for nondeterministic graphs.  ``essential`` says whether every vertex
-    has an out-edge and an in-edge.  ``succ[i]``, the sorted successor
-    indices of i, is built from the edges the first time a search reads
-    it: most deciders read only ``targets``.
+    has an out-edge and an in-edge.
+
+    The rest is derived the first time it is read, and kept: ``index``,
+    the name-to-index dict, for name lookups and for ``succ``;
+    ``succ[i]``, the sorted successor indices of i; ``connected``, the
+    strong-connectivity flag of :func:`is_irreducible`; and ``_fsg``,
+    the follower-set graph that ``exact._follower_sets`` fills.  Most
+    deciders read only ``targets``.
     """
 
-    __slots__ = ("index", "labels", "targets", "essential", "_edges", "_succ")
+    __slots__ = (
+        "n", "labels", "targets", "essential",
+        "_names", "_edges", "_index", "_succ", "_connected", "_fsg",
+    )
 
     def __init__(self, g):
-        n = len(g.vertices)
-        self.index = index = {v: i for i, v in enumerate(g.vertices)}
+        self.n = n = len(g.vertices)
+        index = {v: i for i, v in enumerate(g.vertices)}
         self.labels = tuple(sorted({label for _, label, _ in g.edges}))
         targets = {a: [-1] * n for a in self.labels}
         has_out, has_in = bytearray(n), bytearray(n)
@@ -198,17 +208,30 @@ class _Compiled:
         self.targets = (
             {a: tuple(t) for a, t in targets.items()} if deterministic else None
         )
-        self._edges, self._succ = g.edges, None
+        self._names, self._edges = g.vertices, g.edges
+        self._index = self._succ = self._connected = self._fsg = None
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self._names)}
+        return self._index
 
     @property
     def succ(self):
         if self._succ is None:
             index = self.index
-            succ = [set() for _ in index]
+            succ = [set() for _ in range(self.n)]
             for src, _, dst in self._edges:
                 succ[index[src]].add(index[dst])
             self._succ = [sorted(s) for s in succ]
         return self._succ
+
+    @property
+    def connected(self):
+        if self._connected is None:
+            self._connected = _strongly_connected(self)
+        return self._connected
 
 
 EMPTY = LabeledGraph()
@@ -462,7 +485,8 @@ def is_irreducible(g):
     predecessor lists built once from ``targets``; `g` is strongly
     connected exactly when both reach every vertex, and a graph of at
     most one vertex always is.  A nondeterministic graph falls back to
-    counting its :func:`strong_components`.
+    counting its :func:`strong_components`.  The view keeps the answer,
+    so the synchronization test on the same graph sweeps nothing.
 
     Examples
     --------
@@ -471,14 +495,15 @@ def is_irreducible(g):
     >>> is_irreducible(LabeledGraph(edges=[("a", "x", "b"), ("b", "y", "b")]))
     False
     """
-    return _strongly_connected(g._compiled())
+    return g._compiled().connected
 
 
 def _strongly_connected(view):
-    """:func:`is_irreducible` on the compiled view of a graph."""
+    """:func:`is_irreducible` on the compiled view of a graph; read it as
+    ``view.connected``, which runs it once per view."""
     if view.targets is None:
         return len(strong_components(view.succ)) <= 1
-    n = len(view.index)
+    n = view.n
     if n <= 1:
         return True
     rows = tuple(view.targets.values())

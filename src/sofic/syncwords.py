@@ -25,7 +25,6 @@ from .graphs import (
     shortest_word,
     _components,
     _require_deterministic,
-    _strongly_connected,
 )
 
 
@@ -184,8 +183,8 @@ def _component_words(view):
     A strongly connected graph is its own one component, found without
     successor lists; the empty graph has none.
     """
-    everything = set(range(len(view.index)))
-    if _strongly_connected(view):
+    everything = set(range(view.n))
+    if view.connected:
         components = [(everything, True, True)] if everything else []
     else:
         components = _components(view.succ)
@@ -244,9 +243,11 @@ def sync_word_to_vertex(g, r):
     found = _component_words(view)
     if found is None:
         raise NotSynchronizingError("graph is not a synchronizing presentation")
-    inside, (sync, focused), (separator, landing) = next(
-        words for words in found if r in reachable_indices(view.succ, words[0])
-    )
+    if view.connected:  # its one component reaches r
+        words = found[0]
+    else:
+        words = next(words for words in found if r in reachable_indices(view.succ, words[0]))
+    inside, (sync, focused), (separator, landing) = words
     # a shortest path between two vertices of a component stays in it
     connector = _path(view.targets, focused, min(inside))
     return sync + connector + separator + _path(view.targets, landing, r)

@@ -599,12 +599,12 @@ def reference_blocks(*graphs):
     growing.  Ids come in first-member order, the sink's last.
     """
     views = [g._compiled() for g in graphs]
-    n = sum(len(view.index) for view in views)
+    n = sum(view.n for view in views)
     columns = []
     for a in dict.fromkeys(a for view in views for a in view.labels):
         column = ()
         for view in views:
-            t = view.targets.get(a, (-1,) * len(view.index))
+            t = view.targets.get(a, (-1,) * view.n)
             shift = len(column)
             column += tuple([j + shift if j >= 0 else -1 for j in t]) if shift else t
         columns.append(column + (n,))
@@ -636,7 +636,7 @@ def reference_quotient(*graphs):
     for g in graphs:
         view = g._compiled()
         parts.append((view.targets, block[shift:]))
-        shift += len(view.index)
+        shift += view.n
     quotient = {}
     for a in sorted({a for targets, _ in parts for a in targets}):
         moved = quotient[a] = [-1] * block[-1]

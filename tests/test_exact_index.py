@@ -294,9 +294,9 @@ def searched(monkeypatch):
         sizes.append(k)
         return presented_on(g, k, caps)
 
-    def counted_classes(gens, n, cap):
+    def counted_classes(view, cap):
         classes.append(None)
-        m, lists = follower_sets(gens, n, cap)
+        m, lists = follower_sets(view, cap)
         classes[-1] = m
         return m, lists
 
@@ -333,6 +333,8 @@ MINIMALITY_WAYS = minimality_ways()
 def test_minimality_answers_each_way(way, monkeypatch):
     sizes, classes = searched(monkeypatch)
     for g, k, caps, count, runs, answer in MINIMALITY_WAYS[way]:
+        # a fresh graph, whose view keeps no follower-set graph yet
+        g = LabeledGraph(g.vertices, g.edges)
         del sizes[:], classes[:]
         assert decide_minimality(g, k, caps) is answer
         assert (classes, sizes) == ([count], runs)

@@ -117,7 +117,11 @@ def test_subset_cap_boundaries(name, decide, monkeypatch):
     # the preimage flag and the size of each closure, in build order:
     # decide_sft runs only the range closure
     expected = [(False, r)] if decide is decide_sft else [(True, d), (False, r)]
-    assert decide(g, Caps(subsets=max(size for _, size in expected))) == decide(g)
+    # each call gets a fresh graph: decide_sft keeps the follower-set
+    # graph on the compiled view, and a second call would not close again
+    assert decide(g, Caps(subsets=max(size for _, size in expected))) == decide(
+        fixture_graph(name)
+    )
     closures = []  # the preimage flag of each closure's tables, in build order
     packed_tables = exact._packed_tables
 
@@ -131,7 +135,7 @@ def test_subset_cap_boundaries(name, decide, monkeypatch):
             continue  # an earlier closure raises first
         closures.clear()
         with pytest.raises(CapExceededError) as info:
-            decide(g, Caps(subsets=size - 1))
+            decide(fixture_graph(name), Caps(subsets=size - 1))
         assert info.value.count == size
         assert str(info.value) == f"subset count {size} exceeds the configured cap"
         # the later closures never started
