@@ -14,7 +14,7 @@ The package splits along what is feasible where:
   SFT and universality tests for synchronizing presentations;
 * :mod:`sofic.exact` -- exponential desk-scale deciders for the general
   problems (subshift, equality, SFT, SDP existence, irreducibility,
-  shortest sync words, minimality) via subset and action-monoid search;
+  shortest sync words, minimality) via subset and subset-set search;
 * :mod:`sofic.constructions` -- hardness-reduction instance generators
   and extremal families;
 * :mod:`sofic.oracle` -- naive brute-force cross-checks;

@@ -3,16 +3,16 @@
 Subshift, equality, sync-word existence, SFT, existence of a
 synchronizing presentation, irreducibility and minimality have no known
 polynomial algorithms on reducible inputs, so this module decides them
-by search over reachable vertex subsets or reachable actions of words,
-and builds no graphs.  Each mechanism is described where it is built:
+by search over reachable vertex subsets or sets of them, and builds no
+graphs.  Each mechanism is described where it is built:
 
 * word actions: :class:`ActionRelation` at the public boundary, stored
   as byte strings or, above 255 vertices, tuples (:func:`_action_codec`);
 * the action monoid: a breadth-first closure with parent pointers
-  (:class:`ActionMonoid`), analysed through domain and range closures
-  (:meth:`ActionMonoid._prepare`) and left-image sets
-  (:meth:`ActionMonoid._is_intrinsic`), and expanded only in part by
-  :func:`decide_sdp_exists`;
+  (:class:`ActionMonoid`), built for its queries and display only;
+* left-image sets: the ranges of an action's left extensions
+  (:func:`_left_sets`), judged against the domains (:func:`_intrinsic`)
+  by :func:`decide_sdp_exists` and the monoid's queries;
 * packed subset tables: a subset is an int mask imaged under every label
   at once (:func:`_packed_bits`, :func:`_mask_tables`), in one closure
   routine (:func:`_subset_closure`) or one search for a word
@@ -31,6 +31,7 @@ and builds no graphs.  Each mechanism is described where it is built:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .classify import _class_targets, _list_rounds, _quotient, is_universal
@@ -46,9 +47,9 @@ from .graphs import (
 @dataclass(frozen=True)
 class Caps:
     """Search-size limits: ``subsets`` for subset and subset-pair searches,
-    the follower-set closure among them, ``relations`` for the monoid
-    elements of :func:`action_monoid` and :func:`decide_sdp_exists`,
-    ``enumeration`` for minimality's candidates."""
+    the follower-set closure among them, ``relations`` for
+    :func:`action_monoid`'s elements and :func:`decide_sdp_exists`'s
+    left-image sets, ``enumeration`` for minimality's candidates."""
 
     subsets: int = 2**18
     relations: int = 2**18
@@ -163,8 +164,7 @@ class ActionMonoid:
     index) pair it was first reached from: witnesses are read off these
     parent pointers, and no Cayley table is kept.  Relations are
     converted only at the public boundary.  A new monoid holds only the
-    identity until :meth:`_close` enumerates the rest, all of it or the
-    part a decider expands.
+    identity until :meth:`_close` enumerates the rest.
     """
 
     def __init__(self, graph, caps):
@@ -179,12 +179,6 @@ class ActionMonoid:
         self._funcs = [identity]
         self._index = {identity: 0}
         self._parents = [None]
-        self._analysis = None
-        self._full = (1 << n) - 1
-        self._rans = [self._full]  # the identity reaches every vertex
-        self._lefts = []
-        self._images = {}
-        self._verdicts = {}
 
     @property
     def size(self):
@@ -223,12 +217,16 @@ class ActionMonoid:
             raise NotAnElementError("relation is not an element of this monoid")
         return k
 
-    def _close(self, expand=None):
+    @cached_property
+    def _analysis(self):
+        """:func:`_domains_and_ranges` of the graph, for the queries."""
+        return _domains_and_ranges(self.graph._compiled(), self._caps.subsets)
+
+    def _close(self):
         """Enumerates the elements breadth-first, recording parent pointers.
 
-        Element k is composed with every letter when it is dequeued; with
-        `expand` given, only when ``expand(k)`` is true.  Elements are
-        dequeued in id order.
+        Element k is composed with every letter when it is dequeued, and
+        elements are dequeued in id order.
 
         Raises
         ------
@@ -241,8 +239,6 @@ class ActionMonoid:
         # funcs doubles as the breadth-first queue: new elements are
         # appended behind the one being expanded
         for k, func in enumerate(funcs):
-            if expand is not None and not expand(k):
-                continue
             for c, letter in enumerate(letters):
                 nxt = compose(func, letter)
                 if nxt not in index:
@@ -253,85 +249,19 @@ class ActionMonoid:
                     funcs.append(nxt)
                     parents.append((k, c))
 
-    def _prepare(self):
-        """The nonzero domain masks of all elements, and the range automaton.
-
-        Since ``dom(c;w)`` is the preimage of ``dom(w)`` under c, the
-        domains are the subsets reached from the full vertex set under
-        preimages, and the nonzero ranges those reached from it under
-        images, so neither depends on how much of the monoid is
-        enumerated.  The rows of the range closure are the automaton: it
-        maps each nonzero range, and 0, to its packed image, label c's
-        image at bits ``c*n``.  Both closures are bounded by
-        ``caps.subsets``, the domain closure first.
-        """
-        if self._analysis is None:
-            gens, n, cap = self._generators.values(), len(self.graph.vertices), self._caps.subsets
-            doms = _subset_closure(_packed_tables(gens, n, preimages=True), n, self._full, cap)
-            steps = _range_closure(gens, n, cap)
-            steps[0] = 0
-            self._analysis = (doms, steps)
-        return self._analysis
-
-    def _ranges(self):
-        """Per element id, for every element enumerated so far, its range mask:
-        the range of its parent imaged under the label it was reached by,
-        one lookup in the range automaton."""
-        rans = self._rans
-        if len(rans) < len(self._parents):
-            steps, n, full = self._prepare()[1], len(self.graph.vertices), self._full
-            rans.extend(steps[rans[p]] >> c * n & full for p, c in self._parents[len(rans):])
-        return rans
-
-    def _is_intrinsic(self, k):
-        """Whether no live left/right extension pair of element k goes dead.
-
-        With ``r`` the element, a left extension S and a right one T keep
-        ``S;r;T`` alive exactly when ``ran(S;r)`` meets ``dom T``.  So the
-        verdict depends only on the left-image set L(k) of the nonzero
-        ranges ``ran(S;r)``: every member must meet every nonzero
-        ``dom T & ran r``, where ``ran r`` is the largest member (S the
-        identity).  It is worked out once per distinct L-set.
-        """
-        left = self._left_sets(k)[k]
-        verdict = self._verdicts.get(left)
-        if verdict is None:
-            ran_r = max(left, default=0)
-            values = {right & ran_r for right in self._prepare()[0]} - {0}
-            verdict = self._verdicts[left] = all(x & v for x in left for v in values)
-        return verdict
-
-    def _left_sets(self, k):
-        """Per element id, up to element k at least, its L-set.
-
-        L(identity) is the set of nonzero ranges, and when ``_parents[j]
-        == (p, c)``, L(j) is L(p) imaged under the letter c, less 0; each
-        distinct (L-set, label) pair is imaged once, by lookups in the
-        range automaton, however many elements share it.
-        """
-        lefts, images = self._lefts, self._images
-        if len(lefts) <= k:
-            steps, n, full = self._prepare()[1], len(self.graph.vertices), self._full
-            if not lefts:
-                lefts.append(frozenset(steps) - {0})
-            for p, c in self._parents[len(lefts):k + 1]:
-                key = lefts[p], c
-                if key not in images:
-                    images[key] = frozenset(steps[x] >> c * n & full for x in key[0]) - {0}
-                lefts.append(images[key])
-        return lefts
-
 
 def action_monoid(g, caps=DEFAULT_CAPS):
-    """The monoid of all word actions on `g`, enumerated breadth-first.
+    """The monoid of all word actions on `g`, enumerated breadth-first,
+    for its queries and for display: no decider builds it.
 
     Parameters
     ----------
     g : deterministic LabeledGraph
     caps : Caps
         ``caps.relations`` bounds the element count.  A closed monoid has
-        no more nonzero domains or ranges than elements, so the closures
-        of its later analysis (:meth:`ActionMonoid._prepare`) stay within
+        no more nonzero domains, ranges or left-image sets than elements,
+        so its queries' closures (:func:`_domains_and_ranges`,
+        :func:`_left_sets`) stay within ``caps.relations``, and within
         ``caps.subsets`` whenever it is at least ``caps.relations``.
 
     Raises
@@ -345,6 +275,59 @@ def action_monoid(g, caps=DEFAULT_CAPS):
     return m
 
 
+def _domains_and_ranges(view, cap):
+    """The nonzero domains of all word actions on a compiled view, and the
+    range automaton, each by a closure bounded by `cap`, the domains first.
+
+    As ``dom(c;w)`` is the preimage of ``dom(w)`` under c, the domains are
+    the subsets reached from the full vertex set under preimages, and the
+    nonzero ranges those reached under images.  The range closure's rows,
+    with 0 mapped to 0, are the automaton: label c's image at bits ``c*n``.
+    """
+    gens, n = view.targets.values(), view.n
+    doms = _subset_closure(_packed_tables(gens, n, preimages=True), n, (1 << n) - 1, cap)
+    steps = _range_closure(gens, n, cap)
+    steps[0] = 0
+    return doms, steps
+
+
+def _intrinsic(left, doms):
+    """Whether an action r with left-image set `left` is intrinsically
+    synchronizing, given the nonzero domains `doms`: as extensions S and T
+    keep ``S;r;T`` alive exactly when ``ran(S;r)`` meets ``dom T``, every
+    member of `left`, the nonzero ``ran(S;r)``, must meet every nonzero
+    ``dom T & ran r``, where ``ran r`` is the largest member (S = 1)."""
+    ran_r = max(left, default=0)
+    values = {right & ran_r for right in doms} - {0}
+    return all(x & v for x in left for v in values)
+
+
+def _left_sets(steps, n, count, cap, expand):
+    """The left-image sets L(w), the nonzero ranges ``ran(u;w)`` over all
+    u, breadth-first over `count` labels: L() is the nonzero ranges, and
+    L(wc) is L(w) imaged under c by the range automaton `steps`, less 0.
+
+    Each set is yielded once, when dequeued, after it is expanded if
+    ``expand(set)`` is true.  A child is imaged, and stored if new, only
+    when dequeued, so a caller that stops early stores no more.  Storing
+    more than `cap` sets raises ``CapExceededError(count, "left-image set
+    count")``; the start is stored unchecked.
+    """
+    full, start = (1 << n) - 1, frozenset(steps) - {0}
+    seen, queue = {start}, [(start, None)]  # (parent set, label) pairs
+    for left, c in queue:
+        if c is not None:
+            left = frozenset(steps[x] >> c * n & full for x in left) - {0}
+            if left in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceededError(len(seen) + 1, "left-image set count")
+            seen.add(left)
+        if expand(left):
+            queue.extend((left, c) for c in range(count))
+        yield left
+
+
 def is_intrinsically_sync_relation(m, r):
     """Whether the element `r` of the monoid `m` is intrinsically synchronizing.
 
@@ -353,17 +336,26 @@ def is_intrinsically_sync_relation(m, r):
     its action exactly when w is intrinsically synchronizing for the
     presented shift.  Every nonempty extension ``a;r;b`` of such an r is
     one too: if ``S;a;r;b`` and ``a;r;b;T`` are nonempty, so are
-    ``S;a;r`` and ``r;b;T``, hence ``S;a;r;b;T``.
+    ``S;a;r`` and ``r;b;T``, hence ``S;a;r;b;T``.  Judged by
+    :func:`_intrinsic` on the left-image set of `r`'s witness.
 
     Raises
     ------
     NotAnElementError
     """
-    return m._is_intrinsic(m._require_element(r))
+    k = m._require_element(r)
+    (doms, steps), n = m._analysis, len(m.graph.vertices)
+    left, full = frozenset(steps) - {0}, (1 << n) - 1
+    for c in _word_to(m._parents, k, range(len(m._letters))):
+        left = frozenset(steps[x] >> c * n & full for x in left) - {0}
+    return _intrinsic(left, doms)
 
 
 def preceded_by_intrinsic_sync(m, r):
     """Whether some intrinsically synchronizing element S has ``S;r`` nonempty.
+
+    Scans every element's left-image set, whose largest member is its
+    range: no more sets than elements, so within `m`'s ``caps.relations``.
 
     Raises
     ------
@@ -371,7 +363,9 @@ def preceded_by_intrinsic_sync(m, r):
     """
     m._require_element(r)
     dom_r = _masks(r.targets)[0]
-    return any(ran & dom_r and m._is_intrinsic(j) for j, ran in enumerate(m._ranges()))
+    (doms, steps), n = m._analysis, len(m.graph.vertices)
+    lefts = _left_sets(steps, n, len(m._letters), m._caps.relations, lambda _: True)
+    return any(max(left, default=0) & dom_r and _intrinsic(left, doms) for left in lefts)
 
 
 def decide_sdp_exists(g, caps=DEFAULT_CAPS):
@@ -380,28 +374,34 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
     Holds exactly when every nonempty action is preceded by an
     intrinsically synchronizing one, that is when every nonzero domain
     meets the union U of the ranges of intrinsically synchronizing
-    elements.  Their nonempty extensions are intrinsically synchronizing
+    actions.  Their nonempty extensions are intrinsically synchronizing
     too (see :func:`is_intrinsically_sync_relation`), so U is the set of
     vertices reachable from those ranges, found by imaging masks under
     per-vertex successor masks.
 
+    The search runs over left-image sets, not actions: an action w's
+    range is the largest member of L(w), its verdict reads L(w) alone
+    (:func:`_intrinsic`), and L(wc) is L(w) imaged under c.  So whether w
+    adds to U, and every extension of w, depend only on L(w), and there
+    are no more sets than actions.
+
     U starts as the vertices reachable from the singleton ranges of the
     range closure: an action r of rank one is intrinsically
     synchronizing, as nonempty ``S;r`` and ``r;T`` both pass through its
-    one range vertex.  Then the monoid is enumerated breadth-first, but an element
-    whose range lies inside the part of U found so far is never expanded:
-    every extension of it has its range inside U too.  The search stops
-    once every nonzero domain meets U, without enumerating anything when
-    the singletons cover them all.
+    one range vertex.  Then the sets are searched breadth-first
+    (:func:`_left_sets`), but one whose range lies inside the part of U
+    found so far is never expanded: every extension has its range inside
+    U too.  The search stops once every nonzero domain meets U, and does
+    not start when the singletons cover them all.
 
     Parameters
     ----------
     g : deterministic essential LabeledGraph
     caps : Caps
-        ``caps.relations`` bounds the elements enumerated, and
-        ``caps.subsets`` the closures of :meth:`ActionMonoid._prepare`.
-        An input whose whole monoid exceeds ``caps.relations`` can still
-        get an answer.
+        ``caps.relations`` bounds the left-image sets stored, and
+        ``caps.subsets`` the closures of :func:`_domains_and_ranges`.  An
+        input whose whole monoid exceeds ``caps.relations`` can still get
+        an answer.
 
     Raises
     ------
@@ -418,24 +418,22 @@ def decide_sdp_exists(g, caps=DEFAULT_CAPS):
             new = _image(new, tables) & ~covered
         return covered
 
-    m = ActionMonoid(g, caps)
-    doms, steps = m._prepare()
+    doms, steps = _domains_and_ranges(view, caps.subsets)
     covered = reach(sum(r for r in steps if r.bit_count() == 1), 0)
     uncovered = [d for d in doms if not d & covered]
 
-    def expand(k):
+    def expand(left):
+        """Whether w's range leaves U and w is not intrinsically synchronizing."""
         nonlocal uncovered, covered
-        ran = m._ranges()[k]
-        if not uncovered or not ran & ~covered:
-            return False
-        if m._is_intrinsic(k):
-            covered = reach(ran & ~covered, covered)
+        new = max(left, default=0) & ~covered
+        if new and _intrinsic(left, doms):
+            covered = reach(new, covered)
             uncovered = [d for d in uncovered if not d & covered]
             return False
-        return True
+        return new
 
-    m._close(expand)
-    return not uncovered
+    lefts = _left_sets(steps, view.n, len(view.labels), caps.relations, expand)
+    return not uncovered or any(not uncovered for _ in lefts)
 
 
 def decide_sft(g, caps=DEFAULT_CAPS):

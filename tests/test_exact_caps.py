@@ -29,9 +29,12 @@ search that followed bounded them by ``Caps.subsets``, as
 ``decide_sdp_exists`` does, and its rows that raise were answers then
 (marked below).  ``decide_sft`` now runs only the range closure, the
 one of ``synchronizing_vertices``, so its rows raise where that one's
-do.  The rows under ``Caps(relations=k)`` pin the monoid element count
-of ``decide_sdp_exists``, which answers some inputs on which the whole
+do.  The rows under ``Caps(relations=k)`` pin the count of
+``decide_sdp_exists``, which answers some inputs on which the whole
 closure raised, and show that this cap does not bound ``decide_sft``.
+That count was of monoid elements and is now of left-image sets, of
+which the search stores no more; the counts of the rows that raise did
+not move.
 """
 import pytest
 
@@ -260,10 +263,10 @@ ANSWERS = [
 
 # (search, graph names, k, CapExceededError.count, message) under Caps(relations=k)
 RELATIONS_EXCEEDED = [
-    ('decide_sdp_exists', ('padded26',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
-    ('decide_sdp_exists', ('padded26',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
-    ('decide_sdp_exists', ('padded21',), 1, 2, 'monoid element count 2 exceeds the configured cap'),
-    ('decide_sdp_exists', ('padded21',), 2, 3, 'monoid element count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded26',), 1, 2, 'left-image set count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded26',), 2, 3, 'left-image set count 3 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 1, 2, 'left-image set count 2 exceeds the configured cap'),
+    ('decide_sdp_exists', ('padded21',), 2, 3, 'left-image set count 3 exceeds the configured cap'),
 ]
 
 # (search, graph names, k, answer) under Caps(relations=k)

@@ -1,33 +1,40 @@
 """The pruned search of ``decide_sdp_exists`` against a naive scan.
 
-``decide_sdp_exists`` enumerates only part of the action monoid: it
-never expands an element whose range lies inside the vertices reachable
-from the ranges of the intrinsically synchronizing elements found so
-far, starting from the singleton ranges of the range closure, and
-enumerates nothing when those cover every domain.  That rests on one
+``decide_sdp_exists`` searches left-image sets, not monoid elements: the
+left-image set L(w) of an action w is the set of nonzero ranges
+``ran(u;w)``, and the search never expands a set whose largest member,
+w's range, lies inside the vertices reachable from the ranges of the
+intrinsically synchronizing actions found so far, starting from the
+singleton ranges of the range closure.  It searches nothing when those
+cover every domain, and stops as soon as they do.  That rests on one
 lemma, tested here on its own: a nonempty extension of an
 intrinsically synchronizing element is intrinsically synchronizing
 too.  The answers are compared with
 ``tests.oracles.naive_sdp_exists``, which scans the whole brute-force
-monoid, and the caps are checked to bound the part enumerated, not the
-whole monoid.
+monoid; the unpruned set closure is compared with the left-image sets
+of the monoid's elements; and the caps are checked to bound the sets
+stored, not the whole monoid.
 """
 
 import random
 
 import pytest
 
+from sofic import exact
 from sofic.constructions import padded_family_gn, reduction_irred
 from sofic.errors import AllLanguagesEmptyError, CapExceededError
 from sofic.exact import (
     ActionMonoid,
     Caps,
+    _domains_and_ranges,
+    _left_sets,
     action_monoid,
     action_of_word,
     compose,
     decide_sdp_exists,
     decide_sft,
     is_intrinsically_sync_relation,
+    preceded_by_intrinsic_sync,
 )
 from sofic.graphs import LabeledGraph, alphabet
 
@@ -62,16 +69,16 @@ def test_matches_naive_scan_of_whole_monoid(graphs):
 
 
 def judged(monkeypatch):
-    """The elements judged for intrinsic synchronization from now on."""
-    elements = []
-    is_intrinsic = ActionMonoid._is_intrinsic
+    """The left-image sets judged for intrinsic synchronization from now on."""
+    lefts = []
+    intrinsic = exact._intrinsic
 
-    def counted(self, k):
-        elements.append(k)
-        return is_intrinsic(self, k)
+    def counted(left, doms):
+        lefts.append(left)
+        return intrinsic(left, doms)
 
-    monkeypatch.setattr(ActionMonoid, "_is_intrinsic", counted)
-    return elements
+    monkeypatch.setattr(exact, "_intrinsic", counted)
+    return lefts
 
 
 # (graph, answer, whether the singleton ranges answer alone)
@@ -88,9 +95,9 @@ SEEDED = [
 @pytest.mark.parametrize("g,answer,alone", SEEDED, ids=["ev", "swap", "random"])
 def test_singleton_ranges_seed_the_search(g, answer, alone, monkeypatch):
     assert naive_sdp_exists(g) is answer
-    elements = judged(monkeypatch)
+    lefts = judged(monkeypatch)
     assert decide_sdp_exists(g) is answer
-    assert (elements == []) is alone
+    assert (lefts == []) is alone
 
 
 def test_nonempty_extensions_of_intrinsic_elements_are_intrinsic():
@@ -125,7 +132,7 @@ def test_relations_cap_still_raises_when_more_elements_are_needed():
     g = padded_family_gn(21)
     with pytest.raises(CapExceededError) as info:
         decide_sdp_exists(g, Caps(relations=1))
-    assert str(info.value) == "monoid element count 2 exceeds the configured cap"
+    assert str(info.value) == "left-image set count 2 exceeds the configured cap"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 50])
@@ -135,3 +142,59 @@ def test_subsets_cap_bounds_the_two_closures(k):
     with pytest.raises(CapExceededError) as info:
         decide_sdp_exists(padded_family_gn(21), Caps(subsets=k))
     assert str(info.value) == f"subset count {k + 1} exceeds the configured cap"
+
+
+# padded n -> the left-image sets the search stores before it answers
+STORED = {21: 25, 41: 77}
+
+
+@pytest.mark.parametrize("n", sorted(STORED))
+def test_search_stops_once_every_domain_is_covered(n):
+    # a search that went on imaging the sets it had queued once the
+    # answer was known would store more than these and raise at the cap
+    g, count = padded_family_gn(n), STORED[n]
+    with pytest.raises(CapExceededError) as info:
+        decide_sdp_exists(g, Caps(relations=count - 1))
+    assert info.value.count == count
+    assert str(info.value) == f"left-image set count {count} exceeds the configured cap"
+    assert decide_sdp_exists(g, Caps(relations=count)) is True
+
+
+def range_mask(relation):
+    return sum({1 << t for t in relation.targets if t >= 0})
+
+
+@pytest.mark.parametrize("seed", [75, 76])
+def test_unpruned_set_closure_is_the_left_image_sets_of_the_monoid(seed):
+    for g in random_graphs(seed, 60, max_vertices=4):
+        m = action_monoid(g)
+        elements = m.elements
+        # L(w) from its definition: the nonzero ranges of u;w over all u
+        expected = {
+            frozenset(range_mask(compose(u, w)) for u in elements) - {0} for w in elements
+        }
+        view = g._compiled()
+        steps = _domains_and_ranges(view, Caps().subsets)[1]
+        found = list(_left_sets(steps, view.n, len(view.labels), m.size, bool))
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+
+@pytest.mark.parametrize("seed", [77])
+def test_queries_stay_within_the_cap_the_monoid_closed_under(seed):
+    for g in random_graphs(seed, 60, max_vertices=4) + irred_graphs(78, 3):
+        m = action_monoid(g)
+        tight = action_monoid(g, Caps(relations=m.size))
+        for e in m.elements:
+            assert preceded_by_intrinsic_sync(tight, e) == preceded_by_intrinsic_sync(m, e)
+            assert is_intrinsically_sync_relation(tight, e) == is_intrinsically_sync_relation(m, e)
+
+
+def test_no_decider_builds_the_monoid(monkeypatch):
+    def refused(self, *args):
+        raise AssertionError("a decider built an ActionMonoid")
+
+    monkeypatch.setattr(ActionMonoid, "__init__", refused)
+    for g, answer, _ in SEEDED:
+        assert decide_sdp_exists(g) is answer
+    assert decide_sdp_exists(padded_family_gn(21)) is True

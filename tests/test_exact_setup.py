@@ -1,9 +1,10 @@
-"""The set-up of the action monoid: the subset closures behind its analysis.
+"""The set-up of the left-image set search: the subset closures behind it.
 
 ``exact._subset_closure`` maps each subset it reaches to its row, the
 packed image it took when it dequeued the subset, and
-``ActionMonoid._prepare`` reads the domains off the keys of the preimage
-closure and the range automaton off the rows of the image closure.  Both
+``exact._domains_and_ranges`` reads the domains off the keys of the
+preimage closure and the range automaton off the rows of the image
+closure.  Both
 are checked against ``tests/oracles.table_closure``, a plain set closure
 over one-label tables, in breadth-first order.  The set-up images each
 nonzero domain and each nonzero range exactly once, and under
@@ -19,8 +20,8 @@ from sofic import exact
 from sofic.errors import CapExceededError
 from sofic.exact import (
     DEFAULT_CAPS,
-    ActionMonoid,
     Caps,
+    _domains_and_ranges,
     _packed_tables,
     _subset_closure,
     decide_sdp_exists,
@@ -82,7 +83,7 @@ def test_closure_rows_match_a_plain_set_closure(g, preimages):
 @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
 def test_prepare_reads_domains_and_range_automaton_off_the_closures(g):
     n, count = len(g.vertices), len(g._compiled().labels)
-    doms, steps = ActionMonoid(g, DEFAULT_CAPS)._prepare()
+    doms, steps = _domains_and_ranges(g._compiled(), DEFAULT_CAPS.subsets)
     assert list(doms) == list(table_closure(g, preimages=True))
     ranges = table_closure(g)
     assert steps.pop(0) == 0
@@ -103,7 +104,7 @@ def test_set_up_images_each_domain_and_each_range_once(g, monkeypatch):
     # closures past 256 subsets, the 300-vertex ones, go on 8 bits at a time
     for name in ("_image", "_byte_image"):
         monkeypatch.setattr(exact, name, counted(getattr(exact, name)))
-    ActionMonoid(g, DEFAULT_CAPS)._prepare()
+    _domains_and_ranges(g._compiled(), DEFAULT_CAPS.subsets)
     # |D| + |R| images: each domain, then each range, once
     assert imaged == list(table_closure(g, preimages=True)) + list(table_closure(g))
 

@@ -32,8 +32,8 @@ from sofic.constructions import padded_family_gn
 from sofic.errors import CapExceededError
 from sofic.exact import (
     DEFAULT_CAPS,
-    ActionMonoid,
     Caps,
+    _domains_and_ranges,
     _packed_tables,
     _subset_closure,
     decide_equality,
@@ -143,8 +143,8 @@ def check_sync_word(g):
 
 
 def check_closures(g):
-    """Both closures of `g`, on their own and as the monoid's set-up, at
-    the default caps and around 256 subsets."""
+    """Both closures of `g`, on their own and as the left-image set
+    search's set-up, at the default caps and around 256 subsets."""
     lists = g._compiled().targets.values()
     n, full = len(g.vertices), (1 << len(g.vertices)) - 1
     doms, ranges = table_closure(g, preimages=True), table_closure(g)
@@ -158,7 +158,7 @@ def check_closures(g):
                 assert got == exceeded(k)
             else:
                 assert unpacked(got, n, len(lists)) == list(reference.items())
-    doms_got, steps = ActionMonoid(g, DEFAULT_CAPS)._prepare()
+    doms_got, steps = _domains_and_ranges(g._compiled(), DEFAULT_CAPS.subsets)
     assert list(doms_got) == list(doms)
     assert steps.pop(0) == 0
     assert unpacked(steps, n, len(lists)) == list(ranges.items())
@@ -166,7 +166,7 @@ def check_closures(g):
         got = outcome(synchronizing_vertices, g, Caps(subsets=k))
         assert got == (exceeded(k) if len(ranges) > k else synchronizing_vertices(g))
         # the domain closure runs, and raises, first
-        got = outcome(ActionMonoid(g, Caps(subsets=k))._prepare)
+        got = outcome(_domains_and_ranges, g._compiled(), k)
         if max(len(doms), len(ranges)) > k:
             assert got == exceeded(k)
 

@@ -18,15 +18,17 @@ the pair checks on the graphs of at most ``--pairs`` vertices::
     PYTHONPATH=src python -m tests.test_small_scope --n 4
     PYTHONPATH=src python -m tests.test_small_scope --pairs 3
 
-n = 4 gives 161,497 graphs, the empty one included, and took 86 s on a
+n = 4 gives 161,497 graphs, the empty one included, and took 87 s on a
 shared 2-core VM.  On graphs with more than ``FULL_MINIMALITY`` vertices
 minimality is checked only at k = 1 and k = |Q|, as its candidate
-search grows fastest, and the exact SFT decider is checked against the
-brute-force monoid only on graphs of at most ``BRUTE_SFT`` vertices.
-``--pairs 3`` checks the 4,276,624 ordered pairs
-of the 2068 graphs of n <= 3 and took 13 to 15 minutes on the same kind
-of machine (``check_subshift_witness`` 304-344 s and ``check_equal_sync``
-409-502 s of it), so it is left out of the test suite.
+search grows fastest, and the exact SFT and SDP deciders are checked
+against the brute-force monoid only on graphs of at most ``BRUTE_SFT``
+vertices: 7969 graphs at n = 4, isomorphic copies included, on which
+the two oracles take most of the 17 and 22 s of the two checks.
+``--pairs 3`` checks the 4,276,624 ordered pairs of the 2068 graphs of
+n <= 3 and took 13 to 15 minutes on the same kind of machine
+(``check_subshift_witness`` 304-344 s and ``check_equal_sync`` 409-502 s
+of it), so it is left out of the test suite.
 """
 
 import argparse
@@ -52,12 +54,13 @@ from sofic.graphs import LabeledGraph, essentialize, is_irreducible, strong_comp
 from sofic.oracle import language_upto
 from sofic.syncwords import is_synchronizing, separating_word, synchronizing_word_irreducible
 
-from .oracles import image, naive_sft, two_mask_witness
+from .oracles import image, naive_sdp_exists, naive_sft, two_mask_witness
 
 LABELS = ("a", "b")
 FULL_MINIMALITY = 3
 # naive_sft takes about 2 ms on a graph of at most 3 vertices and 0.2 s
-# on one of 4, which would add hours to n = 4
+# on one of 4, which would add hours to n = 4; naive_sdp_exists, about
+# 2 ms on 3 vertices, shares the bound
 BRUTE_SFT = 3
 # the longest subshift witness among graphs on at most 2 vertices has 4 letters
 DEPTH = 6
@@ -147,11 +150,18 @@ def check_sft(g):
 
 
 def check_sdp_exists(g):
-    """An irreducible or synchronizing graph presents a shift with a
+    """The exact SDP decider against a scan of the whole brute-force
+    monoid on at most ``BRUTE_SFT`` vertices; on larger graphs, an
+    irreducible or synchronizing one presents a shift with a
     synchronizing deterministic presentation."""
-    if (is_irreducible(g) or is_synchronizing(g)) and not decide_sdp_exists(g):
-        return [f"decide_sdp_exists False on {show(g)}"]
-    return []
+    if len(g.vertices) <= BRUTE_SFT:
+        expected = naive_sdp_exists(g)
+    elif is_irreducible(g) or is_synchronizing(g):
+        expected = True
+    else:
+        return []
+    got = decide_sdp_exists(g)
+    return [] if got == expected else [f"decide_sdp_exists {got} on {show(g)}"]
 
 
 def check_minimality(g):
