@@ -182,9 +182,8 @@ def follower_separation(g):
     # vertices come in sorted order, so a class's first is its smallest
     first = {}
     rep = {v: first.setdefault(b, v) for v, b in zip(g.vertices, block)}
-    return LabeledGraph(
-        vertices=first.values(),
-        edges=[(rep[src], a, rep[dst]) for src, a, dst in g.edges],
+    return LabeledGraph._from_checked(
+        first.values(), [(rep[src], a, rep[dst]) for src, a, dst in g.edges]
     )
 
 

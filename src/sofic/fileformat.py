@@ -15,6 +15,10 @@ Tokens are whitespace-separated; everything after a ``#`` is a comment.
 Edges may only reference declared vertices.  Rendering emits the
 canonical form (sorted vertices and edges), and parse/render/parse is
 the identity on it.
+
+A token that ``str.split`` yields is nonempty and free of whitespace,
+so it is a valid name as it stands: the parser builds each graph
+document without checking its names a second time.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ class GraphDocument:
 
 def _finish(kind, name, line, vertices, edges, starts, accepting):
     if kind == "graph":
-        return GraphDocument(kind, name, LabeledGraph(vertices=vertices, edges=edges))
+        return GraphDocument(kind, name, LabeledGraph._from_checked(vertices, edges))
     if not starts:
         raise ParseError(line, f"{kind} document {name!r} has no start state")
     sigma = sorted({a for _, a, _ in edges})
@@ -80,17 +84,29 @@ def parse(text):
                 _finish(kind, name, header_line, vertices, edges, starts, accepting)
             )
 
-    for number, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        # a well-formed edge first; outside a document `vertices` is empty,
-        # so every other line keeps the general branches and their errors
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    for number, tokens in enumerate(map(str.split, lines), start=1):
+        # a well-formed edge or new vertex first; outside a document
+        # `vertices` is empty and `kind` None, so every other line keeps
+        # the general branches and their errors
+        size = len(tokens)
         if (
-            len(tokens) == 4
+            size == 4
             and tokens[0] == "edge"
             and tokens[1] in vertices
             and tokens[3] in vertices
         ):
             edges.append((tokens[1], tokens[2], tokens[3]))
+            continue
+        if (
+            size == 2
+            and tokens[0] == "vertex"
+            and kind is not None
+            and tokens[1] not in vertices
+        ):
+            vertices.add(tokens[1])
             continue
         if not tokens:
             continue
@@ -107,11 +123,8 @@ def parse(text):
         if directive == "vertex":
             if len(args) != 1:
                 raise ParseError(number, "vertex takes exactly one name")
-            if args[0] in vertices:
-                raise DuplicateVertexError(
-                    number, f"vertex {args[0]!r} declared twice"
-                )
-            vertices.add(args[0])
+            # new vertices were taken above, so this one is declared again
+            raise DuplicateVertexError(number, f"vertex {args[0]!r} declared twice")
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError(number, "edge takes SRC LABEL DST")

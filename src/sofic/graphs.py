@@ -14,7 +14,10 @@ tuple is kept as that object, so a graph built from another graph's
 ``edges`` shares their triples; other edges become plain tuples.
 Construction checks each distinct name once, all names together; on a
 bad one it reports the first bad token in input order, as a check of one
-token at a time would.
+token at a time would.  A name is checked where it enters the package,
+and not again: the parser and the graphs built from another graph's
+names (a quotient, an induced subgraph) go through the private
+:meth:`LabeledGraph._from_checked`, which only deduplicates and sorts.
 
 A graph is its sorted vertex and edge tuples plus one integer view
 (:class:`_Compiled`), compiled on first use: one pass over the edges
@@ -87,6 +90,10 @@ class LabeledGraph:
         bad token or edge in input order: the vertices, then each edge's
         source, label and target.
 
+    Names that were already checked take the private constructor
+    :meth:`_from_checked` instead, which skips every check; both end in
+    the same deduplicating and sorting step.
+
     Examples
     --------
     >>> g = LabeledGraph(edges=[("a", "x", "b"), ("b", "x", "a"), ("a", "x", "b")])
@@ -129,8 +136,27 @@ class LabeledGraph:
                 _check_token(label, "label")
                 _check_token(dst, "vertex")
             raise error
-        self.vertices = tuple(sorted(vertex_set))
-        self.edges = tuple(sorted(distinct))
+        self._canonize(vertex_set, distinct)
+
+    @classmethod
+    def _from_checked(cls, vertices, edges):
+        """The graph on `vertices` with `edges`, checking no name.
+
+        For callers whose names were checked already: `vertices` holds
+        distinct valid names (tokens from ``str.split``, or names of a
+        built graph) and `edges` are plain ``(src, label, dst)`` tuples
+        over them with valid labels.  The parser, :func:`induced_subgraph`
+        (so :func:`essentialize`) and ``classify.follower_separation``
+        use it; names from anywhere else take the public constructor.
+        """
+        g = cls.__new__(cls)
+        g._canonize(vertices, dict.fromkeys(edges))
+        return g
+
+    def _canonize(self, vertices, edges):
+        """Sets the sorted vertex and edge tuples; `edges` are distinct."""
+        self.vertices = tuple(sorted(vertices))
+        self.edges = tuple(sorted(edges))
         self._view = None
 
     def _compiled(self):
@@ -547,9 +573,8 @@ def induced_subgraph(g, p):
     p = set(p)
     for v in p:
         g._require_vertex(v)
-    return LabeledGraph(
-        vertices=p,
-        edges=[e for e in g.edges if e[0] in p and e[2] in p],
+    return LabeledGraph._from_checked(
+        p, [e for e in g.edges if e[0] in p and e[2] in p]
     )
 
 
